@@ -20,6 +20,7 @@ import numpy as np
 from .geometry import (
     EUCLIDEAN,
     Ball,
+    Box,
     FeasibleSet,
     FullSpace,
     SimplexProduct,
@@ -479,24 +480,54 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
 # ---------------------------------------------------------------------------
 
 
+def _set_to_doc(fs: FeasibleSet) -> dict:
+    if isinstance(fs, FullSpace):
+        return {"set": "full"}
+    if isinstance(fs, Ball):
+        return {"set": "ball", "center": fs.center.tolist(), "radius": fs.radius}
+    if isinstance(fs, Box):
+        return {"set": "box", "lower": fs.lower.tolist(), "upper": fs.upper.tolist()}
+    if isinstance(fs, SimplexProduct):
+        return {"set": "simplex", "blocks": list(fs.block_sizes), "demands": list(fs.demands)}
+    raise ValueError(f"cannot serialize a {type(fs).__name__} set")
+
+
+def _set_from_doc(doc: dict, dim: int) -> FeasibleSet:
+    kind = doc.get("set", "simplex" if "blocks" in doc else "full")
+    if kind == "full":
+        return FullSpace(dim)
+    if kind == "ball":
+        return Ball(doc["center"], doc["radius"])
+    if kind == "box":
+        return Box(doc["lower"], doc["upper"])
+    if kind == "simplex":
+        return SimplexProduct(doc["blocks"], doc["demands"])
+    raise ValueError(f"unknown set kind {kind!r}")
+
+
 def problem_to_json(problem: VIProblem) -> str:
     """Serialize a problem to the documented JSON form (matrices row-major).
 
-    Affine instances carry "kind": "affine" with "G", "b" and, when the set
-    is a simplex product, "blocks" and "demands"; otherwise the set is the
-    full space.  GLM instances carry "kind": "glm" with "A", "x_star", "R",
-    "sigma_y" and "link".  "seed" records generation provenance.
+    Affine instances carry "kind": "affine" with "G", "b", the set ("set":
+    "full", "ball" with "center" and "radius", "box" with "lower" and
+    "upper", or "simplex" with "blocks" and "demands"), the oracle noise
+    level "sigma", "known_solution" and "block_partition" (null when
+    absent).  Other set types raise ``ValueError``.  GLM instances carry
+    "kind": "glm" with "A", "x_star", "R", "sigma_y" and "link".  "seed"
+    records generation provenance.
     """
     if problem.affine is not None:
+        sol, part = problem.known_solution, problem.block_partition
         doc = {
             "kind": "affine",
             "G": problem.affine.G.tolist(),
             "b": problem.affine.b.tolist(),
+            **_set_to_doc(problem.set),
+            "sigma": problem.constants.sigma,
+            "known_solution": None if sol is None else np.asarray(sol, dtype=float).tolist(),
+            "block_partition": None if part is None else [int(s) for s in part],
             "seed": problem.seed,
         }
-        if isinstance(problem.set, SimplexProduct):
-            doc["blocks"] = list(problem.set.block_sizes)
-            doc["demands"] = list(problem.set.demands)
         return json.dumps(doc)
     if problem.glm is not None:
         spec = problem.glm
@@ -519,13 +550,15 @@ def problem_from_json(text: str) -> VIProblem:
     kind = doc.get("kind")
     if kind == "affine":
         spec = AffineSpec(G=np.array(doc["G"], dtype=float), b=np.array(doc["b"], dtype=float))
-        if "blocks" in doc:
-            fs = SimplexProduct(doc["blocks"], doc["demands"])
-            blocks = tuple(int(s) for s in doc["blocks"])
-        else:
-            fs = FullSpace(spec.dim)
-            blocks = None
-        return affine_problem(spec, fs, block_partition=blocks, seed=doc.get("seed"))
+        fs = _set_from_doc(doc, spec.dim)
+        # documents without "block_partition" predate it: simplex blocks were the partition
+        blocks = doc.get("block_partition", doc.get("blocks"))
+        return affine_problem(
+            spec, fs, noise_sigma=float(doc.get("sigma", 0.0)),
+            known_solution=doc.get("known_solution"),
+            block_partition=None if blocks is None else tuple(int(s) for s in blocks),
+            seed=doc.get("seed"),
+        )
     if kind == "glm":
         spec = GLMSpec(
             link=doc["link"],

@@ -84,9 +84,6 @@ class Schedule:
     def table(self, k: int) -> ScheduleTable:
         raise NotImplementedError
 
-    def batch_size(self, t: int) -> int:
-        return 1
-
     def epoch_of(self, t: int) -> tuple[int, int]:
         """(epoch index, local iteration index); trivial for non-restart policies."""
         return 1, t
@@ -106,6 +103,17 @@ def _const_table(k: int, gamma: float, lam: float, log_ratio: float) -> Schedule
     tab.lam[0] = np.nan
     tab.batch[0] = 0
     return tab
+
+
+def _decreasing(mu: float, t0: float, t):
+    """Decreasing-policy stepsize gamma_t = 1/(mu (t0 + t - 1)) and weight
+    theta_t = (t + t0 + 1)(t + t0), elementwise in t."""
+    return 1.0 / (mu * (t0 + t - 1.0)), (t + t0 + 1.0) * (t + t0)
+
+
+def _coupled_lam(gamma: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """lambda_t = theta_{t-1} gamma_{t-1} / (theta_t gamma_t) for t = 1..len-1."""
+    return (theta[:-1] * gamma[:-1]) / (theta[1:] * gamma[1:])
 
 
 def _require_positive(**kwargs):
@@ -128,6 +136,7 @@ class OEGsmviSchedule(Schedule):
         self.L, self.mu = float(L), float(mu)
 
     def triple(self, t):
+        # r**t is exact for small integer ratios, where exp(t log r) is not
         r = self.mu / self.L + 1.0
         return 1.0 / (2.0 * self.L), 1.0 / r, r**t
 
@@ -146,9 +155,6 @@ class OEGmviSchedule(Schedule):
         _require_positive(L=L)
         self.L = float(L)
 
-    def triple(self, t):
-        return 1.0 / (3.0 * self.L), 1.0, 1.0
-
     def table(self, k):
         return _const_table(k, 1.0 / (3.0 * self.L), 1.0, 0.0)
 
@@ -162,9 +168,6 @@ class OEMviSchedule(Schedule):
     def __init__(self, L: float):
         _require_positive(L=L)
         self.L = float(L)
-
-    def triple(self, t):
-        return 1.0 / (2.0 * self.L), 1.0, 1.0
 
     def table(self, k):
         return _const_table(k, 1.0 / (2.0 * self.L), 1.0, 0.0)
@@ -185,24 +188,11 @@ class SoeDecreasingSchedule(Schedule):
         self.L, self.mu = float(L), float(mu)
         self.t0 = 4.0 * self.L / self.mu
 
-    def _gamma(self, t):
-        return 1.0 / (self.mu * (self.t0 + t - 1.0))
-
-    def _theta(self, t):
-        return (t + self.t0 + 1.0) * (t + self.t0)
-
-    def triple(self, t):
-        g = self._gamma(t)
-        lam = (self._theta(t - 1) * self._gamma(t - 1)) / (self._theta(t) * g)
-        return g, lam, self._theta(t)
-
     def table(self, k):
-        t = np.arange(k + 1, dtype=float)
-        gamma = 1.0 / (self.mu * (self.t0 + t - 1.0))
-        theta = (t + self.t0 + 1.0) * (t + self.t0)
+        gamma, theta = _decreasing(self.mu, self.t0, np.arange(k + 1, dtype=float))
         lam = np.empty(k + 1)
         lam[0] = np.nan
-        lam[1:] = (theta[:-1] * gamma[:-1]) / (theta[1:] * gamma[1:])
+        lam[1:] = _coupled_lam(gamma, theta)
         tab = ScheduleTable(
             k=k, gamma=gamma, lam=lam, log_theta=np.log(theta),
             batch=np.ones(k + 1, dtype=int), epoch_start=np.zeros(k + 1, dtype=bool),
@@ -239,10 +229,6 @@ class SoeConstantSchedule(Schedule):
         if self.q_clamped:
             self.notes = (f"q = {q:.3e} clamped to {self.Q_FLOOR}",)
         self.gamma = min(1.0 / (4.0 * self.L), self.q * math.log(self.k) / (self.mu * self.k))
-
-    def triple(self, t):
-        r = 2.0 * self.mu * self.gamma + 1.0
-        return self.gamma, 1.0 / r, r**t
 
     def table(self, k):
         r = 2.0 * self.mu * self.gamma + 1.0
@@ -301,21 +287,6 @@ class SoeRestartSchedule(Schedule):
             self._extend_epochs((self._ends[-1] if self._ends else 0) + 1)
         return self._ends[:num]
 
-    def _local_gamma(self, tl):
-        return 1.0 / (self.mu * (self.t0 + tl - 1.0))
-
-    def _local_theta(self, tl):
-        return (tl + self.t0 + 1.0) * (tl + self.t0)
-
-    def triple(self, t):
-        _, tl = self.epoch_of(t)
-        g = self._local_gamma(tl)
-        th = self._local_theta(tl)
-        if tl == 1:
-            return g, 0.0, th
-        lam = (self._local_theta(tl - 1) * self._local_gamma(tl - 1)) / (th * g)
-        return g, lam, th
-
     def table(self, k):
         self._extend_epochs(k)
         gamma = np.empty(k + 1)
@@ -323,21 +294,18 @@ class SoeRestartSchedule(Schedule):
         log_theta = np.empty(k + 1)
         epoch_start = np.zeros(k + 1, dtype=bool)
         # prehistory from the first epoch's local formulas at local index 0
-        gamma[0] = self._local_gamma(0.0)
+        gamma[0], theta0 = _decreasing(self.mu, self.t0, 0.0)
         lam[0] = np.nan
-        log_theta[0] = math.log(self._local_theta(0.0))
+        log_theta[0] = math.log(theta0)
         start = 0
         for ks in self._lengths:
             if start >= k:
                 break
             stop = min(start + ks, k)
-            tl = np.arange(1, stop - start + 1, dtype=float)
-            g = 1.0 / (self.mu * (self.t0 + tl - 1.0))
-            th = (tl + self.t0 + 1.0) * (tl + self.t0)
-            lm = np.empty_like(tl)
+            g, th = _decreasing(self.mu, self.t0, np.arange(1, stop - start + 1, dtype=float))
+            lm = np.empty_like(g)
             lm[0] = 0.0
-            if len(tl) > 1:
-                lm[1:] = (th[:-1] * g[:-1]) / (th[1:] * g[1:])
+            lm[1:] = _coupled_lam(g, th)
             sl = slice(start + 1, stop + 1)
             gamma[sl], lam[sl], log_theta[sl] = g, lm, np.log(th)
             epoch_start[start + 1] = True
@@ -364,12 +332,6 @@ class SoeGmviSchedule(Schedule):
         self.L = float(L)
         self.k = int(k)
 
-    def triple(self, t):
-        return 1.0 / (4.0 * self.L), 1.0, 1.0
-
-    def batch_size(self, t):
-        return self.k + 1
-
     def table(self, k):
         tab = _const_table(k, 1.0 / (4.0 * self.L), 1.0, 0.0)
         tab.batch[1:] = self.k + 1
@@ -392,12 +354,6 @@ class SoeMviSchedule(Schedule):
     def __init__(self, L: float):
         _require_positive(L=L)
         self.L = float(L)
-
-    def triple(self, t):
-        g = 1.0 / (self.L * math.sqrt(t))
-        if t == 1:
-            return g, 0.0, 1.0
-        return g, math.sqrt(t / (t - 1.0)), 1.0
 
     def table(self, k):
         t = np.arange(k + 1, dtype=float)
@@ -444,11 +400,6 @@ class SboeGsmviSchedule(Schedule):
         g = self.gamma
         return math.log1p(2.0 * self.mu * g) - math.log1p(2.0 * self.mu * g * (self.b - 1) / self.b)
 
-    def triple(self, t):
-        g = self.gamma
-        lam = (self.b + 2.0 * (self.b - 1) * self.mu * g) / (1.0 + 2.0 * self.mu * g)
-        return g, lam, math.exp(t * self._log_ratio())
-
     def table(self, k):
         g = self.gamma
         lam = (self.b + 2.0 * (self.b - 1) * self.mu * g) / (1.0 + 2.0 * self.mu * g)
@@ -469,9 +420,6 @@ class SboeMviSchedule(Schedule):
         self.b = int(b)
         self.L = float(L) if L is not None else self.Lbar * math.sqrt(self.b)
         self.coupling_scale = float(self.b)
-
-    def triple(self, t):
-        return 1.0 / (4.0 * self.Lbar * self.b), float(self.b), 1.0
 
     def table(self, k):
         return _const_table(k, 1.0 / (4.0 * self.Lbar * self.b), float(self.b), 0.0)
@@ -500,9 +448,6 @@ class SaSchedule(Schedule):
             self.name = "SA-RM"
             self.notes = ("classic Robbins-Monro stepsize; no side conditions claimed",)
 
-    def triple(self, t):
-        return 1.0 / (self.mu * (t + self.t0)), 0.0, 1.0
-
     def table(self, k):
         t = np.arange(k + 1, dtype=float)
         with np.errstate(divide="ignore"):
@@ -519,57 +464,6 @@ class SaSchedule(Schedule):
         tab.epoch_start[0] = False
         tab.batch[0] = 0
         return tab
-
-
-# Spec-level convenience functions returning the per-iteration values.
-
-def oe_gsmvi(L, mu, t):
-    return OEGsmviSchedule(L, mu).triple(t)
-
-
-def oe_gmvi(L, t):
-    return OEGmviSchedule(L).triple(t)
-
-
-def oe_mvi(L, t):
-    return OEMviSchedule(L).triple(t)
-
-
-def soe_decreasing(L, mu, t):
-    return SoeDecreasingSchedule(L, mu).triple(t)
-
-
-def soe_constant(L, mu, sigma, V1, k):
-    """Constant-policy schedule for a fixed horizon k (evaluate via .triple)."""
-    return SoeConstantSchedule(L, mu, sigma, V1, k)
-
-
-def soe_restart(L, mu, sigma, V1, t):
-    sched = SoeRestartSchedule(L, mu, sigma, V1)
-    g, lam, th = sched.triple(t)
-    return g, lam, th, sched.epoch_of(t)[0]
-
-
-def soe_gmvi(L, k, t):
-    sched = SoeGmviSchedule(L, k)
-    g, lam, th = sched.triple(t)
-    return g, lam, th, sched.batch_size(t)
-
-
-def soe_mvi(L, t):
-    return SoeMviSchedule(L).triple(t)
-
-
-def sboe_gsmvi(Lbar, b, mu, t):
-    return SboeGsmviSchedule(Lbar, b, mu).triple(t)
-
-
-def sboe_mvi(Lbar, b, t):
-    return SboeMviSchedule(Lbar, b).triple(t)
-
-
-def sa_classic(L, mu, t):
-    return SaSchedule(L, mu).triple(t)[0]
 
 
 # CLI policy names (the harness speaks these).  SA-RM is the no-offset

@@ -1,11 +1,15 @@
-"""Iteration engines and output-selection rules.
+"""Iteration engine and output-selection rules.
 
-Four runners share one trajectory format: the deterministic extrapolation
-method (one exact operator evaluation and one prox-mapping per iteration),
-its stochastic counterpart (mini-batch oracle estimates, with the previous
-estimate reused rather than re-sampled), the randomized block variant (one
-block updated per iteration), and a classic stochastic-approximation
-baseline without extrapolation.
+Every runner is one loop: evaluate the operator once per iteration,
+extrapolate against the previous value, and take one prox-mapping.  The
+runners differ only in where the next operator value comes from and in
+which coordinates a step moves.  The deterministic method (``oe_run``) uses
+the exact operator; the stochastic method (``soe_run``) uses mini-batch
+oracle estimates, reusing the previous estimate rather than re-sampling it;
+the randomized block method (``sboe_run``) moves one block per iteration and,
+for affine operators, updates the operator value through the changed block
+only.  The stochastic-approximation baseline (``sa_run``) is the stochastic
+method with lambda_t = 0.
 
 Oracle randomness is counter-based: iteration t of a run with seed s draws
 from a Philox stream keyed by (s, t), so trajectories are reproducible
@@ -23,7 +27,15 @@ import numpy as np
 
 from .geometry import Ball, Box, FeasibleSet, FullSpace, SimplexProduct
 from .problems import VIProblem
-from .schedules import Schedule
+from .schedules import (
+    OEGmviSchedule,
+    OEGsmviSchedule,
+    OEMviSchedule,
+    SaSchedule,
+    SboeGsmviSchedule,
+    SboeMviSchedule,
+    Schedule,
+)
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _PURPOSE_ORACLE = 1
@@ -54,22 +66,10 @@ class RunConfig:
     k: int
     seed: int = 0
     batch: int | Callable[[int], int] | None = None
-    cadence: int | None = None  # None: every iteration for k <= 1000, else ceil(k/100)
-    L: float | None = None
-    mu: float | None = None
-    sigma: float | None = None
-    V1: float | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.cadence is not None and self.cadence < 1:
-            raise ValueError("cadence must be >= 1")
-
-    def resolved_cadence(self) -> int:
-        if self.cadence is not None:
-            return self.cadence
-        return 1 if self.k <= 1000 else math.ceil(self.k / 100)
 
 
 @dataclass
@@ -105,9 +105,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.xs.shape[1]
-
-    def iterate(self, t: int) -> np.ndarray:
-        return self.xs[t]
 
     @property
     def final(self) -> np.ndarray:
@@ -150,122 +147,12 @@ def _table_theta(tab, t: int) -> float:
     return math.inf if lt > 700.0 else math.exp(lt)
 
 
-def oe_run(problem: VIProblem, schedule: Schedule, x1, k: int) -> Trajectory:
-    """Deterministic operator-extrapolation run: k iterations, one exact
-    operator evaluation and one prox-mapping each."""
-    x = _start_point(problem, x1)
-    traj = _alloc(schedule.name, x, k, seed=None)
-    F = problem.operator
-    fs = problem.set
-    tab = schedule.table(k)
-
-    F_prev = np.asarray(F(x), dtype=float)
-    traj.operator_evals = 1
-    F_cur = F_prev
-    traj.ops[0] = F_prev
-    x_prev = x
-    for t in range(1, k + 1):
-        tic = time.perf_counter_ns()
-        gamma = float(tab.gamma[t])
-        lam = float(tab.lam[t])
-        traj.ops[t] = F_cur
-        g = F_cur + lam * (F_cur - F_prev)
-        x_next = fs.project(x - gamma * g)
-        traj.xs[t + 1] = x_next
-        d = x_next - x
-        traj.movement_sq[t] = float(d @ d)
-        traj.gammas[t], traj.lams[t], traj.thetas[t] = gamma, lam, _table_theta(tab, t)
-        if t < k:
-            F_prev, F_cur = F_cur, np.asarray(F(x_next), dtype=float)
-            traj.operator_evals += 1
-        x_prev, x = x, x_next
-        traj.step_time_ns[t] = time.perf_counter_ns() - tic
-    return traj
-
-
 def _resolve_batch(batch, tab, t: int) -> int:
     if batch is None:
         return int(tab.batch[t])
     if callable(batch):
         return int(batch(t))
     return int(batch)
-
-
-def soe_run(
-    problem: VIProblem,
-    schedule: Schedule,
-    x1,
-    k: int,
-    seed: int,
-    batch: int | Callable[[int], int] | None = None,
-) -> Trajectory:
-    """Stochastic run: operator values come from the problem's mini-batch
-    oracle.  The estimate at x_{t-1} is the stored value from step t-1 (the
-    extrapolation reuses the same realization, never a fresh sample)."""
-    if problem.oracle is None:
-        raise ValueError("problem has no stochastic oracle")
-    x = _start_point(problem, x1)
-    traj = _alloc(schedule.name, x, k, seed=seed)
-    fs = problem.set
-    tab = schedule.table(k)
-
-    m1 = _resolve_batch(batch, tab, 1)
-    F_prev = np.asarray(problem.oracle(x, iteration_rng(seed, 0), m1), dtype=float)
-    traj.oracle_calls = m1
-    traj.batch_sizes[1] = m1
-    F_cur = F_prev
-    traj.ops[0] = F_prev
-    for t in range(1, k + 1):
-        tic = time.perf_counter_ns()
-        gamma = float(tab.gamma[t])
-        lam = float(tab.lam[t])
-        traj.ops[t] = F_cur
-        g = F_cur + lam * (F_cur - F_prev)
-        x_next = fs.project(x - gamma * g)
-        traj.xs[t + 1] = x_next
-        d = x_next - x
-        traj.movement_sq[t] = float(d @ d)
-        traj.gammas[t], traj.lams[t], traj.thetas[t] = gamma, lam, _table_theta(tab, t)
-        if t < k:
-            m = _resolve_batch(batch, tab, t + 1)
-            F_prev, F_cur = F_cur, np.asarray(
-                problem.oracle(x_next, iteration_rng(seed, t), m), dtype=float
-            )
-            traj.oracle_calls += m
-            traj.batch_sizes[t + 1] = m
-        x = x_next
-        traj.step_time_ns[t] = time.perf_counter_ns() - tic
-    return traj
-
-
-def sa_run(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int,
-           batch: int | Callable[[int], int] | None = None) -> Trajectory:
-    """Stochastic-approximation baseline: plain prox steps against the latest
-    oracle estimate, no extrapolation (the schedule's lambda is ignored)."""
-    if problem.oracle is None:
-        raise ValueError("problem has no stochastic oracle")
-    x = _start_point(problem, x1)
-    traj = _alloc(schedule.name, x, k, seed=seed)
-    fs = problem.set
-    tab = schedule.table(k)
-    for t in range(1, k + 1):
-        tic = time.perf_counter_ns()
-        m = _resolve_batch(batch, tab, t)
-        Ft = np.asarray(problem.oracle(x, iteration_rng(seed, t - 1), m), dtype=float)
-        traj.oracle_calls += m
-        traj.batch_sizes[t] = m
-        traj.ops[t] = Ft
-        if t == 1:
-            traj.ops[0] = Ft
-        gamma = float(tab.gamma[t])
-        x_next = fs.project(x - gamma * Ft)
-        traj.xs[t + 1] = x_next
-        d = x_next - x
-        traj.movement_sq[t] = float(d @ d)
-        traj.gammas[t], traj.lams[t], traj.thetas[t] = gamma, 0.0, 1.0
-        x = x_next
-        traj.step_time_ns[t] = time.perf_counter_ns() - tic
-    return traj
 
 
 def _block_sets(fs: FeasibleSet, partition: tuple[int, ...]) -> list[FeasibleSet]:
@@ -288,6 +175,113 @@ def _block_sets(fs: FeasibleSet, partition: tuple[int, ...]) -> list[FeasibleSet
     raise TypeError(f"unsupported set {type(fs).__name__}")
 
 
+def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | None, *,
+             source: str = "operator", batch=None, blocks: bool = False) -> Trajectory:
+    """The iteration loop behind every runner.
+
+    Step t extrapolates the current operator value against the previous one,
+    g = F_t + lambda_t (F_t - F_{t-1}), and takes one prox-mapping with
+    stepsize gamma_t.  With ``blocks`` the step moves only one block, drawn
+    up front from the block stream, and copies the other coordinates.
+
+    ``source`` says where the next operator value comes from: ``"operator"``
+    evaluates F exactly, ``"oracle"`` draws a mini-batch from the problem's
+    oracle on the (seed, t) stream, and ``"affine"`` (block runs of affine
+    problems) adds G[:, block] (x_{t+1} - x_t)[block] to the current value.
+    A step whose squared movement is not finite stops the run with
+    ``ValueError``.
+    """
+    x = _start_point(problem, x1)
+    tab = schedule.table(k)
+    fs = problem.set
+    if blocks:
+        slices = problem.block_slices()
+        parts = _block_sets(fs, tuple(problem.block_partition))
+        drawn = _philox(seed, _PURPOSE_BLOCK).integers(0, len(slices), size=k)
+    traj = _alloc(schedule.name, x, k, seed=seed, blocks=len(slices) if blocks else 0)
+    # column-major copy so per-block column slices hit the fast matvec path
+    G = np.asfortranarray(problem.affine.G) if source == "affine" else None
+
+    def evaluate(t: int, y: np.ndarray) -> np.ndarray:
+        """Operator value at y = x_{t+1}, counted on the trajectory."""
+        if source == "oracle":
+            m = _resolve_batch(batch, tab, t + 1)
+            traj.oracle_calls += m
+            traj.batch_sizes[t + 1] = m
+            return np.asarray(problem.oracle(y, iteration_rng(seed, t), m), dtype=float)
+        traj.operator_evals += 1
+        return np.asarray(problem.operator(y), dtype=float)
+
+    gammas, lams = tab.gamma.tolist(), tab.lam.tolist()
+    traj.gammas[1:], traj.lams[1:] = tab.gamma[1:], tab.lam[1:]
+    traj.thetas[1:] = [_table_theta(tab, t) for t in range(1, k + 1)]
+    F_prev = F_cur = evaluate(0, x)
+    traj.ops[0] = F_cur
+    sl = slice(None)
+    for t in range(1, k + 1):
+        tic = time.perf_counter_ns()
+        gamma, lam = gammas[t], lams[t]
+        traj.ops[t] = F_cur
+        if blocks:
+            i = int(drawn[t - 1])
+            sl = slices[i]
+            traj.block_index[t] = i
+            x_next = x.copy()
+            g = F_cur[sl] + lam * (F_cur[sl] - F_prev[sl])
+            x_next[sl] = parts[i].project(x[sl] - gamma * g)
+        else:
+            x_next = fs.project(x - gamma * (F_cur + lam * (F_cur - F_prev)))
+        traj.xs[t + 1] = x_next
+        d = x_next[sl] - x[sl]
+        move = float(d @ d)
+        if not math.isfinite(move):
+            raise ValueError(f"{schedule.name} run diverged at t = {t}: "
+                             f"||x_(t+1) - x_t||^2 = {move}")
+        traj.movement_sq[t] = move
+        if t < k:
+            F_prev = F_cur
+            if source == "affine":
+                F_cur = F_cur + G[:, sl] @ d
+                traj.block_updates += 1
+            else:
+                F_cur = evaluate(t, x_next)
+        x = x_next
+        traj.step_time_ns[t] = time.perf_counter_ns() - tic
+    return traj
+
+
+def oe_run(problem: VIProblem, schedule: Schedule, x1, k: int) -> Trajectory:
+    """Deterministic operator-extrapolation run: k iterations, one exact
+    operator evaluation and one prox-mapping each."""
+    return _iterate(problem, schedule, x1, k, None)
+
+
+def soe_run(
+    problem: VIProblem,
+    schedule: Schedule,
+    x1,
+    k: int,
+    seed: int,
+    batch: int | Callable[[int], int] | None = None,
+) -> Trajectory:
+    """Stochastic run: operator values come from the problem's mini-batch
+    oracle.  The estimate at x_{t-1} is the stored value from step t-1 (the
+    extrapolation reuses the same realization, never a fresh sample)."""
+    if problem.oracle is None:
+        raise ValueError("problem has no stochastic oracle")
+    return _iterate(problem, schedule, x1, k, seed, source="oracle", batch=batch)
+
+
+def sa_run(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int,
+           batch: int | Callable[[int], int] | None = None) -> Trajectory:
+    """Stochastic-approximation baseline: plain prox steps against the latest
+    oracle estimate.  This is the stochastic run with the baseline schedule,
+    whose lambda_t = 0 switches extrapolation off."""
+    if not isinstance(schedule, SaSchedule):
+        raise ValueError(f"sa_run needs an SaSchedule, got {type(schedule).__name__}")
+    return soe_run(problem, schedule, x1, k, seed, batch=batch)
+
+
 def sboe_run(
     problem: VIProblem,
     schedule: Schedule,
@@ -305,78 +299,23 @@ def sboe_run(
     changed block, costing O(n * n_i) per iteration instead of a full
     evaluation; otherwise every iteration re-evaluates F.
     """
-    if problem.block_partition is None:
-        raise ValueError("problem has no block partition")
-    partition = tuple(problem.block_partition)
-    b = len(partition)
-    slices = problem.block_slices()
-    block_sets = _block_sets(problem.set, partition)
-
-    x = _start_point(problem, x1)
-    traj = _alloc(schedule.name, x, k, seed=seed, blocks=b)
-    F = problem.operator
-    tab = schedule.table(k)
-    use_recursion = recursive_affine and problem.affine is not None
-    # column-major copy so per-block column slices hit the fast matvec path
-    G = np.asfortranarray(problem.affine.G) if use_recursion else None
-
-    blocks_drawn = _philox(seed, _PURPOSE_BLOCK).integers(0, b, size=k)
-    F_prev = np.asarray(F(x), dtype=float)
-    traj.operator_evals = 1
-    F_cur = F_prev.copy()
-    traj.ops[0] = F_prev
-    for t in range(1, k + 1):
-        tic = time.perf_counter_ns()
-        i = int(blocks_drawn[t - 1])
-        sl = slices[i]
-        gamma = float(tab.gamma[t])
-        lam = float(tab.lam[t])
-        traj.ops[t] = F_cur
-        g_i = F_cur[sl] + lam * (F_cur[sl] - F_prev[sl])
-        x_next = x.copy()
-        x_next[sl] = block_sets[i].project(x[sl] - gamma * g_i)
-        traj.xs[t + 1] = x_next
-        d = x_next[sl] - x[sl]
-        traj.movement_sq[t] = float(d @ d)
-        traj.gammas[t], traj.lams[t], traj.thetas[t] = gamma, lam, _table_theta(tab, t)
-        traj.block_index[t] = i
-        if t < k:
-            F_prev = F_cur
-            if use_recursion:
-                F_cur = F_cur + G[:, sl] @ d
-                traj.block_updates += 1
-            else:
-                F_cur = np.asarray(F(x_next), dtype=float)
-                traj.operator_evals += 1
-        x = x_next
-        traj.step_time_ns[t] = time.perf_counter_ns() - tic
-    return traj
+    source = "affine" if recursive_affine and problem.affine is not None else "operator"
+    return _iterate(problem, schedule, x1, k, seed, source=source, blocks=True)
 
 
 def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig,
         *, recursive_affine: bool = True) -> Trajectory:
     """Single-run entry point: dispatch on the schedule family.
 
-    Deterministic policies use the exact-operator engine; block policies the
-    randomized block engine; the baseline its plain prox engine; everything
-    else the stochastic engine with the config's batch rule.
+    Deterministic policies use exact operator values, block policies the
+    randomized block run, and everything else (the baseline included) the
+    stochastic run with the config's batch rule.
     """
-    from .schedules import (
-        OEGmviSchedule,
-        OEGsmviSchedule,
-        OEMviSchedule,
-        SaSchedule,
-        SboeGsmviSchedule,
-        SboeMviSchedule,
-    )
-
     if isinstance(schedule, (OEGsmviSchedule, OEGmviSchedule, OEMviSchedule)):
         return oe_run(problem, schedule, x1, config.k)
     if isinstance(schedule, (SboeGsmviSchedule, SboeMviSchedule)):
         return sboe_run(problem, schedule, x1, config.k, config.seed,
                         recursive_affine=recursive_affine)
-    if isinstance(schedule, SaSchedule):
-        return sa_run(problem, schedule, x1, config.k, config.seed, batch=config.batch)
     return soe_run(problem, schedule, x1, config.k, config.seed, batch=config.batch)
 
 

@@ -7,8 +7,11 @@ from contextlib import nullcontext as _nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oevi.geometry import Ball, FullSpace, SimplexProduct
+from oevi.geometry import Ball, Box, FullSpace, SimplexProduct
 from oevi.problems import (
     AffineSpec,
     GLMSpec,
@@ -430,3 +433,72 @@ class TestSerialization:
         p = glm_generate(4, "ramp", R=2.0, sigma_y=0.1, seed=41)
         parsed = json.loads(problem_to_json(p))
         assert set(parsed) == {"kind", "A", "x_star", "R", "sigma_y", "link", "seed"}
+
+
+def _vectors(n, lo=-10.0, hi=10.0):
+    return hnp.arrays(np.float64, n, elements=st.floats(lo, hi))
+
+
+@st.composite
+def _compositions(draw, n):
+    """Block sizes summing to n."""
+    cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+    edges = [0, *sorted(cuts), n]
+    return tuple(b - a for a, b in zip(edges, edges[1:]))
+
+
+@st.composite
+def _affine_problems(draw):
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["full", "ball", "box", "simplex"]))
+    if kind == "full":
+        fs = FullSpace(n)
+    elif kind == "ball":
+        fs = Ball(draw(_vectors(n)), draw(st.floats(1e-3, 1e3)))
+    elif kind == "box":
+        lower = draw(_vectors(n))
+        fs = Box(lower, lower + draw(_vectors(n, 0.0, 10.0)))
+    else:
+        blocks = draw(_compositions(n))
+        fs = SimplexProduct(blocks, draw(_vectors(len(blocks), 0.0, 10.0)))
+    spec = AffineSpec(draw(hnp.arrays(np.float64, (n, n), elements=st.floats(-10.0, 10.0))),
+                      draw(_vectors(n)))
+    return affine_problem(
+        spec, fs,
+        noise_sigma=draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0))),
+        known_solution=draw(st.one_of(st.none(), _vectors(n))),
+        block_partition=draw(st.one_of(st.none(), _compositions(n))),
+        seed=draw(st.one_of(st.none(), st.integers(0, 2**31))),
+    )
+
+
+_SET_FIELDS = {FullSpace: ("dim",), Ball: ("center", "radius"), Box: ("lower", "upper"),
+               SimplexProduct: ("block_sizes", "demands")}
+
+
+@pytest.mark.filterwarnings("ignore:operator is not monotone")
+@settings(max_examples=60, deadline=None)
+@given(_affine_problems())
+def test_affine_json_round_trip_is_lossless(p):
+    q = problem_from_json(problem_to_json(p))
+    np.testing.assert_array_equal(q.affine.G, p.affine.G)
+    np.testing.assert_array_equal(q.affine.b, p.affine.b)
+    assert type(q.set) is type(p.set)
+    for name in _SET_FIELDS[type(p.set)]:
+        np.testing.assert_array_equal(getattr(q.set, name), getattr(p.set, name))
+    assert q.constants.sigma == p.constants.sigma
+    assert (q.oracle is None) == (p.oracle is None)
+    if p.known_solution is None:
+        assert q.known_solution is None
+    else:
+        np.testing.assert_array_equal(q.known_solution, p.known_solution)
+    assert q.block_partition == p.block_partition
+    assert q.seed == p.seed
+
+
+def test_unserializable_set_rejected():
+    import dataclasses
+
+    p = affine_problem(AffineSpec(np.eye(2), np.zeros(2)), FullSpace(2))
+    with pytest.raises(ValueError, match="cannot serialize"):
+        problem_to_json(dataclasses.replace(p, set=object()))

@@ -11,17 +11,17 @@ from oevi import schedules as S
 
 class TestLinearRatePolicy:
     def test_values_at_L2_mu1(self):
-        g, lam, th = S.oe_gsmvi(2.0, 1.0, 1)
+        g, lam, th = S.OEGsmviSchedule(2.0, 1.0).triple(1)
         assert g == pytest.approx(0.25)
         assert lam == pytest.approx(2.0 / 3.0)
         assert th == pytest.approx(1.5)
 
     def test_values_at_L1_mu1_t3(self):
-        g, lam, th = S.oe_gsmvi(1.0, 1.0, 3)
+        g, lam, th = S.OEGsmviSchedule(1.0, 1.0).triple(3)
         assert (g, lam, th) == (0.5, 0.5, 8.0)
 
     def test_small_mu_limit(self):
-        g, lam, th = S.oe_gsmvi(1.0, 1e-12, 5)
+        g, lam, th = S.OEGsmviSchedule(1.0, 1e-12).triple(5)
         assert lam == pytest.approx(1.0)
         assert th == pytest.approx(1.0)
 
@@ -32,22 +32,22 @@ class TestLinearRatePolicy:
 
 class TestPlainMonotonePolicies:
     def test_gmvi_values(self):
-        assert S.oe_gmvi(3.0, 1)[0] == pytest.approx(1.0 / 9.0)
-        assert S.oe_gmvi(1.0 / 3.0, 10)[0] == pytest.approx(1.0)
+        assert S.OEGmviSchedule(3.0).triple(1)[0] == pytest.approx(1.0 / 9.0)
+        assert S.OEGmviSchedule(1.0 / 3.0).triple(10)[0] == pytest.approx(1.0)
         for t in (1, 7, 100):
-            g, lam, th = S.oe_gmvi(2.0, t)
+            g, lam, th = S.OEGmviSchedule(2.0).triple(t)
             assert (lam, th) == (1.0, 1.0)
 
     def test_mvi_values(self):
-        assert S.oe_mvi(2.0, 4)[0] == pytest.approx(0.25)
-        assert S.oe_mvi(0.5, 1)[0] == pytest.approx(1.0)
+        assert S.OEMviSchedule(2.0).triple(4)[0] == pytest.approx(0.25)
+        assert S.OEMviSchedule(0.5).triple(1)[0] == pytest.approx(1.0)
         for t in (1, 5, 50):
-            assert S.oe_mvi(1.0, t)[1:] == (1.0, 1.0)
+            assert S.OEMviSchedule(1.0).triple(t)[1:] == (1.0, 1.0)
 
 
 class TestDecreasingPolicy:
     def test_values_at_L4_mu1(self):
-        g, lam, th = S.soe_decreasing(4.0, 1.0, 1)
+        g, lam, th = S.SoeDecreasingSchedule(4.0, 1.0).triple(1)
         assert g == pytest.approx(1.0 / 16.0)
         assert th == pytest.approx(306.0)
         # lambda_1 = theta_0 gamma_0 / (theta_1 gamma_1) with t0 = 16:
@@ -151,13 +151,14 @@ class TestRestartPolicy:
 
 class TestStochasticMonotonePolicies:
     def test_soe_gmvi_values(self):
-        g, lam, th, m = S.soe_gmvi(1.0, 99, 1)
+        g, lam, th = S.SoeGmviSchedule(1.0, 99).triple(1)
+        m = S.SoeGmviSchedule(1.0, 99).table(1).batch[1]
         assert (g, lam, th, m) == (0.25, 1.0, 1.0, 100)
-        _, _, _, m2 = S.soe_gmvi(1.0, 198, 1)
+        m2 = S.SoeGmviSchedule(1.0, 198).table(1).batch[1]
         assert m2 - 1 == 2 * (m - 1)
 
     def test_soe_mvi_values(self):
-        g, lam, th = S.soe_mvi(1.0, 4)
+        g, lam, th = S.SoeMviSchedule(1.0).triple(4)
         assert g == pytest.approx(0.5)
         assert th == 1.0
         # coupling gamma_{t-1} = gamma_t lambda_t forces lambda_4 = sqrt(4/3)
@@ -179,14 +180,14 @@ class TestStochasticMonotonePolicies:
 
 class TestBlockPolicies:
     def test_single_block_reduces_to_linear_rate(self):
-        g, lam, th = S.sboe_gsmvi(1.0, 1, 0.5, 3)
-        g2, lam2, th2 = S.oe_gsmvi(1.0, 0.5, 3)
+        g, lam, th = S.SboeGsmviSchedule(1.0, 1, 0.5).triple(3)
+        g2, lam2, th2 = S.OEGsmviSchedule(1.0, 0.5).triple(3)
         assert g == pytest.approx(g2)
         assert lam == pytest.approx(lam2)
         assert th == pytest.approx(th2)
 
     def test_values_b5(self):
-        g, lam, th = S.sboe_gsmvi(1.0, 5, 0.1, 1)
+        g, lam, th = S.SboeGsmviSchedule(1.0, 5, 0.1).triple(1)
         assert g == pytest.approx(0.1)
         assert lam == pytest.approx((5.0 + 0.08) / 1.02)
 
@@ -199,17 +200,17 @@ class TestBlockPolicies:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_sboe_mvi_values(self):
-        g, lam, th = S.sboe_mvi(1.0, 5, 1)
+        g, lam, th = S.SboeMviSchedule(1.0, 5).triple(1)
         assert (g, lam, th) == (0.05, 5.0, 1.0)
-        g1, lam1, _ = S.sboe_mvi(1.0, 1, 1)
+        g1, lam1, _ = S.SboeMviSchedule(1.0, 1).triple(1)
         assert (g1, lam1) == (0.25, 1.0)
         for t in (1, 10, 100):
-            assert S.sboe_mvi(2.0, 3, t)[2] == 1.0
+            assert S.SboeMviSchedule(2.0, 3).triple(t)[2] == 1.0
 
 
 class TestBaselinePolicy:
     def test_values(self):
-        assert S.sa_classic(4.0, 1.0, 1) == pytest.approx(1.0 / 17.0)
+        assert S.SaSchedule(4.0, 1.0).triple(1)[0] == pytest.approx(1.0 / 17.0)
 
     def test_asymptotics_and_monotonicity(self):
         sched = S.SaSchedule(4.0, 1.0)

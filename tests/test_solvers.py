@@ -68,6 +68,14 @@ class TestDeterministicRun:
         assert calls["n"] == 37
         assert traj.operator_evals == 37
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_divergent_run_raises(self):
+        # gamma = 1/(3 * 1e-3) on F(x) = x: |x| grows ~333-fold per step and
+        # overflows near t = 55; the run must stop there, not return inf/nan
+        p = scalar_problem()
+        with pytest.raises(ValueError, match=r"OE-GMVI run diverged at t = \d+"):
+            oe_run(p, S.OEGmviSchedule(1e-3), np.array([1.0]), 200)
+
     def test_linear_rate_bound_pointwise(self):
         rng = np.random.default_rng(3)
         n = 12
@@ -188,6 +196,11 @@ class TestStochasticRun:
         a = sa_run(p, sched, np.zeros(1), 40, seed=9)
         b = sa_run(p, sched, np.zeros(1), 40, seed=9)
         np.testing.assert_array_equal(a.xs, b.xs)
+
+    def test_sa_rejects_extrapolating_schedule(self):
+        p = scalar_problem(noise=0.5)
+        with pytest.raises(ValueError, match="SaSchedule"):
+            sa_run(p, S.SoeDecreasingSchedule(1.0, 0.5), np.zeros(1), 10, seed=9)
 
 
 class TestBlockRun:
@@ -382,10 +395,6 @@ class TestRunDispatcher:
 
         with pytest.raises(ValueError):
             RunConfig(policy="x", k=0)
-        with pytest.raises(ValueError):
-            RunConfig(policy="x", k=10, cadence=0)
-        assert RunConfig(policy="x", k=500).resolved_cadence() == 1
-        assert RunConfig(policy="x", k=10_000).resolved_cadence() == 100
 
 
 class TestIterationStreams:
