@@ -17,7 +17,7 @@ Run:  python3 demos/02_stochastic_policies.py
 import numpy as np
 
 from oevi import schedules as S
-from oevi.geometry import EUCLIDEAN, analytic_center, bregman
+from oevi.geometry import analytic_center, bregman
 from oevi.problems import glm_generate, glm_sigma_bound
 from oevi.solvers import sa_run, soe_run
 
@@ -27,7 +27,7 @@ problem = glm_generate(n, "hinge", R=R, sigma_y=1.0, seed=11, d_minus=d_minus)
 c = problem.constants
 x1 = analytic_center(problem.set)
 x_star = problem.known_solution
-V1 = bregman(EUCLIDEAN, x1, x_star)
+V1 = bregman(x1, x_star)
 sigma_eff = np.sqrt(glm_sigma_bound(problem.glm) / m)
 
 print(f"hinge instance: n={n}, R={R}, d_minus={d_minus:g}")
@@ -51,7 +51,7 @@ for label, sched in policies.items():
     for seed in range(seeds):
         traj = runner(problem, sched, x1, k, seed=seed,
                       batch=None if "SOE-4" in label else m)
-        finals.append(bregman(EUCLIDEAN, traj.final, x_star))
+        finals.append(bregman(traj.final, x_star))
     mean = float(np.mean(finals))
     print(f"{label:<20} {mean:>18.4e} {mean / V1:>10.2e}")
 print("(SOE-4 draws its own batch of k+1 samples per step, a larger budget)")

@@ -13,7 +13,7 @@ Run:  python3 demos/03_block_solver.py
 import numpy as np
 
 from oevi import schedules as S
-from oevi.geometry import EUCLIDEAN, analytic_center, bregman
+from oevi.geometry import analytic_center, bregman
 from oevi.harness import mean_iteration_ns
 from oevi.problems import block_lipschitz, solve_reference, traffic_generate
 from oevi.solvers import oe_run, sboe_run
@@ -26,7 +26,7 @@ c = problem.constants
 x_star = solve_reference(problem, 1e-10)
 Lbar = block_lipschitz(problem.affine, problem.block_partition)
 x1 = analytic_center(problem.set)
-V1 = bregman(EUCLIDEAN, x1, x_star)
+V1 = bregman(x1, x_star)
 print(f"L={c.L:.3f}  mu={c.mu:.4f}  Lbar={Lbar:.3f}  V(x1,x*)={V1:.3e}\n")
 
 k = 4000
@@ -35,8 +35,8 @@ t_b = sboe_run(problem, S.SboeGsmviSchedule(Lbar=Lbar, b=5, mu=c.mu, L=c.L),
                x1, k, seed=3)
 print(f"{'k':>6} {'full-update V':>14} {'block-update V':>15}")
 for kk in (100, 500, 1000, 4000):
-    v_oe = bregman(EUCLIDEAN, t_oe.xs[kk + 1], x_star)
-    v_b = bregman(EUCLIDEAN, t_b.xs[kk + 1], x_star)
+    v_oe = bregman(t_oe.xs[kk + 1], x_star)
+    v_b = bregman(t_b.xs[kk + 1], x_star)
     print(f"{kk:>6} {v_oe:>14.3e} {v_b:>15.3e}")
 print("\n(the block solver needs more iterations, but each one is cheaper)")
 print(f"operator work: full run = {t_oe.operator_evals} evaluations; "

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Write a golden set of oevi outputs and print its sha256 manifest.
+
+Runs, each in a fresh process:
+  - ``oevi run`` and ``oevi check`` on the two configs next to this script
+    (golden_traffic.ini, golden_glm.ini);
+  - ``oevi suite traffic --sizes 200,500``, ``oevi suite glm-hinge`` and
+    ``oevi suite glm-ramp``.
+
+All outputs land under OUTDIR.  The manifest lists ``<sha256>  <path>`` for
+every file except the wall-clock ``timing.csv``, sorted by path, so byte
+identity between two checkouts is one ``diff`` of their manifests:
+
+    python3 scripts/golden_csvs.py /tmp/golden-a > a.txt
+    python3 scripts/golden_csvs.py /tmp/golden-b --src ../other/src > b.txt
+    diff a.txt b.txt
+
+The whole set takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CONFIGS = ("golden_traffic.ini", "golden_glm.ini")
+SUITES = (("traffic", "--sizes", "200,500"), ("glm-hinge",), ("glm-ramp",))
+UNSTABLE = {"timing.csv"}  # wall-clock table, outside the byte-identity contract
+
+
+def oevi(src: Path, args: list[str], stdout_path: Path | None = None):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, "-m", "oevi.cli", *args]
+    if stdout_path is None:
+        stdout_path = Path(os.devnull)
+    else:
+        stdout_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(stdout_path, "w") as out:
+        proc = subprocess.run(cmd, env=env, stdout=out, stderr=subprocess.PIPE, text=True)
+    # check exits 2 on a failed bound; the output still belongs in the manifest
+    if proc.returncode not in (0, 2):
+        sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+
+
+def manifest(outdir: Path) -> list[str]:
+    lines = []
+    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+        if path.name in UNSTABLE:
+            continue
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"{digest}  {path.relative_to(outdir)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--src", type=Path, default=HERE.parent / "src",
+                        help="directory holding the oevi package (default: this checkout's src)")
+    args = parser.parse_args(argv)
+    outdir, src = args.outdir.resolve(), args.src.resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    for cfg in CONFIGS:
+        stem = Path(cfg).stem
+        oevi(src, ["run", str(HERE / cfg), "--output", str(outdir / "run" / stem)])
+        oevi(src, ["check", str(HERE / cfg)], outdir / "check" / f"{stem}.txt")
+    for name, *extra in SUITES:
+        # the suite summaries quote wall-clock times, so only their CSVs count
+        oevi(src, ["suite", name, *extra, "--output", str(outdir / "suite" / name)])
+    print("\n".join(manifest(outdir)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,10 +6,8 @@ validators, iteration engines, convergence metrics, and a benchmark harness.
 from .geometry import (
     Ball,
     Box,
-    EUCLIDEAN,
     FeasibleSet,
     FullSpace,
-    ProxGeometry,
     SimplexProduct,
     analytic_center,
     bregman,
@@ -54,7 +52,6 @@ from .solvers import (
 )
 from .metrics import (
     bregman_diameter,
-    distance_metric,
     gap_surrogate,
     max_bregman_from,
     residual_certificate,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -73,15 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config, args):
+    """Command-line values replace config keys; the result is validated again."""
+    changes = {}
     if getattr(args, "k", None) is not None:
-        config.k = args.k
+        changes["k"] = args.k
     if getattr(args, "seeds", None):
-        config.seeds = _parse_int_list(args.seeds)
+        changes["seeds"] = _parse_int_list(args.seeds)
     if getattr(args, "output", None) is not None:
-        config.output = args.output
+        changes["output"] = args.output
     if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
-    return config
+        changes["workers"] = args.workers
+    return replace(config, **changes)
 
 
 def main(argv=None) -> int:

@@ -38,29 +38,6 @@ def _vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class ProxGeometry:
-    """Distance-generating function and its gradient-smoothness constant.
-
-    ``dgf`` names the generator; only ``"euclidean"`` is supported, with
-    smoothness constant L_omega = 1 (the gradient of omega is the identity).
-    """
-
-    dgf: str = "euclidean"
-    L_omega: float = 1.0
-
-    def __post_init__(self):
-        if self.dgf != "euclidean":
-            raise ValueError(f"unsupported distance-generating function {self.dgf!r}")
-
-    def grad(self, x) -> np.ndarray:
-        """Gradient of the generator at x (identity map for the Euclidean case)."""
-        return np.asarray(x, dtype=float)
-
-
-EUCLIDEAN = ProxGeometry()
-
-
 class FeasibleSet:
     """Base class for constraint geometries.
 
@@ -233,7 +210,7 @@ def project_simplex(v, d: float) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def bregman(geom: ProxGeometry, x, y) -> float:
+def bregman(x, y) -> float:
     """Bregman distance V(x, y); equals ||x - y||^2 / 2 for the Euclidean generator."""
     xv = _vector(x)
     yv = _vector(y, xv.shape[0], "y")
@@ -241,7 +218,7 @@ def bregman(geom: ProxGeometry, x, y) -> float:
     return 0.5 * float(diff @ diff)
 
 
-def prox_step(geom: ProxGeometry, fs: FeasibleSet, x_t, g, gamma: float) -> np.ndarray:
+def prox_step(fs: FeasibleSet, x_t, g, gamma: float) -> np.ndarray:
     """One prox-mapping: argmin_{x in X} gamma * <g, x> + V(x_t, x).
 
     ``g`` is the already-extrapolated direction.  For the Euclidean generator

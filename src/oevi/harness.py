@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import EUCLIDEAN, Ball, FullSpace, analytic_center, bregman
+from .geometry import Ball, FullSpace, analytic_center, bregman
 from .metrics import (
     bound_gmvi_movement,
     bound_gmvi_residual,
@@ -135,7 +135,6 @@ class ExperimentConfig:
     weak_gap: bool = False
     workers: int | None = None
     compute_reference: bool = True
-    reference_tol: float = 1e-10
     validate_policies: str = "fail"  # "fail" | "warn" | "skip"
 
     def __post_init__(self):
@@ -275,7 +274,7 @@ def load_config(path) -> ExperimentConfig:
 def default_v1_estimate(problem: VIProblem, x1) -> float:
     """Fallback V(x1, x*) estimate: distance from x1 to the set's analytic
     center (squared, halved); 1.0 when x1 is the center itself."""
-    est = bregman(EUCLIDEAN, np.asarray(x1, dtype=float), analytic_center(problem.set))
+    est = bregman(x1, analytic_center(problem.set))
     return est if est > 0 else 1.0
 
 
@@ -291,7 +290,7 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
     V1 = policy.V1
     if V1 is None:
         if problem.known_solution is not None:
-            V1 = bregman(EUCLIDEAN, np.asarray(x1, dtype=float), problem.known_solution)
+            V1 = bregman(x1, problem.known_solution)
             V1 = V1 if V1 > 0 else 1.0
         else:
             V1 = default_v1_estimate(problem, x1)
@@ -325,18 +324,18 @@ def run_policy(policy: PolicyRun, problem: VIProblem, schedule: Schedule, x1,
 
 
 def _weak_gap_available(problem: VIProblem) -> bool:
-    if problem.affine is None or not problem.set.bounded:
-        return False
-    S = problem.affine.G + problem.affine.G.T
-    eigs = np.linalg.eigvalsh(S)
-    return eigs[0] >= -1e-8 * max(float(np.abs(eigs).max()), 1.0)
+    return problem.affine is not None and problem.set.bounded and problem.affine.monotone
 
 
 def trajectory_rows(
     traj, problem: VIProblem, ts: list[int], *,
     weak_gap: bool = False, timing: bool = False,
 ) -> list[dict]:
-    """Metric records at the checkpoint grid (row t = state after t iterations)."""
+    """Metric records at the checkpoint grid (row t = state after t iterations).
+
+    F is evaluated once per checkpoint; the exact residual, the residual
+    certificate and the gap surrogate all read that value.
+    """
     x_star = problem.known_solution
     res_exact_ok = isinstance(problem.set, (FullSpace, Ball))
     surrogate_ok = problem.set.bounded
@@ -359,13 +358,14 @@ def trajectory_rows(
             "wall_time_ns": int(cum_time[t]) if timing else None,
         }
         if x_star is not None:
-            row["V_to_solution"] = bregman(EUCLIDEAN, x, x_star)
+            row["V_to_solution"] = bregman(x, x_star)
+        Fx = problem.operator(x)  # the one exact evaluation at this checkpoint
         if res_exact_ok:
-            row["residual_exact"] = residual_exact(problem.set, x, problem.operator(x))
+            row["residual_exact"] = residual_exact(problem.set, x, Fx)
         if t >= 1:
-            row["residual_certificate"] = residual_certificate(traj, t, problem, EUCLIDEAN)
+            row["residual_certificate"] = residual_certificate(traj, t, Fx)
         if surrogate_ok:
-            row["gap_surrogate"] = gap_surrogate(problem, x)
+            row["gap_surrogate"] = gap_surrogate(problem.set, x, Fx)
         if weak_ok:
             row["weak_gap_exact"] = weak_gap_exact_affine(problem, x)
         # one operator value consumed per iteration for exact-operator runs
@@ -487,7 +487,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
     and one aggregate CSV per policy under config.output (if set)."""
     problem = config.problem
     if config.compute_reference:
-        problem = ensure_reference(problem, config.reference_tol)
+        problem = ensure_reference(problem)
     x1 = analytic_center(problem.set)
     ts = checkpoints(config.k, config.resolved_cadence())
 
@@ -764,15 +764,15 @@ def _bound_checks_for(
     checks: list[BoundCheck] = []
 
     def v_final(traj):
-        return bregman(EUCLIDEAN, traj.final, x_star)
+        return bregman(traj.final, x_star)
 
     if name == "OE-GSMVI":
         traj = trajs[0]
-        V1 = bregman(EUCLIDEAN, x1, x_star)
+        V1 = bregman(x1, x_star)
         worst = 0.0
         ok = True
         for t in range(1, k + 1):
-            lhs = bregman(EUCLIDEAN, traj.xs[t + 1], x_star)
+            lhs = bregman(traj.xs[t + 1], x_star)
             rhs = bound_gsmvi_linear(L, schedule.mu, V1, t) + 1e-9
             worst = max(worst, lhs - rhs)
             ok = ok and lhs <= rhs
@@ -780,13 +780,13 @@ def _bound_checks_for(
                                  "pointwise over all k"))
     elif name == "OE-GMVI":
         traj = trajs[0]
-        V1 = bregman(EUCLIDEAN, x1, x_star)
+        V1 = bregman(x1, x_star)
         total = float(traj.movement_sq[1:].sum())
         lim = bound_gmvi_movement(V1) + 1e-9
         checks.append(BoundCheck(name, "movement sum", total, lim, total <= lim))
         R, _ = select_best_movement(traj)
-        cert = residual_certificate(traj, R, problem, EUCLIDEAN)
-        lim = bound_gmvi_residual(L, EUCLIDEAN.L_omega, V1, k)
+        cert = residual_certificate(traj, R, problem.operator(traj.xs[R + 1]))
+        lim = bound_gmvi_residual(L, c.L_omega, V1, k)
         checks.append(BoundCheck(name, "residual certificate", cert, lim, cert <= lim))
     elif name == "OE-MVI":
         traj = trajs[0]
@@ -800,7 +800,7 @@ def _bound_checks_for(
             checks.append(BoundCheck(name, "averaged-iterate gap", math.nan, math.nan,
                                      True, "skipped: exact gap needs bounded affine"))
     elif name in ("SOE-1", "SOE-2", "SOE-3", "SBOE-GSMVI"):
-        V1 = bregman(EUCLIDEAN, x1, x_star)
+        V1 = bregman(x1, x_star)
         m = policy.batch or 1
         # the bound needs the actual oracle noise level (a user override is
         # treated as the noise estimate the check is run at)
@@ -809,7 +809,7 @@ def _bound_checks_for(
         if name == "SOE-3":
             ends = [K for K in schedule.epoch_ends(8) if K <= k]
             for s, K in enumerate(ends, start=1):
-                vals = np.array([bregman(EUCLIDEAN, tr.xs[K + 1], x_star) for tr in trajs])
+                vals = np.array([bregman(tr.xs[K + 1], x_star) for tr in trajs])
                 se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
                 lim = bound_soe_restart(V1, s) + 3 * se
                 checks.append(BoundCheck(name, f"epoch {s} halving", float(vals.mean()),
@@ -829,15 +829,15 @@ def _bound_checks_for(
             checks.append(BoundCheck(name, "expected distance", float(vals.mean()),
                                      lim, vals.mean() <= lim, f"{len(vals)} seeds"))
     elif name == "SOE-4":
-        V1 = bregman(EUCLIDEAN, x1, x_star)
+        V1 = bregman(x1, x_star)
         sigma_base = policy.sigma if policy.sigma is not None else c.sigma
         vals = []
         for tr in trajs:
             R, _ = select_uniform_R(tr, output_rng(tr.seed))
-            vals.append(residual_certificate(tr, R, problem, EUCLIDEAN) ** 2)
+            vals.append(residual_certificate(tr, R, problem.operator(tr.xs[R + 1])) ** 2)
         vals = np.array(vals)
         se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        lim = bound_soe_gmvi_residual_sq(L, EUCLIDEAN.L_omega, sigma_base, V1, k) + 3 * se
+        lim = bound_soe_gmvi_residual_sq(L, c.L_omega, sigma_base, V1, k) + 3 * se
         checks.append(BoundCheck(name, "expected squared residual", float(vals.mean()),
                                  lim, vals.mean() <= lim, f"{len(vals)} seeds"))
     elif name == "SOE-MVI" and _weak_gap_available(problem):
@@ -873,7 +873,7 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
     Policies whose schedule fails validation get a FAIL record and no bound
     check (the guarantee's preconditions do not hold).
     """
-    problem = ensure_reference(config.problem, config.reference_tol)
+    problem = ensure_reference(config.problem)
     if problem.known_solution is None:
         has_dist = any(p.name not in ("OE-MVI", "SOE-MVI", "SBOE-MVI", "SA")
                        for p in config.policies)

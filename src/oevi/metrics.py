@@ -1,10 +1,12 @@
 """Termination and quality measures, plus the closed-form convergence bounds.
 
-Three families of measures: Bregman distance to a known solution, residuals
-(the distance from -F(x) to the normal cone, exact for the whole space and
-balls, upper-bounded by a certificate computable from any stored trajectory),
-and weak-gap values for monotone problems on bounded sets (an exact inner
-maximization for affine operators, a support-function surrogate otherwise).
+Two families of measures (the distance to a known solution is
+``geometry.bregman``): residuals (the distance from -F(x) to the normal cone,
+exact for the whole space and balls, upper-bounded by a certificate
+computable from any stored trajectory), and weak-gap values for monotone
+problems on bounded sets (an exact inner maximization for affine operators,
+a support-function surrogate otherwise).  Measures that need F(x) take it
+from the caller, so one evaluation can serve all of them.
 
 The ``bound_*`` functions evaluate the convergence guarantees of each policy
 so runs can be compared against them at face value.
@@ -22,22 +24,13 @@ from .geometry import (
     FeasibleSet,
     FullSpace,
     MEMBERSHIP_TOL,
-    ProxGeometry,
     SimplexProduct,
-    bregman,
     linear_minimize,
 )
 from .problems import VIProblem
 from .solvers import Trajectory
 
 GAP_CLAMP = -1e-12  # gap values this close to zero are rounding, report 0
-
-
-def distance_metric(geom: ProxGeometry, x, x_star) -> float:
-    """Bregman distance V(x, x*) to a known solution."""
-    if x_star is None:
-        raise ValueError("no known solution available")
-    return bregman(geom, x, x_star)
 
 
 def residual_exact(fs: FeasibleSet, x, Fx) -> float:
@@ -66,44 +59,41 @@ def residual_exact(fs: FeasibleSet, x, Fx) -> float:
     )
 
 
-def residual_certificate(
-    traj: Trajectory, t_index: int, problem: VIProblem, geom: ProxGeometry
-) -> float:
+def residual_certificate(traj: Trajectory, t_index: int, F_next) -> float:
     """Residual upper bound ||delta_t|| from stored iterates at index t in [1, k]:
 
         delta_t = Fh(x_t) - F(x_{t+1}) + lambda_t [Fh(x_t) - Fh(x_{t-1})]
-                  + (grad omega(x_{t+1}) - grad omega(x_t)) / gamma_t,
+                  + (x_{t+1} - x_t) / gamma_t,
 
     where Fh are the operator values the run actually used (exact for
-    deterministic runs, stored samples for stochastic ones) and F(x_{t+1}) is
-    always the exact operator.  By the prox-mapping optimality condition this
-    value upper-bounds the true residual at x_{t+1}.
+    deterministic runs, stored samples for stochastic ones) and ``F_next`` is
+    the exact operator value F(x_{t+1}).  By the prox-mapping optimality
+    condition this value upper-bounds the true residual at x_{t+1}.
     """
     if not 1 <= t_index <= traj.k:
         raise ValueError(f"t_index {t_index} outside [1, {traj.k}]")
     t = t_index
     lam = float(traj.lams[t])
     gamma = float(traj.gammas[t])
-    F_next = np.asarray(problem.operator(traj.xs[t + 1]), dtype=float)
     delta = (
         traj.ops[t]
-        - F_next
+        - np.asarray(F_next, dtype=float)
         + lam * (traj.ops[t] - traj.ops[t - 1])
-        + (geom.grad(traj.xs[t + 1]) - geom.grad(traj.xs[t])) / gamma
+        + (traj.xs[t + 1] - traj.xs[t]) / gamma
     )
     return float(np.linalg.norm(delta))
 
 
-def gap_surrogate(problem: VIProblem, x_bar) -> float:
-    """Support-function upper bound on the weak gap:
+def gap_surrogate(fs: FeasibleSet, x_bar, Fx) -> float:
+    """Support-function upper bound on the weak gap, given Fx = F(x_bar):
     <F(x_bar), x_bar> - min_{x in X} <F(x_bar), x>.
 
     Dominates the weak gap for monotone operators and is tight when F is
     constant.  Requires a bounded set.
     """
     xb = np.asarray(x_bar, dtype=float)
-    Fb = np.asarray(problem.operator(xb), dtype=float)
-    best = linear_minimize(problem.set, Fb)
+    Fb = np.asarray(Fx, dtype=float)
+    best = linear_minimize(fs, Fb)
     value = float(Fb @ (xb - best))
     if value < GAP_CLAMP:
         return value  # genuinely negative: caller should know
@@ -117,29 +107,28 @@ def weak_gap_exact_affine(
 
     The inner problem is a concave quadratic maximization, solved by
     projected gradient ascent with stepsize 1/lambda_max(G + G^T) until the
-    gradient-mapping norm drops below ``inner_tol``.  When the quadratic part
-    vanishes numerically (skew G), the inner problem is linear and is solved
-    exactly through the support oracle.
+    gradient-mapping norm drops below ``inner_tol``; ``RuntimeError`` if
+    ``max_inner`` steps do not get there.  When the quadratic part vanishes
+    numerically (skew G), the inner problem is linear and is solved exactly
+    through the support oracle.
     """
-    if problem.affine is None:
+    spec = problem.affine
+    if spec is None:
         raise ValueError("exact weak gap requires an affine operator")
     if not problem.set.bounded:
         raise ValueError("weak gap requires a bounded set")
-    G, b = problem.affine.G, problem.affine.b
-    xb = np.asarray(x_bar, dtype=float)
-
-    S = G + G.T
-    eigs = np.linalg.eigvalsh(S)
-    scale = max(float(np.abs(eigs).max()), 1.0)
-    if eigs[0] < -1e-8 * scale:
+    if not spec.monotone:
         raise ValueError("G + G^T is indefinite; the inner problem is not concave")
-    lam_max = float(eigs[-1])
+    G, b = spec.G, spec.b
+    xb = np.asarray(x_bar, dtype=float)
+    lam_min, lam_max = spec.spectrum
 
     # objective phi(x) = <G x + b, x_bar - x>, gradient G^T x_bar - S x - b
     c = G.T @ xb - b
-    if lam_max <= 1e-12 * scale:
+    if lam_max <= 1e-12 * max(abs(lam_min), abs(lam_max), 1.0):
         x_opt = linear_minimize(problem.set, -c)
     else:
+        S = G + G.T
         step = 1.0 / lam_max
         x = xb.copy()
         for _ in range(max_inner):
@@ -149,6 +138,11 @@ def weak_gap_exact_affine(
                 x = x_new
                 break
             x = x_new
+        else:
+            raise RuntimeError(
+                f"weak-gap inner solve did not reach inner_tol={inner_tol} "
+                f"within max_inner={max_inner} steps"
+            )
         x_opt = x
     value = float((G @ x_opt + b) @ (xb - x_opt))
     if value < GAP_CLAMP:

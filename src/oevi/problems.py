@@ -13,12 +13,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .geometry import (
-    EUCLIDEAN,
     Ball,
     Box,
     FeasibleSet,
@@ -26,7 +26,6 @@ from .geometry import (
     SimplexProduct,
     analytic_center,
     bregman,
-    prox_step,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -98,6 +97,19 @@ class AffineSpec:
     def dim(self) -> int:
         return self.G.shape[0]
 
+    @cached_property
+    def spectrum(self) -> tuple[float, float]:
+        """(lambda_min, lambda_max) of G + G^T, computed on first use."""
+        eigs = np.linalg.eigvalsh(self.G + self.G.T)
+        return float(eigs[0]), float(eigs[-1])
+
+    @property
+    def monotone(self) -> bool:
+        """G + G^T is positive semidefinite up to round-off:
+        lambda_min >= -1e-8 max(|lambda|, 1)."""
+        lam_min, lam_max = self.spectrum
+        return lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max), 1.0)
+
 
 def affine_eval(spec: AffineSpec, y) -> np.ndarray:
     """Evaluate F(y) = G y + b."""
@@ -114,7 +126,7 @@ def affine_constants(spec: AffineSpec) -> tuple[float, float]:
     i.e. the instance is not monotone.
     """
     L = float(np.linalg.norm(spec.G, 2))
-    mu_raw = 0.5 * float(np.linalg.eigvalsh(spec.G + spec.G.T)[0])
+    mu_raw = 0.5 * spec.spectrum[0]
     if mu_raw < 0:
         warnings.warn(
             f"operator is not monotone (lambda_min(G+G^T)/2 = {mu_raw:.3e}); reporting mu = 0",
@@ -459,9 +471,9 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
     F_cur = F_prev.copy()
     for _ in range(max_iter):
         g = F_cur + lam * (F_cur - F_prev)
-        x_next = prox_step(EUCLIDEAN, fs, x, g, gamma)
+        x_next = fs.project(x - gamma * g)
         F_next = F(x_next)
-        movement = bregman(EUCLIDEAN, x_next, x)
+        movement = bregman(x_next, x)
         # certificate for the step just taken: F(x_t) - F(x_{t+1})
         # + lam [F(x_t) - F(x_{t-1})] + (x_{t+1} - x_t) / gamma
         delta = F_cur - F_next + lam * (F_cur - F_prev) + (x_next - x) / gamma

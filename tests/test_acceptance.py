@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from oevi.geometry import (
-    EUCLIDEAN,
     FullSpace,
     SimplexProduct,
     analytic_center,
@@ -108,10 +107,10 @@ def test_criterion_01_gsmvi_linear_rate():
         L, mu = p.constants.L, p.constants.mu
         assert mu > 0
         x1 = np.ones(50)
-        V1 = bregman(EUCLIDEAN, x1, p.known_solution)
+        V1 = bregman(x1, p.known_solution)
         traj = oe_run(p, S.OEGsmviSchedule(L, mu), x1, 500)
         for k in range(1, 501):
-            lhs = bregman(EUCLIDEAN, traj.xs[k + 1], p.known_solution)
+            lhs = bregman(traj.xs[k + 1], p.known_solution)
             assert lhs <= bound_gsmvi_linear(L, mu, V1, k) + 1e-9, f"violated at k={k}"
 
 
@@ -120,7 +119,7 @@ def test_criterion_02_gmvi_movement_and_residual():
         p = _skew_plus_tiny(30, seed=202)
         L = p.constants.L
         x1 = np.zeros(30)
-        V1 = bregman(EUCLIDEAN, x1, p.known_solution)
+        V1 = bregman(x1, p.known_solution)
         k_max = 10_000
         traj = oe_run(p, S.OEGmviSchedule(L), x1, k_max)
         move_limit = bound_gmvi_movement(V1) + 1e-9
@@ -131,8 +130,8 @@ def test_criterion_02_gmvi_movement_and_residual():
             # constant, so the prefix equals a standalone k-iteration run)
             sums = traj.movement_sq[1 : k + 1] + traj.movement_sq[:k]
             R = int(np.argmin(sums)) + 1
-            cert = residual_certificate(traj, R, p, EUCLIDEAN)
-            assert cert <= bound_gmvi_residual(L, EUCLIDEAN.L_omega, V1, k), f"residual at k={k}"
+            cert = residual_certificate(traj, R, p.operator(traj.xs[R + 1]))
+            assert cert <= bound_gmvi_residual(L, p.constants.L_omega, V1, k), f"residual at k={k}"
 
 
 def test_criterion_03_mvi_gap_bound():
@@ -266,10 +265,10 @@ def test_criterion_08_soe1_expectation_bound_and_ordering():
         c = p.constants
         x1 = analytic_center(p.set)
         x_star = p.known_solution
-        V1 = bregman(EUCLIDEAN, x1, x_star)
+        V1 = bregman(x1, x_star)
         sched = S.SoeDecreasingSchedule(c.L, c.mu)
         finals = np.array([
-            bregman(EUCLIDEAN, soe_run(p, sched, x1, k, seed=sd, batch=1).final, x_star)
+            bregman(soe_run(p, sched, x1, k, seed=sd, batch=1).final, x_star)
             for sd in range(seeds)
         ])
         se = finals.std(ddof=1) / math.sqrt(seeds)
@@ -288,11 +287,11 @@ def test_criterion_08_soe1_expectation_bound_and_ordering():
         soe_sched = S.SoeDecreasingSchedule(c2.L, c2.mu)
         sa_sched = S.SaSchedule(c2.L, c2.mu, parity_offset=False)
         soe_f = np.array([
-            bregman(EUCLIDEAN, soe_run(p2, soe_sched, x1, k2, seed=sd, batch=m2).final, x_star)
+            bregman(soe_run(p2, soe_sched, x1, k2, seed=sd, batch=m2).final, x_star)
             for sd in range(seeds2)
         ])
         sa_f = np.array([
-            bregman(EUCLIDEAN, sa_run(p2, sa_sched, x1, k2, seed=sd, batch=m2).final, x_star)
+            bregman(sa_run(p2, sa_sched, x1, k2, seed=sd, batch=m2).final, x_star)
             for sd in range(seeds2)
         ])
         assert soe_f.mean() < sa_f.mean(), (soe_f.mean(), sa_f.mean())
@@ -308,7 +307,7 @@ def test_criterion_09_restart_epoch_halving():
         p = glm_problem(spec)
         c = p.constants
         x1 = analytic_center(p.set)
-        V1 = bregman(EUCLIDEAN, x1, p.known_solution)
+        V1 = bregman(x1, p.known_solution)
         # honest per-step noise level: analytic oracle bound cut by the batch
         sigma_eff = math.sqrt(glm_sigma_bound(spec) / m)
         sched = S.SoeRestartSchedule(c.L, c.mu, sigma_eff, V1)
@@ -317,7 +316,7 @@ def test_criterion_09_restart_epoch_halving():
         for sd in range(seeds):
             traj = soe_run(p, sched, x1, ends[-1], seed=sd, batch=m)
             for s, K in enumerate(ends, start=1):
-                trajs_vals[s].append(bregman(EUCLIDEAN, traj.xs[K + 1], p.known_solution))
+                trajs_vals[s].append(bregman(traj.xs[K + 1], p.known_solution))
         for s in (1, 2, 3):
             vals = np.array(trajs_vals[s])
             se = vals.std(ddof=1) / math.sqrt(seeds)
@@ -332,13 +331,13 @@ def test_criterion_10_sboe_linear_rate_and_timing():
         x_star = solve_reference(p, 1e-10)
         Lbar = block_lipschitz(p.affine, p.block_partition)
         x1 = analytic_center(p.set)
-        V1 = bregman(EUCLIDEAN, x1, x_star)
+        V1 = bregman(x1, x_star)
         F1 = p.operator(x1)
         k, b, seeds = 5000, 5, 100
         sched = S.SboeGsmviSchedule(Lbar=Lbar, b=b, mu=c.mu, L=c.L)
         assert S.validate(sched, k).passed
         finals = np.array([
-            bregman(EUCLIDEAN, sboe_run(p, sched, x1, k, seed=sd).final, x_star)
+            bregman(sboe_run(p, sched, x1, k, seed=sd).final, x_star)
             for sd in range(seeds)
         ])
         se = finals.std(ddof=1) / math.sqrt(seeds)
@@ -369,17 +368,17 @@ def test_criterion_11_stochastic_gmvi_residual():
         p = _skew_plus_tiny(n, seed=31, noise_sigma=sigma)
         c = p.constants
         x1 = np.zeros(n)
-        V1 = bregman(EUCLIDEAN, x1, p.known_solution)
+        V1 = bregman(x1, p.known_solution)
         sched = S.SoeGmviSchedule(c.L, k)  # batch m = k + 1 per step
         vals = []
         for sd in range(seeds):
             traj = soe_run(p, sched, x1, k, seed=sd)
             assert traj.oracle_calls == k * (k + 1)
             R, _ = select_uniform_R(traj, output_rng(sd))
-            vals.append(residual_certificate(traj, R, p, EUCLIDEAN) ** 2)
+            vals.append(residual_certificate(traj, R, p.operator(traj.xs[R + 1])) ** 2)
         vals = np.array(vals)
         se = vals.std(ddof=1) / math.sqrt(seeds)
-        limit = bound_soe_gmvi_residual_sq(c.L, EUCLIDEAN.L_omega, sigma, V1, k) + 3 * se
+        limit = bound_soe_gmvi_residual_sq(c.L, p.constants.L_omega, sigma, V1, k) + 3 * se
         assert vals.mean() <= limit, (vals.mean(), limit)
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from oevi.geometry import (
-    EUCLIDEAN,
     Ball,
     Box,
     FullSpace,
@@ -48,39 +47,39 @@ def brute_force_simplex_projection(v, d):
 class TestBregman:
     def test_identity(self):
         x = np.array([1.5, -2.0, 3.0])
-        assert bregman(EUCLIDEAN, x, x) == 0.0
+        assert bregman(x, x) == 0.0
 
     def test_three_four_five(self):
-        assert bregman(EUCLIDEAN, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
+        assert bregman(np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
 
     def test_unit_step(self):
-        assert bregman(EUCLIDEAN, np.array([1.0, 1.0]), np.array([1.0, 2.0])) == pytest.approx(0.5)
+        assert bregman(np.array([1.0, 1.0]), np.array([1.0, 2.0])) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            bregman(EUCLIDEAN, np.zeros(2), np.zeros(3))
+            bregman(np.zeros(2), np.zeros(3))
 
     def test_euclidean_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             x, y = rng.normal(size=4), rng.normal(size=4)
-            assert bregman(EUCLIDEAN, x, y) == pytest.approx(bregman(EUCLIDEAN, y, x))
+            assert bregman(x, y) == pytest.approx(bregman(y, x))
 
 
 class TestProxStep:
     def test_fullspace_is_plain_step(self):
         fs = FullSpace(2)
-        out = prox_step(EUCLIDEAN, fs, [1.0, 1.0], [2.0, 0.0], 0.5)
+        out = prox_step(fs, [1.0, 1.0], [2.0, 0.0], 0.5)
         np.testing.assert_allclose(out, [0.0, 1.0])
 
     def test_ball_radial_rescale(self):
         fs = Ball([0.0, 0.0], 1.0)
-        out = prox_step(EUCLIDEAN, fs, [1.0, 0.0], [-2.0, -4.0], 1.0)
+        out = prox_step(fs, [1.0, 0.0], [-2.0, -4.0], 1.0)
         np.testing.assert_allclose(out, [0.6, 0.8])
 
     def test_simplex_step_matches_kkt_enumeration(self):
         fs = SimplexProduct([2], [1.0])
-        out = prox_step(EUCLIDEAN, fs, [0.5, 0.5], [-1.5, 0.5], 1.0)
+        out = prox_step(fs, [0.5, 0.5], [-1.5, 0.5], 1.0)
         expected = brute_force_simplex_projection(np.array([2.0, 0.0]), 1.0)
         np.testing.assert_allclose(out, expected, atol=1e-12)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
@@ -88,11 +87,11 @@ class TestProxStep:
     def test_infeasible_center_rejected(self):
         fs = Ball([0.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            prox_step(EUCLIDEAN, fs, [2.0, 0.0], [0.0, 0.0], 1.0)
+            prox_step(fs, [2.0, 0.0], [0.0, 0.0], 1.0)
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
-            prox_step(EUCLIDEAN, FullSpace(2), [0.0, 0.0], [1.0, 0.0], 0.0)
+            prox_step(FullSpace(2), [0.0, 0.0], [1.0, 0.0], 0.0)
 
 
 def _random_sets(dim=6):
@@ -117,8 +116,8 @@ def test_prox_nonexpansive_in_direction(fs):
         x = _random_feasible(fs, rng)
         g1, g2 = rng.normal(size=fs.dim), rng.normal(size=fs.dim)
         gamma = float(rng.uniform(0.05, 2.0))
-        p1 = prox_step(EUCLIDEAN, fs, x, g1, gamma)
-        p2 = prox_step(EUCLIDEAN, fs, x, g2, gamma)
+        p1 = prox_step(fs, x, g1, gamma)
+        p2 = prox_step(fs, x, g2, gamma)
         assert np.linalg.norm(p1 - p2) <= gamma * np.linalg.norm(g1 - g2) + 1e-12
 
 
@@ -131,9 +130,9 @@ def test_three_point_inequality(fs):
         x = _random_feasible(fs, rng)
         g = rng.normal(size=fs.dim)
         gamma = float(rng.uniform(0.05, 2.0))
-        x_plus = prox_step(EUCLIDEAN, fs, x_t, g, gamma)
-        lhs = gamma * float(g @ (x_plus - x)) + bregman(EUCLIDEAN, x_t, x_plus)
-        rhs = bregman(EUCLIDEAN, x_t, x) - bregman(EUCLIDEAN, x_plus, x)
+        x_plus = prox_step(fs, x_t, g, gamma)
+        lhs = gamma * float(g @ (x_plus - x)) + bregman(x_t, x_plus)
+        rhs = bregman(x_t, x) - bregman(x_plus, x)
         assert lhs <= rhs + 1e-9
 
 
@@ -142,7 +141,7 @@ def test_prox_output_is_member(fs):
     rng = np.random.default_rng(17)
     for _ in range(200):
         x_t = _random_feasible(fs, rng)
-        out = prox_step(EUCLIDEAN, fs, x_t, rng.normal(size=fs.dim), 1.0)
+        out = prox_step(fs, x_t, rng.normal(size=fs.dim), 1.0)
         assert fs.contains(out)
 
 

@@ -1,12 +1,14 @@
 """Harness tests: config validation and parsing, CSV schema, end-to-end
 determinism, aggregation consistency, bound checks, and the CLI surface."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from oevi import cli
+from oevi.geometry import analytic_center
 from oevi.harness import (
     TRAJECTORY_HEADER,
     ConfigError,
@@ -19,9 +21,12 @@ from oevi.harness import (
     run_experiment,
     suite_glm,
     suite_traffic,
+    trajectory_rows,
     write_aggregate_csv,
 )
-from oevi.problems import problem_to_json, traffic_generate
+from oevi.problems import glm_generate, problem_to_json, traffic_generate
+from oevi.schedules import OEGsmviSchedule
+from oevi.solvers import oe_run
 
 
 def tiny_problem(noise=0.0):
@@ -159,6 +164,47 @@ cadence = 1
 [policy:SOE-1]
 m = 2
 """
+
+
+class TestMetricInputs:
+    @pytest.mark.parametrize("make", [
+        lambda: traffic_generate(10, 5, 0.5, seed=42),  # simplex product
+        lambda: glm_generate(5, "hinge", 2.0, 0.1, seed=3),  # ball
+    ], ids=["simplex", "ball"])
+    def test_one_operator_call_per_checkpoint(self, make):
+        p = make()
+        c = p.constants
+        traj = oe_run(p, OEGsmviSchedule(c.L, c.mu), analytic_center(p.set), 20)
+        calls = []
+
+        def counted(x, _F=p.operator):
+            calls.append(1)
+            return _F(x)
+
+        ts = checkpoints(20, 3)
+        rows = trajectory_rows(traj, dataclasses.replace(p, operator=counted), ts)
+        assert len(calls) == len(ts)
+        assert all(row["residual_certificate"] is not None for row in rows[1:])
+        assert all(row["gap_surrogate"] is not None for row in rows)
+
+    def test_spectrum_computed_once(self, tmp_path, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        problem = tiny_problem()
+        assert len(calls) == 1  # at construction, for mu
+        cfg = ExperimentConfig(
+            problem=problem, policies=[PolicyRun("OE-MVI"), PolicyRun("SBOE-MVI")],
+            k=10, seeds=(1, 2), output=tmp_path / "out", weak_gap=True,
+        )
+        aggs = run_experiment(cfg)
+        assert aggs["OE-MVI"].mean["weak_gap_exact"][-1] is not None
+        assert len(calls) == 1
 
 
 class TestConfigFile:
@@ -322,6 +368,19 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nkind = nosuch\n\n[run]\nk = 5\n\n[policy:SA]\n")
         assert cli.main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("override", [("--seeds", "3,3"), ("--k", "0")],
+                             ids=["duplicate-seeds", "zero-k"])
+    def test_overrides_are_validated(self, tmp_path, capsys, command, override):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT)
+        argv = [command, str(path), *override]
+        if command == "run":
+            argv += ["--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_check_subcommand_pass(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

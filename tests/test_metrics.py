@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from oevi.geometry import (
-    EUCLIDEAN,
     Ball,
     Box,
     FullSpace,
@@ -19,7 +18,6 @@ from oevi.metrics import (
     bound_gsmvi_linear,
     bound_mvi_gap,
     bregman_diameter,
-    distance_metric,
     gap_surrogate,
     max_bregman_from,
     max_convex_quadratic,
@@ -39,19 +37,6 @@ def skew_simplex_problem(n=6, blocks=2, seed=0):
     b = rng.uniform(0.0, 1.0, size=n)
     fs = SimplexProduct([n // blocks] * blocks, [1.0] * blocks)
     return affine_problem(AffineSpec(G, b), fs)
-
-
-class TestDistance:
-    def test_zero_at_solution(self):
-        x = np.array([1.0, 2.0])
-        assert distance_metric(EUCLIDEAN, x, x) == 0.0
-
-    def test_euclidean_value(self):
-        assert distance_metric(EUCLIDEAN, np.array([3.0, 4.0]), np.zeros(2)) == pytest.approx(12.5)
-
-    def test_missing_solution(self):
-        with pytest.raises(ValueError):
-            distance_metric(EUCLIDEAN, np.zeros(2), None)
 
 
 class TestResidualExact:
@@ -86,7 +71,7 @@ class TestResidualCertificate:
         # zero operator: iterates never move, certificate must vanish
         p = affine_problem(AffineSpec(np.zeros((2, 2)), np.zeros(2)), FullSpace(2))
         traj = oe_run(p, S.OEGmviSchedule(1.0), np.array([1.0, -1.0]), 5)
-        assert residual_certificate(traj, 3, p, EUCLIDEAN) == pytest.approx(0.0, abs=1e-14)
+        assert residual_certificate(traj, 3, p.operator(traj.xs[4])) == pytest.approx(0.0, abs=1e-14)
 
     def test_upper_bounds_exact_residual_on_fullspace(self):
         rng = np.random.default_rng(1)
@@ -97,7 +82,7 @@ class TestResidualCertificate:
         sched = S.OEGsmviSchedule(p.constants.L, p.constants.mu)
         traj = oe_run(p, sched, np.ones(n), 60)
         for t in range(1, 61):
-            cert = residual_certificate(traj, t, p, EUCLIDEAN)
+            cert = residual_certificate(traj, t, p.operator(traj.xs[t + 1]))
             exact = residual_exact(FullSpace(n), traj.xs[t + 1], p.operator(traj.xs[t + 1]))
             assert cert >= exact - 1e-9
 
@@ -107,7 +92,7 @@ class TestResidualCertificate:
         sched = S.OEGsmviSchedule(p.constants.L, p.constants.mu)
         traj = oe_run(p, sched, np.zeros(3), 10)
         for t in (1, 5, 10):
-            cert = residual_certificate(traj, t, p, EUCLIDEAN)
+            cert = residual_certificate(traj, t, p.operator(traj.xs[t + 1]))
             exact = float(np.linalg.norm(p.operator(traj.xs[t + 1])))
             assert cert == pytest.approx(exact, rel=1e-10)
 
@@ -115,16 +100,16 @@ class TestResidualCertificate:
         p = affine_problem(AffineSpec(np.eye(2), np.zeros(2)), FullSpace(2))
         traj = oe_run(p, S.OEGmviSchedule(1.0), np.ones(2), 4)
         with pytest.raises(ValueError):
-            residual_certificate(traj, 0, p, EUCLIDEAN)
+            residual_certificate(traj, 0, np.zeros(2))
         with pytest.raises(ValueError):
-            residual_certificate(traj, 5, p, EUCLIDEAN)
+            residual_certificate(traj, 5, np.zeros(2))
 
 
 class TestGapSurrogate:
     def test_zero_at_reference_solution(self):
         p = traffic_generate(10, 5, 0.5, seed=13)
         x_star = solve_reference(p, tol=1e-10)
-        assert gap_surrogate(p, x_star) <= 1e-8
+        assert gap_surrogate(p.set, x_star, p.operator(x_star)) <= 1e-8
 
     def test_tight_for_constant_operator(self):
         fs = SimplexProduct([3], [1.0])
@@ -133,7 +118,7 @@ class TestGapSurrogate:
         x_bar = np.array([0.2, 0.5, 0.3])
         # exact weak gap for constant F: <c, x_bar> - min_x <c, x>
         exact = float(c @ x_bar) - 1.0
-        assert gap_surrogate(p, x_bar) == pytest.approx(exact, abs=1e-12)
+        assert gap_surrogate(p.set, x_bar, p.operator(x_bar)) == pytest.approx(exact, abs=1e-12)
         assert weak_gap_exact_affine(p, x_bar) == pytest.approx(exact, abs=1e-8)
 
     def test_nonnegative_at_random_feasible_points(self):
@@ -141,12 +126,12 @@ class TestGapSurrogate:
         rng = np.random.default_rng(4)
         for _ in range(100):
             x = p.set.project(rng.normal(size=p.dim))
-            assert gap_surrogate(p, x) >= 0.0
+            assert gap_surrogate(p.set, x, p.operator(x)) >= 0.0
 
     def test_unbounded_set_rejected(self):
         p = affine_problem(AffineSpec(np.eye(2), np.zeros(2)), FullSpace(2))
         with pytest.raises(ValueError):
-            gap_surrogate(p, np.zeros(2))
+            gap_surrogate(p.set, np.zeros(2), p.operator(np.zeros(2)))
 
 
 def grid_search_weak_gap(problem, x_bar, resolution=1e-3):
@@ -203,7 +188,7 @@ class TestWeakGapExact:
         rng = np.random.default_rng(10)
         for _ in range(50):
             x = p.set.project(rng.normal(size=p.dim))
-            assert weak_gap_exact_affine(p, x) <= gap_surrogate(p, x) + 1e-8
+            assert weak_gap_exact_affine(p, x) <= gap_surrogate(p.set, x, p.operator(x)) + 1e-8
 
     def test_indefinite_rejected(self):
         G = np.diag([1.0, -1.0])
@@ -211,6 +196,16 @@ class TestWeakGapExact:
             p = affine_problem(AffineSpec(G, np.zeros(2)), Box([0.0, 0.0], [1.0, 1.0]))
         with pytest.raises(ValueError):
             weak_gap_exact_affine(p, np.zeros(2))
+
+    def test_inner_cap_raises(self):
+        # skewed point: all of each block's demand on its first arc
+        p = traffic_generate(50, 5, 0.005, seed=1)
+        x_bar = np.zeros(50)
+        for sl in p.set.block_slices():
+            x_bar[sl.start] = 1.0
+        assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) > 0.0
+        with pytest.raises(RuntimeError, match="max_inner=3"):
+            weak_gap_exact_affine(p, x_bar, inner_tol=1e-12, max_inner=3)
 
     def test_nonaffine_rejected(self):
         import dataclasses
@@ -252,7 +247,7 @@ class TestSetGeometryHelpers:
                 x = np.zeros(5)
                 x[i] = 1.0
                 x[3 + j] = 2.0
-                best = max(best, bregman(EUCLIDEAN, x1, x))
+                best = max(best, bregman(x1, x))
         assert max_bregman_from(fs, x1) == pytest.approx(best)
 
     def test_box_max_bregman(self):

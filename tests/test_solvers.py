@@ -4,7 +4,7 @@ call accounting, output selection, and weighted averages."""
 import numpy as np
 import pytest
 
-from oevi.geometry import EUCLIDEAN, FullSpace, analytic_center, bregman
+from oevi.geometry import FullSpace, analytic_center, bregman
 from oevi.problems import AffineSpec, affine_problem, traffic_generate
 from oevi import schedules as S
 from oevi.solvers import (
@@ -90,9 +90,9 @@ class TestDeterministicRun:
         sched = S.OEGsmviSchedule(L, mu)
         x1 = np.ones(n)
         traj = oe_run(p, sched, x1, 300)
-        V1 = bregman(EUCLIDEAN, x1, p.known_solution)
+        V1 = bregman(x1, p.known_solution)
         for k in range(1, 301):
-            lhs = bregman(EUCLIDEAN, traj.xs[k + 1], p.known_solution)
+            lhs = bregman(traj.xs[k + 1], p.known_solution)
             assert lhs <= (L / mu) * (L / (L + mu)) ** (k - 1) * V1 + 1e-9
 
     def test_iterates_stay_feasible(self):
