@@ -8,12 +8,13 @@ Runs, each in a fresh process:
     ``oevi suite glm-ramp``.
 
 All outputs land under OUTDIR.  The manifest lists ``<sha256>  <path>`` for
-every file except the wall-clock ``timing.csv``, sorted by path, so byte
-identity between two checkouts is one ``diff`` of their manifests:
+every file except the wall-clock ``timing.csv``, sorted by path.  With
+``--compare MANIFEST`` the script prints, in place of the manifest, every
+entry that is added, missing or changed against MANIFEST, and exits 1 on any
+difference, so byte identity between two checkouts is:
 
-    python3 scripts/golden_csvs.py /tmp/golden-a > a.txt
-    python3 scripts/golden_csvs.py /tmp/golden-b --src ../other/src > b.txt
-    diff a.txt b.txt
+    python3 scripts/golden_csvs.py /tmp/golden-a --src ../other/src > a.txt
+    python3 scripts/golden_csvs.py /tmp/golden-b --compare a.txt
 
 The whole set takes a few minutes on two cores.
 """
@@ -57,12 +58,31 @@ def manifest(outdir: Path) -> list[str]:
     return lines
 
 
+def compare(lines: list[str], reference: list[str]) -> list[str]:
+    """``added``/``missing``/``changed`` lines for the paths whose digests
+    differ between two manifests, sorted by path."""
+    new, old = ({path: digest for digest, path in (line.split("  ", 1) for line in m if line)}
+                for m in (lines, reference))
+    diffs = []
+    for path in sorted(new.keys() | old.keys()):
+        if path not in old:
+            diffs.append(f"added    {path}")
+        elif path not in new:
+            diffs.append(f"missing  {path}")
+        elif new[path] != old[path]:
+            diffs.append(f"changed  {path}")
+    return diffs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--src", type=Path, default=HERE.parent / "src",
                         help="directory holding the oevi package (default: this checkout's src)")
+    parser.add_argument("--compare", type=Path, metavar="MANIFEST",
+                        help="print the differences from MANIFEST; exit 1 if there are any")
     args = parser.parse_args(argv)
+    reference = args.compare.read_text().splitlines() if args.compare else None
     outdir, src = args.outdir.resolve(), args.src.resolve()
     outdir.mkdir(parents=True, exist_ok=True)
     for cfg in CONFIGS:
@@ -72,8 +92,15 @@ def main(argv=None) -> int:
     for name, *extra in SUITES:
         # the suite summaries quote wall-clock times, so only their CSVs count
         oevi(src, ["suite", name, *extra, "--output", str(outdir / "suite" / name)])
-    print("\n".join(manifest(outdir)))
-    return 0
+    lines = manifest(outdir)
+    if reference is None:
+        print("\n".join(lines))
+        return 0
+    diffs = compare(lines, reference)
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} entries differ from {args.compare} ({len(lines)} written)")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

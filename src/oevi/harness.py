@@ -7,6 +7,12 @@ reproducible, so per-step times are written to trajectory CSVs only when
 ``timing = true`` and suite timing tables go to a separate ``timing.csv``
 that is excluded from the byte-identity guarantee.
 
+A policy whose run cannot depend on its seed (``seed_free``) runs once; its
+rows are written under every seed, each CSV with its own ``run_id`` and
+``seed``, and the aggregates count every seed, so the bytes equal those of a
+run per seed.  With ``timing = true`` those CSVs repeat the one run's
+``wall_time_ns``, and the policy's ``mean_step_time_ns`` comes from that run.
+
 Trajectory CSV schema (one file per (policy, seed)):
     run_id, policy, seed, t, gamma, lambda, theta, V_to_solution,
     residual_exact, residual_certificate, gap_surrogate, weak_gap_exact,
@@ -21,6 +27,7 @@ significant digits (lossless for doubles).
 from __future__ import annotations
 
 import configparser
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -89,6 +96,8 @@ TRAJECTORY_HEADER = (
 
 DETERMINISTIC_POLICIES = ("OE-GSMVI", "OE-GMVI", "OE-MVI")
 BLOCK_POLICIES = ("SBOE-GSMVI", "SBOE-MVI")
+
+_log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -312,9 +321,19 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
         raise ConfigError(f"cannot build policy {policy.name}: {exc}") from exc
 
 
+def seed_free(policy: PolicyRun, problem: VIProblem) -> bool:
+    """Whether a run of ``policy`` on ``problem`` cannot depend on its seed:
+    the deterministic policies draw nothing, and a non-block policy on a
+    problem without an oracle runs on the exact operator (see run_policy).
+    Block policies always draw their block sequence from the seed."""
+    if policy.name in DETERMINISTIC_POLICIES:
+        return True
+    return policy.name not in BLOCK_POLICIES and problem.oracle is None
+
+
 def run_policy(policy: PolicyRun, problem: VIProblem, schedule: Schedule, x1,
                k: int, seed: int):
-    if policy.name not in DETERMINISTIC_POLICIES + BLOCK_POLICIES and problem.oracle is None:
+    if policy.name not in DETERMINISTIC_POLICIES and seed_free(policy, problem):
         # a deterministic problem is a zero-noise stochastic one; the
         # stochastic runners then coincide with the exact-operator run
         exact = problem.operator
@@ -483,32 +502,38 @@ def ensure_reference(problem: VIProblem, tol: float = 1e-10) -> VIProblem:
 
 
 def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
-    """Execute every (policy, seed) pair; write one trajectory CSV per pair
-    and one aggregate CSV per policy under config.output (if set)."""
+    """Execute every (policy, seed) pair, a seed-free policy once on the first
+    seed; write one trajectory CSV per pair and one aggregate CSV per policy
+    under config.output (if set)."""
     problem = config.problem
     if config.compute_reference:
         problem = ensure_reference(problem)
     x1 = analytic_center(problem.set)
     ts = checkpoints(config.k, config.resolved_cadence())
 
-    jobs = []
+    jobs = []  # (policy, schedule, seeds the run's rows are written under)
     for policy in config.policies:
         schedule = schedule_for(policy, problem, config.k, x1)
         report = validate(schedule, config.k)
         if not report.passed and config.validate_policies != "skip":
             if config.validate_policies == "fail":
                 raise ConfigError(f"schedule validation failed:\n{report.summary()}")
-            print(f"warning: {report.summary()}")
-        for seed in config.seeds:
-            jobs.append((policy, schedule, seed))
+            _log.warning("schedule validation failed, running anyway:\n%s",
+                         report.summary())
+        if seed_free(policy, problem):
+            jobs.append((policy, schedule, config.seeds))
+        else:
+            jobs.extend((policy, schedule, (seed,)) for seed in config.seeds)
 
     def _one(job):
-        policy, schedule, seed = job
-        traj = run_policy(policy, problem, schedule, x1, config.k, seed)
+        # keep only the rows: holding trajectories would add one run's
+        # (k+2) x n arrays to the peak memory for every finished job
+        policy, schedule, seeds = job
+        traj = run_policy(policy, problem, schedule, x1, config.k, seeds[0])
         rows = trajectory_rows(
             traj, problem, ts, weak_gap=config.weak_gap, timing=config.timing
         )
-        return policy.name, seed, rows, mean_iteration_ns(traj)
+        return policy.name, seeds, rows, mean_iteration_ns(traj)
 
     workers = config.resolved_workers()
     if workers > 1:
@@ -523,14 +548,14 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
         outdir.mkdir(parents=True, exist_ok=True)
 
     by_policy: dict[str, list[list[dict]]] = {}
-    times: dict[str, list[float]] = {}
-    for name, seed, rows, it_ns in results:
-        by_policy.setdefault(name, []).append(rows)
+    times: dict[str, list[float]] = {}  # one entry per run made
+    for name, seeds, rows, it_ns in results:
         times.setdefault(name, []).append(it_ns)
-        if outdir is not None:
-            write_trajectory_csv(
-                outdir / f"{_run_id(name, seed)}.csv", _run_id(name, seed), name, seed, rows
-            )
+        for seed in seeds:
+            by_policy.setdefault(name, []).append(rows)
+            if outdir is not None:
+                run_id = _run_id(name, seed)
+                write_trajectory_csv(outdir / f"{run_id}.csv", run_id, name, seed, rows)
 
     aggregates: dict[str, AggregateResult] = {}
     for name, rows_list in by_policy.items():
@@ -749,6 +774,14 @@ class BoundCheck:
     detail: str = ""
 
 
+# the gap bounds need the exact weak gap, which only bounded affine problems have
+GAP_BOUNDS = {
+    "OE-MVI": "averaged-iterate gap",
+    "SOE-MVI": "expected tail-average gap",
+    "SBOE-MVI": "expected weighted-average gap",
+}
+
+
 def _bound_checks_for(
     policy: PolicyRun,
     schedule: Schedule,
@@ -766,7 +799,10 @@ def _bound_checks_for(
     def v_final(traj):
         return bregman(traj.final, x_star)
 
-    if name == "OE-GSMVI":
+    if name in GAP_BOUNDS and not _weak_gap_available(problem):
+        checks.append(BoundCheck(name, GAP_BOUNDS[name], math.nan, math.nan, True,
+                                 "skipped: exact gap needs bounded affine"))
+    elif name == "OE-GSMVI":
         traj = trajs[0]
         V1 = bregman(x1, x_star)
         worst = 0.0
@@ -789,16 +825,11 @@ def _bound_checks_for(
         lim = bound_gmvi_residual(L, c.L_omega, V1, k)
         checks.append(BoundCheck(name, "residual certificate", cert, lim, cert <= lim))
     elif name == "OE-MVI":
-        traj = trajs[0]
-        if _weak_gap_available(problem):
-            xbar = weighted_average(traj, OE_MVI_AVERAGE)
-            inner_tol = 1e-8
-            gap = weak_gap_exact_affine(problem, xbar, inner_tol)
-            lim = bound_mvi_gap(L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
-            checks.append(BoundCheck(name, "averaged-iterate gap", gap, lim, gap <= lim))
-        else:
-            checks.append(BoundCheck(name, "averaged-iterate gap", math.nan, math.nan,
-                                     True, "skipped: exact gap needs bounded affine"))
+        xbar = weighted_average(trajs[0], OE_MVI_AVERAGE)
+        inner_tol = 1e-8
+        gap = weak_gap_exact_affine(problem, xbar, inner_tol)
+        lim = bound_mvi_gap(L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
+        checks.append(BoundCheck(name, GAP_BOUNDS[name], gap, lim, gap <= lim))
     elif name in ("SOE-1", "SOE-2", "SOE-3", "SBOE-GSMVI"):
         V1 = bregman(x1, x_star)
         m = policy.batch or 1
@@ -840,7 +871,7 @@ def _bound_checks_for(
         lim = bound_soe_gmvi_residual_sq(L, c.L_omega, sigma_base, V1, k) + 3 * se
         checks.append(BoundCheck(name, "expected squared residual", float(vals.mean()),
                                  lim, vals.mean() <= lim, f"{len(vals)} seeds"))
-    elif name == "SOE-MVI" and _weak_gap_available(problem):
+    elif name == "SOE-MVI":
         m = policy.batch or 1
         sigma_base = policy.sigma if policy.sigma is not None else c.sigma
         vals = np.array([
@@ -850,16 +881,16 @@ def _bound_checks_for(
         se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
         lim = bound_soe_mvi_gap(L, sigma_base / math.sqrt(m),
                                 bregman_diameter(problem.set), k) + 3 * se
-        checks.append(BoundCheck(name, "expected tail-average gap", float(vals.mean()),
+        checks.append(BoundCheck(name, GAP_BOUNDS[name], float(vals.mean()),
                                  lim, vals.mean() <= lim, f"{len(vals)} seeds"))
-    elif name == "SBOE-MVI" and _weak_gap_available(problem):
+    elif name == "SBOE-MVI":
         vals = np.array([
             weak_gap_exact_affine(problem, weighted_average(tr, SBOE_MVI_AVERAGE))
             for tr in trajs
         ])
         se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
         lim = bound_sboe_gap(problem, schedule.Lbar, schedule.b, x1, k) + 3 * se
-        checks.append(BoundCheck(name, "expected weighted-average gap", float(vals.mean()),
+        checks.append(BoundCheck(name, GAP_BOUNDS[name], float(vals.mean()),
                                  lim, vals.mean() <= lim, f"{len(vals)} seeds"))
     else:
         checks.append(BoundCheck(name, "none", math.nan, math.nan, True,
@@ -875,8 +906,7 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
     """
     problem = ensure_reference(config.problem)
     if problem.known_solution is None:
-        has_dist = any(p.name not in ("OE-MVI", "SOE-MVI", "SBOE-MVI", "SA")
-                       for p in config.policies)
+        has_dist = any(p.name not in (*GAP_BOUNDS, "SA") for p in config.policies)
         if has_dist:
             raise ConfigError("bound checks need a known or computable solution")
     x1 = analytic_center(problem.set)
@@ -894,8 +924,14 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
             checks.append(BoundCheck(policy.name, "schedule validation", math.nan,
                                      math.nan, False, report.summary()))
             continue
-        trajs = [run_policy(policy, problem, schedule, x1, config.k, seed)
-                 for seed in config.seeds]
+        if seed_free(policy, problem):
+            # one run stands for every seed; each copy carries its own seed
+            # for the seed-keyed output draws (SOE-4's R)
+            traj = run_policy(policy, problem, schedule, x1, config.k, config.seeds[0])
+            trajs = [replace(traj, seed=seed) for seed in config.seeds]
+        else:
+            trajs = [run_policy(policy, problem, schedule, x1, config.k, seed)
+                     for seed in config.seeds]
         checks.extend(_bound_checks_for(policy, schedule, problem, trajs, x1, config.k))
     return checks
 

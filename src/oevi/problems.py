@@ -517,20 +517,25 @@ def _set_from_doc(doc: dict, dim: int) -> FeasibleSet:
     raise ValueError(f"unknown set kind {kind!r}")
 
 
+PROBLEM_JSON_FORMAT = 1
+
+
 def problem_to_json(problem: VIProblem) -> str:
     """Serialize a problem to the documented JSON form (matrices row-major).
 
-    Affine instances carry "kind": "affine" with "G", "b", the set ("set":
-    "full", "ball" with "center" and "radius", "box" with "lower" and
-    "upper", or "simplex" with "blocks" and "demands"), the oracle noise
-    level "sigma", "known_solution" and "block_partition" (null when
-    absent).  Other set types raise ``ValueError``.  GLM instances carry
-    "kind": "glm" with "A", "x_star", "R", "sigma_y" and "link".  "seed"
-    records generation provenance.
+    Every document carries "format": PROBLEM_JSON_FORMAT.  Affine instances
+    carry "kind": "affine" with "G", "b", the set ("set": "full", "ball"
+    with "center" and "radius", "box" with "lower" and "upper", or "simplex"
+    with "blocks" and "demands"), the oracle noise level "sigma",
+    "known_solution" and "block_partition" (null when absent).  Other set
+    types raise ``ValueError``.  GLM instances carry "kind": "glm" with "A",
+    "x_star", "R", "sigma_y" and "link".  "seed" records generation
+    provenance.
     """
     if problem.affine is not None:
         sol, part = problem.known_solution, problem.block_partition
         doc = {
+            "format": PROBLEM_JSON_FORMAT,
             "kind": "affine",
             "G": problem.affine.G.tolist(),
             "b": problem.affine.b.tolist(),
@@ -544,6 +549,7 @@ def problem_to_json(problem: VIProblem) -> str:
     if problem.glm is not None:
         spec = problem.glm
         doc = {
+            "format": PROBLEM_JSON_FORMAT,
             "kind": "glm",
             "A": spec.A.tolist(),
             "x_star": spec.x_star.tolist(),
@@ -557,8 +563,16 @@ def problem_to_json(problem: VIProblem) -> str:
 
 
 def problem_from_json(text: str) -> VIProblem:
-    """Rebuild a problem from its JSON form (inverse of problem_to_json)."""
+    """Rebuild a problem from its JSON form (inverse of problem_to_json).
+
+    A document of another format version raises ``ValueError``; one without
+    "format" predates the key and reads as format 1.
+    """
     doc = json.loads(text)
+    fmt = doc.get("format", PROBLEM_JSON_FORMAT)
+    if fmt != PROBLEM_JSON_FORMAT or isinstance(fmt, bool):
+        raise ValueError(f"unsupported problem JSON format {fmt!r} "
+                         f"(this version reads format {PROBLEM_JSON_FORMAT})")
     kind = doc.get("kind")
     if kind == "affine":
         spec = AffineSpec(G=np.array(doc["G"], dtype=float), b=np.array(doc["b"], dtype=float))

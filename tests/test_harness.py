@@ -2,27 +2,34 @@
 determinism, aggregation consistency, bound checks, and the CLI surface."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from oevi import cli
+from oevi import cli, harness
 from oevi.geometry import analytic_center
 from oevi.harness import (
     TRAJECTORY_HEADER,
     ConfigError,
     ExperimentConfig,
     PolicyRun,
+    _bound_checks_for,
     aggregate_rows,
     check_bounds,
     checkpoints,
+    ensure_reference,
     load_config,
     run_experiment,
+    run_policy,
+    schedule_for,
+    seed_free,
     suite_glm,
     suite_traffic,
     trajectory_rows,
     write_aggregate_csv,
+    write_trajectory_csv,
 )
 from oevi.problems import glm_generate, problem_to_json, traffic_generate
 from oevi.schedules import OEGsmviSchedule
@@ -144,6 +151,127 @@ class TestRunExperiment:
             a = (tmp_path / "w1" / f"OE-GSMVI_s{seed}.csv").read_bytes()
             b = (tmp_path / "w4" / f"OE-GSMVI_s{seed}.csv").read_bytes()
             assert a == b
+
+
+def count_engine_calls(monkeypatch) -> list[int]:
+    """Record the seed of every engine call the harness makes."""
+    seeds = []
+    engine = harness.run
+
+    def counted(problem, schedule, x1, config, **kwargs):
+        seeds.append(config.seed)
+        return engine(problem, schedule, x1, config, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counted)
+    return seeds
+
+
+def glm_problem():
+    return glm_generate(5, "hinge", 2.0, 0.1, seed=3)  # has a stochastic oracle
+
+
+class TestSeedFreeRuns:
+    @pytest.mark.parametrize("policy,make,runs", [
+        ("OE-GSMVI", tiny_problem, 1),
+        ("SBOE-GSMVI", tiny_problem, 3),
+        ("SOE-MVI", tiny_problem, 1),  # no oracle: the exact operator, noiseless
+        ("SOE-MVI", glm_problem, 3),
+    ])
+    def test_engine_calls(self, tmp_path, monkeypatch, policy, make, runs):
+        problem = make()
+        assert seed_free(PolicyRun(policy), problem) == (runs == 1)
+        seeds = count_engine_calls(monkeypatch)
+        cfg = tiny_config(tmp_path, problem=problem, policies=[PolicyRun(policy)],
+                          seeds=(1, 2, 3))
+        aggs = run_experiment(cfg)
+        assert len(seeds) == runs
+        assert aggs[policy].n_seeds == 3
+        for seed in (1, 2, 3):
+            rows = (tmp_path / "out" / f"{policy}_s{seed}.csv").read_text().splitlines()[1:]
+            assert rows and all(r.startswith(f"{policy}_s{seed},{policy},{seed},") for r in rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csvs_match_per_seed_runs(self, tmp_path, workers):
+        problem = ensure_reference(tiny_problem())
+        policies = [PolicyRun("OE-GMVI"), PolicyRun("SOE-1", batch=2),
+                    PolicyRun("SBOE-GSMVI"), PolicyRun("SA")]
+        cfg = tiny_config(tmp_path, problem=problem, policies=policies, k=12, cadence=5,
+                          seeds=(4, 1, 7), workers=workers)
+        run_experiment(cfg)
+        x1 = analytic_center(problem.set)
+        ts = checkpoints(12, 5)
+        for policy in policies:
+            schedule = schedule_for(policy, problem, 12, x1)
+            per_seed = []
+            for seed in cfg.seeds:
+                traj = run_policy(policy, problem, schedule, x1, 12, seed)
+                rows = trajectory_rows(traj, problem, ts)
+                per_seed.append(rows)
+                run_id = f"{policy.name}_s{seed}"
+                write_trajectory_csv(tmp_path / "direct.csv", run_id, policy.name, seed, rows)
+                assert ((tmp_path / "out" / f"{run_id}.csv").read_bytes()
+                        == (tmp_path / "direct.csv").read_bytes()), run_id
+            write_aggregate_csv(tmp_path / "direct.csv", aggregate_rows(policy.name, per_seed))
+            assert ((tmp_path / "out" / f"agg_{policy.name}.csv").read_bytes()
+                    == (tmp_path / "direct.csv").read_bytes()), policy.name
+
+    def test_check_bounds_matches_per_seed_runs(self, monkeypatch):
+        problem = ensure_reference(tiny_problem())
+        assert problem.oracle is None
+        policy = PolicyRun("SOE-4")
+        cfg = ExperimentConfig(problem=problem, policies=[policy], k=40, seeds=(1, 2, 3, 4))
+        x1 = analytic_center(problem.set)
+        schedule = schedule_for(policy, problem, 40, x1)
+        trajs = [run_policy(policy, problem, schedule, x1, 40, seed) for seed in cfg.seeds]
+        expected = _bound_checks_for(policy, schedule, problem, trajs, x1, 40)
+        seeds = count_engine_calls(monkeypatch)
+        assert check_bounds(cfg) == expected
+        assert seeds == [1]
+        assert expected[0].detail == "4 seeds"
+
+    def test_gap_bounds_skipped_without_exact_gap(self):
+        # an affine problem on the whole space has no exact weak gap
+        from oevi.geometry import FullSpace
+        from oevi.problems import AffineSpec, affine_problem
+
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(6, 6))
+        spec = AffineSpec(A - A.T + 2 * np.eye(6), rng.normal(size=6))
+        problem = affine_problem(spec, FullSpace(6), block_partition=(3, 3))
+        cfg = ExperimentConfig(problem=problem, k=20, seeds=(1, 2), policies=[
+            PolicyRun("OE-MVI"), PolicyRun("SOE-MVI"), PolicyRun("SBOE-MVI"),
+        ])
+        checks = check_bounds(cfg)
+        assert [(c.policy, c.bound) for c in checks] == [
+            ("OE-MVI", "averaged-iterate gap"),
+            ("SOE-MVI", "expected tail-average gap"),
+            ("SBOE-MVI", "expected weighted-average gap"),
+        ]
+        assert all(c.passed and c.detail == "skipped: exact gap needs bounded affine"
+                   for c in checks)
+
+
+class TestValidationWarning:
+    def test_warn_mode_logs_and_runs(self, tmp_path, monkeypatch, caplog, capsys):
+        validate = harness.validate
+        # judged at a far larger L, the schedule's stepsizes break its conditions
+        monkeypatch.setattr(harness, "validate",
+                            lambda schedule, k: validate(schedule, k, L=100 * schedule.L))
+        cfg = tiny_config(tmp_path, validate_policies="warn")
+        with caplog.at_level(logging.WARNING, logger="oevi.harness"):
+            aggs = run_experiment(cfg)
+        assert "OE-GSMVI" in aggs
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "policy OE-GSMVI: FAIL" in record.getMessage()
+        assert capsys.readouterr().out == ""
+
+    def test_fail_mode_raises(self, tmp_path, monkeypatch):
+        validate = harness.validate
+        monkeypatch.setattr(harness, "validate",
+                            lambda schedule, k: validate(schedule, k, L=100 * schedule.L))
+        with pytest.raises(ConfigError, match="schedule validation failed"):
+            run_experiment(tiny_config(tmp_path))
 
 
 CONFIG_TEXT = """

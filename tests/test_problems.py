@@ -432,7 +432,27 @@ class TestSerialization:
     def test_field_names(self):
         p = glm_generate(4, "ramp", R=2.0, sigma_y=0.1, seed=41)
         parsed = json.loads(problem_to_json(p))
-        assert set(parsed) == {"kind", "A", "x_star", "R", "sigma_y", "link", "seed"}
+        assert set(parsed) == {"format", "kind", "A", "x_star", "R", "sigma_y", "link", "seed"}
+
+    def test_format_version_written(self):
+        for p in (traffic_generate(10, 5, 0.5, seed=21), glm_generate(4, "ramp", 2.0, 0.1, seed=41)):
+            assert json.loads(problem_to_json(p))["format"] == 1
+
+    @pytest.mark.parametrize("fmt", [2, 0, "1", None, True])
+    def test_other_format_rejected(self, fmt):
+        doc = json.loads(problem_to_json(traffic_generate(10, 5, 0.5, seed=21)))
+        doc["format"] = fmt
+        with pytest.raises(ValueError, match="format"):
+            problem_from_json(json.dumps(doc))
+
+    def test_document_without_format_still_read(self):
+        p = traffic_generate(10, 5, 0.5, seed=21)
+        doc = json.loads(problem_to_json(p))
+        del doc["format"]
+        q = problem_from_json(json.dumps(doc))
+        np.testing.assert_array_equal(q.affine.G, p.affine.G)
+        assert q.set.block_sizes == p.set.block_sizes
+        assert problem_to_json(q) == problem_to_json(p)
 
 
 def _vectors(n, lo=-10.0, hi=10.0):
