@@ -13,7 +13,6 @@ from .geometry import (
     bregman,
     linear_minimize,
     project_simplex,
-    prox_step,
 )
 from .problems import (
     AffineSpec,
@@ -29,8 +28,6 @@ from .problems import (
     glm_generate,
     glm_oracle,
     glm_problem,
-    glm_sample,
-    minibatch,
     problem_from_json,
     problem_to_json,
     solve_reference,

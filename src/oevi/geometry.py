@@ -218,21 +218,6 @@ def bregman(x, y) -> float:
     return 0.5 * float(diff @ diff)
 
 
-def prox_step(fs: FeasibleSet, x_t, g, gamma: float) -> np.ndarray:
-    """One prox-mapping: argmin_{x in X} gamma * <g, x> + V(x_t, x).
-
-    ``g`` is the already-extrapolated direction.  For the Euclidean generator
-    this is the projection of ``x_t - gamma * g`` onto the set.
-    """
-    xv = _vector(x_t, fs.dim, "x_t")
-    gv = _vector(g, fs.dim, "g")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if not fs.contains(xv):
-        raise ValueError("prox center x_t is not feasible")
-    return fs.project(xv - gamma * gv)
-
-
 def linear_minimize(fs: FeasibleSet, c) -> np.ndarray:
     """argmin_{x in X} <c, x> for a bounded set (support oracle for gap metrics)."""
     if not fs.bounded:

@@ -64,7 +64,7 @@ from .problems import (
     solve_reference,
     traffic_generate,
 )
-from .schedules import Schedule, make_schedule, validate
+from .schedules import POLICIES, POLICY_NAMES, Schedule, make_schedule, validate
 from .solvers import (
     OE_MVI_AVERAGE,
     SBOE_MVI_AVERAGE,
@@ -94,18 +94,11 @@ TRAJECTORY_HEADER = (
     + ",movement_sq,oracle_calls,wall_time_ns"
 )
 
-DETERMINISTIC_POLICIES = ("OE-GSMVI", "OE-GMVI", "OE-MVI")
-BLOCK_POLICIES = ("SBOE-GSMVI", "SBOE-MVI")
-
 _log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
-
-
-class BoundCheckError(RuntimeError):
-    """A convergence bound or suite assertion failed (CLI exit code 2)."""
 
 
 def _fmt(v) -> str:
@@ -149,6 +142,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.policies:
             raise ConfigError("config needs at least one policy")
+        for policy in self.policies:
+            if policy.name not in POLICIES:
+                raise ConfigError(f"unknown policy {policy.name!r}; "
+                                  f"known: {', '.join(POLICY_NAMES)}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if len(set(self.seeds)) != len(self.seeds):
@@ -305,7 +302,7 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
             V1 = default_v1_estimate(problem, x1)
     b = len(problem.block_partition) if problem.block_partition else 1
     Lbar = None
-    if policy.name in BLOCK_POLICIES:
+    if POLICIES[policy.name].source == "block":
         if problem.block_partition is None:
             raise ConfigError(f"policy {policy.name} needs a block partition")
         if problem.affine is not None and policy.L is None:
@@ -323,17 +320,16 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
 
 def seed_free(policy: PolicyRun, problem: VIProblem) -> bool:
     """Whether a run of ``policy`` on ``problem`` cannot depend on its seed:
-    the deterministic policies draw nothing, and a non-block policy on a
-    problem without an oracle runs on the exact operator (see run_policy).
-    Block policies always draw their block sequence from the seed."""
-    if policy.name in DETERMINISTIC_POLICIES:
-        return True
-    return policy.name not in BLOCK_POLICIES and problem.oracle is None
+    exact-operator policies draw nothing, and an oracle policy on a problem
+    without an oracle runs on the exact operator (see run_policy).  Block
+    policies always draw their block sequence from the seed."""
+    source = POLICIES[policy.name].source
+    return source == "exact" or (source == "oracle" and problem.oracle is None)
 
 
 def run_policy(policy: PolicyRun, problem: VIProblem, schedule: Schedule, x1,
                k: int, seed: int):
-    if policy.name not in DETERMINISTIC_POLICIES and seed_free(policy, problem):
+    if POLICIES[policy.name].source == "oracle" and problem.oracle is None:
         # a deterministic problem is a zero-noise stochastic one; the
         # stochastic runners then coincide with the exact-operator run
         exact = problem.operator
@@ -774,128 +770,168 @@ class BoundCheck:
     detail: str = ""
 
 
-# the gap bounds need the exact weak gap, which only bounded affine problems have
-GAP_BOUNDS = {
-    "OE-MVI": "averaged-iterate gap",
-    "SOE-MVI": "expected tail-average gap",
-    "SBOE-MVI": "expected weighted-average gap",
+def _solution(problem: VIProblem) -> np.ndarray:
+    if problem.known_solution is None:
+        raise ConfigError("bound checks need a known or computable solution")
+    return problem.known_solution
+
+
+def _sigma(policy: PolicyRun, problem: VIProblem, m: int = 1) -> float:
+    """The noise level of an m-sample oracle estimate a bound is checked at;
+    a user override of sigma is taken as the noise estimate."""
+    sigma = policy.sigma if policy.sigma is not None else problem.constants.sigma
+    return sigma / math.sqrt(m)
+
+
+def _seed_mean(policy: PolicyRun, bound: str, vals, limit: float,
+               detail: str | None = None) -> BoundCheck:
+    """Check the mean of per-seed values against ``limit`` plus three standard
+    errors (none for a single seed); ``detail`` defaults to the seed count."""
+    vals = np.asarray(vals, dtype=float)
+    se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+    lim = limit + 3 * se
+    mean = float(vals.mean())
+    return BoundCheck(policy.name, bound, mean, lim, mean <= lim,
+                      f"{len(vals)} seeds" if detail is None else detail)
+
+
+def _gap_skipped(policy: PolicyRun, bound: str) -> list[BoundCheck]:
+    # the gap bounds need the exact weak gap, which only bounded affine problems have
+    return [BoundCheck(policy.name, bound, math.nan, math.nan, True,
+                       "skipped: exact gap needs bounded affine")]
+
+
+# Each check below takes (policy, schedule, problem, trajs, x1, k), one
+# trajectory per seed, and picks its policy's output rule itself.
+
+
+def _check_oe_gsmvi(policy, schedule, problem, trajs, x1, k):
+    # measured is the largest ratio of V(x_{t+1}, x*) to its bound over t
+    x_star = _solution(problem)
+    V1 = bregman(x1, x_star)
+    worst, ok = 0.0, True
+    for t in range(1, k + 1):
+        lhs = bregman(trajs[0].xs[t + 1], x_star)
+        rhs = bound_gsmvi_linear(schedule.L, schedule.mu, V1, t) + 1e-9
+        worst = max(worst, lhs / rhs)
+        ok = ok and lhs <= rhs
+    return [BoundCheck(policy.name, "linear-rate distance", worst, 1.0, ok,
+                       "pointwise over all k")]
+
+
+def _check_oe_gmvi(policy, schedule, problem, trajs, x1, k):
+    traj = trajs[0]
+    V1 = bregman(x1, _solution(problem))
+    total = float(traj.movement_sq[1:].sum())
+    total_lim = bound_gmvi_movement(V1) + 1e-9
+    R, _ = select_best_movement(traj)
+    cert = residual_certificate(traj, R, problem.operator(traj.xs[R + 1]))
+    cert_lim = bound_gmvi_residual(schedule.L, problem.constants.L_omega, V1, k)
+    return [BoundCheck(policy.name, "movement sum", total, total_lim, total <= total_lim),
+            BoundCheck(policy.name, "residual certificate", cert, cert_lim, cert <= cert_lim)]
+
+
+def _check_oe_mvi(policy, schedule, problem, trajs, x1, k):
+    bound = "averaged-iterate gap"
+    if not _weak_gap_available(problem):
+        return _gap_skipped(policy, bound)
+    inner_tol = 1e-8
+    gap = weak_gap_exact_affine(problem, weighted_average(trajs[0], OE_MVI_AVERAGE), inner_tol)
+    lim = bound_mvi_gap(schedule.L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
+    return [BoundCheck(policy.name, bound, gap, lim, gap <= lim)]
+
+
+def _check_soe_1(policy, schedule, problem, trajs, x1, k):
+    x_star = _solution(problem)
+    limit = bound_soe_decreasing(schedule.L, schedule.mu,
+                                 _sigma(policy, problem, policy.batch or 1),
+                                 bregman(x1, x_star), k)
+    return [_seed_mean(policy, "expected distance",
+                       [bregman(tr.final, x_star) for tr in trajs], limit)]
+
+
+def _check_soe_2(policy, schedule, problem, trajs, x1, k):
+    x_star = _solution(problem)
+    limit = bound_soe_constant(schedule.L, schedule.mu,
+                               _sigma(policy, problem, policy.batch or 1),
+                               bregman(x1, x_star), k, schedule.q)
+    return [_seed_mean(policy, "expected distance",
+                       [bregman(tr.final, x_star) for tr in trajs], limit)]
+
+
+def _check_soe_3(policy, schedule, problem, trajs, x1, k):
+    x_star = _solution(problem)
+    V1 = bregman(x1, x_star)
+    ends = [K for K in schedule.epoch_ends(8) if K <= k]
+    return [_seed_mean(policy, f"epoch {s} halving",
+                       [bregman(tr.xs[K + 1], x_star) for tr in trajs],
+                       bound_soe_restart(V1, s), detail="")
+            for s, K in enumerate(ends, start=1)]
+
+
+def _check_soe_4(policy, schedule, problem, trajs, x1, k):
+    V1 = bregman(x1, _solution(problem))
+    vals = []
+    for tr in trajs:
+        R, _ = select_uniform_R(tr, output_rng(tr.seed))
+        vals.append(residual_certificate(tr, R, problem.operator(tr.xs[R + 1])) ** 2)
+    limit = bound_soe_gmvi_residual_sq(schedule.L, problem.constants.L_omega,
+                                       _sigma(policy, problem), V1, k)
+    return [_seed_mean(policy, "expected squared residual", vals, limit)]
+
+
+def _check_soe_mvi(policy, schedule, problem, trajs, x1, k):
+    bound = "expected tail-average gap"
+    if not _weak_gap_available(problem):
+        return _gap_skipped(policy, bound)
+    gaps = [weak_gap_exact_affine(problem, weighted_average(tr, SOE_MVI_TAIL_AVERAGE))
+            for tr in trajs]
+    limit = bound_soe_mvi_gap(schedule.L, _sigma(policy, problem, policy.batch or 1),
+                              bregman_diameter(problem.set), k)
+    return [_seed_mean(policy, bound, gaps, limit)]
+
+
+def _check_sboe_gsmvi(policy, schedule, problem, trajs, x1, k):
+    x_star = _solution(problem)
+    F1 = problem.operator(x1)
+    limit = bound_sboe_linear(schedule.Lbar, schedule.b, schedule.mu, bregman(x1, x_star),
+                              float(F1 @ (x1 - x_star)), k)
+    return [_seed_mean(policy, "expected distance",
+                       [bregman(tr.final, x_star) for tr in trajs], limit)]
+
+
+def _check_sboe_mvi(policy, schedule, problem, trajs, x1, k):
+    bound = "expected weighted-average gap"
+    if not _weak_gap_available(problem):
+        return _gap_skipped(policy, bound)
+    gaps = [weak_gap_exact_affine(problem, weighted_average(tr, SBOE_MVI_AVERAGE))
+            for tr in trajs]
+    limit = bound_sboe_gap(problem, schedule.Lbar, schedule.b, x1, k)
+    return [_seed_mean(policy, bound, gaps, limit)]
+
+
+# The convergence-bound check of each policy; the SA baselines have none.
+BOUND_CHECKS = {
+    "OE-GSMVI": _check_oe_gsmvi,
+    "OE-GMVI": _check_oe_gmvi,
+    "OE-MVI": _check_oe_mvi,
+    "SOE-1": _check_soe_1,
+    "SOE-2": _check_soe_2,
+    "SOE-3": _check_soe_3,
+    "SOE-4": _check_soe_4,
+    "SOE-MVI": _check_soe_mvi,
+    "SBOE-GSMVI": _check_sboe_gsmvi,
+    "SBOE-MVI": _check_sboe_mvi,
 }
 
 
-def _bound_checks_for(
-    policy: PolicyRun,
-    schedule: Schedule,
-    problem: VIProblem,
-    trajs: list,
-    x1: np.ndarray,
-    k: int,
-) -> list[BoundCheck]:
-    name = policy.name
-    c = problem.constants
-    L = schedule.L
-    x_star = problem.known_solution
-    checks: list[BoundCheck] = []
-
-    def v_final(traj):
-        return bregman(traj.final, x_star)
-
-    if name in GAP_BOUNDS and not _weak_gap_available(problem):
-        checks.append(BoundCheck(name, GAP_BOUNDS[name], math.nan, math.nan, True,
-                                 "skipped: exact gap needs bounded affine"))
-    elif name == "OE-GSMVI":
-        traj = trajs[0]
-        V1 = bregman(x1, x_star)
-        worst = 0.0
-        ok = True
-        for t in range(1, k + 1):
-            lhs = bregman(traj.xs[t + 1], x_star)
-            rhs = bound_gsmvi_linear(L, schedule.mu, V1, t) + 1e-9
-            worst = max(worst, lhs - rhs)
-            ok = ok and lhs <= rhs
-        checks.append(BoundCheck(name, "linear-rate distance", worst, 0.0, ok,
-                                 "pointwise over all k"))
-    elif name == "OE-GMVI":
-        traj = trajs[0]
-        V1 = bregman(x1, x_star)
-        total = float(traj.movement_sq[1:].sum())
-        lim = bound_gmvi_movement(V1) + 1e-9
-        checks.append(BoundCheck(name, "movement sum", total, lim, total <= lim))
-        R, _ = select_best_movement(traj)
-        cert = residual_certificate(traj, R, problem.operator(traj.xs[R + 1]))
-        lim = bound_gmvi_residual(L, c.L_omega, V1, k)
-        checks.append(BoundCheck(name, "residual certificate", cert, lim, cert <= lim))
-    elif name == "OE-MVI":
-        xbar = weighted_average(trajs[0], OE_MVI_AVERAGE)
-        inner_tol = 1e-8
-        gap = weak_gap_exact_affine(problem, xbar, inner_tol)
-        lim = bound_mvi_gap(L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
-        checks.append(BoundCheck(name, GAP_BOUNDS[name], gap, lim, gap <= lim))
-    elif name in ("SOE-1", "SOE-2", "SOE-3", "SBOE-GSMVI"):
-        V1 = bregman(x1, x_star)
-        m = policy.batch or 1
-        # the bound needs the actual oracle noise level (a user override is
-        # treated as the noise estimate the check is run at)
-        sigma_base = policy.sigma if policy.sigma is not None else c.sigma
-        sigma_eff = sigma_base / math.sqrt(m)
-        if name == "SOE-3":
-            ends = [K for K in schedule.epoch_ends(8) if K <= k]
-            for s, K in enumerate(ends, start=1):
-                vals = np.array([bregman(tr.xs[K + 1], x_star) for tr in trajs])
-                se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-                lim = bound_soe_restart(V1, s) + 3 * se
-                checks.append(BoundCheck(name, f"epoch {s} halving", float(vals.mean()),
-                                         lim, vals.mean() <= lim))
-        else:
-            vals = np.array([v_final(tr) for tr in trajs])
-            se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-            if name == "SOE-1":
-                lim = bound_soe_decreasing(L, schedule.mu, sigma_eff, V1, k)
-            elif name == "SOE-2":
-                lim = bound_soe_constant(L, schedule.mu, sigma_eff, V1, k, schedule.q)
-            else:
-                F1 = problem.operator(x1)
-                lim = bound_sboe_linear(schedule.Lbar, schedule.b, schedule.mu, V1,
-                                        float(F1 @ (x1 - x_star)), k)
-            lim += 3 * se
-            checks.append(BoundCheck(name, "expected distance", float(vals.mean()),
-                                     lim, vals.mean() <= lim, f"{len(vals)} seeds"))
-    elif name == "SOE-4":
-        V1 = bregman(x1, x_star)
-        sigma_base = policy.sigma if policy.sigma is not None else c.sigma
-        vals = []
-        for tr in trajs:
-            R, _ = select_uniform_R(tr, output_rng(tr.seed))
-            vals.append(residual_certificate(tr, R, problem.operator(tr.xs[R + 1])) ** 2)
-        vals = np.array(vals)
-        se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        lim = bound_soe_gmvi_residual_sq(L, c.L_omega, sigma_base, V1, k) + 3 * se
-        checks.append(BoundCheck(name, "expected squared residual", float(vals.mean()),
-                                 lim, vals.mean() <= lim, f"{len(vals)} seeds"))
-    elif name == "SOE-MVI":
-        m = policy.batch or 1
-        sigma_base = policy.sigma if policy.sigma is not None else c.sigma
-        vals = np.array([
-            weak_gap_exact_affine(problem, weighted_average(tr, SOE_MVI_TAIL_AVERAGE))
-            for tr in trajs
-        ])
-        se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        lim = bound_soe_mvi_gap(L, sigma_base / math.sqrt(m),
-                                bregman_diameter(problem.set), k) + 3 * se
-        checks.append(BoundCheck(name, GAP_BOUNDS[name], float(vals.mean()),
-                                 lim, vals.mean() <= lim, f"{len(vals)} seeds"))
-    elif name == "SBOE-MVI":
-        vals = np.array([
-            weak_gap_exact_affine(problem, weighted_average(tr, SBOE_MVI_AVERAGE))
-            for tr in trajs
-        ])
-        se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-        lim = bound_sboe_gap(problem, schedule.Lbar, schedule.b, x1, k) + 3 * se
-        checks.append(BoundCheck(name, GAP_BOUNDS[name], float(vals.mean()),
-                                 lim, vals.mean() <= lim, f"{len(vals)} seeds"))
-    else:
-        checks.append(BoundCheck(name, "none", math.nan, math.nan, True,
-                                 "no bound attached to this policy"))
-    return checks
+def _bound_checks_for(policy: PolicyRun, schedule: Schedule, problem: VIProblem,
+                      trajs: list, x1: np.ndarray, k: int) -> list[BoundCheck]:
+    check = BOUND_CHECKS.get(policy.name)
+    if check is None:
+        return [BoundCheck(policy.name, "none", math.nan, math.nan, True,
+                           "no bound attached to this policy")]
+    return check(policy, schedule, problem, trajs, x1, k)
 
 
 def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
@@ -905,10 +941,6 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
     check (the guarantee's preconditions do not hold).
     """
     problem = ensure_reference(config.problem)
-    if problem.known_solution is None:
-        has_dist = any(p.name not in (*GAP_BOUNDS, "SA") for p in config.policies)
-        if has_dist:
-            raise ConfigError("bound checks need a known or computable solution")
     x1 = analytic_center(problem.set)
     checks: list[BoundCheck] = []
     for policy in config.policies:
@@ -916,7 +948,7 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
         # bounds hold only under the theorem conditions at the problem's true
         # constants, not at possibly fine-tuned overrides
         true_Lbar = None
-        if policy.name in BLOCK_POLICIES and problem.affine is not None:
+        if POLICIES[policy.name].source == "block" and problem.affine is not None:
             true_Lbar = block_lipschitz(problem.affine, problem.block_partition)
         report = validate(schedule, config.k, L=problem.constants.L,
                           mu=problem.constants.mu, Lbar=true_Lbar)

@@ -290,16 +290,9 @@ class GLMSpec:
         return self.A.shape[0]
 
 
-def glm_sample(spec: GLMSpec, x, rng: np.random.Generator) -> np.ndarray:
-    """One unbiased operator sample eta * f(eta^T A x) - eta * y.
-
-    Draws eta ~ N(0, I) and y ~ N(f(eta^T A x*), sigma_y).
-    """
-    return glm_oracle(spec, x, rng, 1)
-
-
 def glm_oracle(spec: GLMSpec, x, rng: np.random.Generator, m: int = 1) -> np.ndarray:
-    """Mean of m iid operator samples (vectorized; m = 1 matches glm_sample)."""
+    """Mean of m iid unbiased operator samples eta * f(eta^T A x) - eta * y,
+    each with eta ~ N(0, I) and y ~ N(f(eta^T A x*), sigma_y)."""
     m = int(m)
     if m < 1:
         raise ValueError("batch size must be at least 1")
@@ -437,17 +430,6 @@ def glm_problem(spec: GLMSpec, *, seed: int | None = None) -> VIProblem:
         label=f"glm-{spec.link}-n{spec.dim}",
         seed=seed,
     )
-
-
-def minibatch(oracle, x, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Mean of m independent single-sample oracle calls (variance sigma^2 / m)."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("batch size must be at least 1")
-    total = np.asarray(oracle(x, rng), dtype=float).copy()
-    for _ in range(m - 1):
-        total += oracle(x, rng)
-    return total / m
 
 
 def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**6) -> np.ndarray:

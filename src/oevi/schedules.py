@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -83,10 +84,6 @@ class Schedule:
 
     def table(self, k: int) -> ScheduleTable:
         raise NotImplementedError
-
-    def epoch_of(self, t: int) -> tuple[int, int]:
-        """(epoch index, local iteration index); trivial for non-restart policies."""
-        return 1, t
 
 
 def _const_table(k: int, gamma: float, lam: float, log_ratio: float) -> ScheduleTable:
@@ -273,14 +270,6 @@ class SoeRestartSchedule(Schedule):
             self._lengths.append(ks)
             self._ends.append((self._ends[-1] if self._ends else 0) + ks)
 
-    def epoch_of(self, t: int) -> tuple[int, int]:
-        if t < 1:
-            raise ValueError("t must be >= 1")
-        self._extend_epochs(t)
-        s = int(np.searchsorted(self._ends, t))
-        start = 0 if s == 0 else self._ends[s - 1]
-        return s + 1, t - start
-
     def epoch_ends(self, num: int) -> list[int]:
         """Cumulative iteration counts K_1..K_num (epoch boundaries)."""
         while len(self._ends) < num:
@@ -466,13 +455,47 @@ class SaSchedule(Schedule):
         return tab
 
 
-# CLI policy names (the harness speaks these).  SA-RM is the no-offset
-# classic Robbins-Monro baseline used by the qualitative comparisons.
-POLICY_NAMES = (
-    "OE-GSMVI", "OE-GMVI", "OE-MVI",
-    "SOE-1", "SOE-2", "SOE-3", "SOE-4", "SOE-MVI",
-    "SBOE-GSMVI", "SBOE-MVI", "SA", "SA-RM",
-)
+@dataclass(frozen=True)
+class Policy:
+    """One named policy: ``build`` makes its schedule from the keyword
+    constants of ``make_schedule``, and ``source`` says where a run's operator
+    values come from: ``"exact"`` (the operator itself), ``"oracle"``
+    (mini-batch estimates) or ``"block"`` (one randomly drawn block per step)."""
+
+    build: Callable[..., Schedule]
+    source: str
+
+
+def _horizon(name: str, k: int | None) -> int:
+    if k is None:
+        raise ValueError(f"{name} needs the horizon k")
+    return k
+
+
+# Every policy, by the name the harness and the CLI speak.  SA-RM is the
+# no-offset classic Robbins-Monro baseline used by the qualitative comparisons.
+POLICIES: dict[str, Policy] = {
+    "OE-GSMVI": Policy(lambda L, mu, **_: OEGsmviSchedule(L, mu), "exact"),
+    "OE-GMVI": Policy(lambda L, **_: OEGmviSchedule(L), "exact"),
+    "OE-MVI": Policy(lambda L, **_: OEMviSchedule(L), "exact"),
+    "SOE-1": Policy(lambda L, mu, **_: SoeDecreasingSchedule(L, mu), "oracle"),
+    "SOE-2": Policy(lambda L, mu, sigma, V1, k, **_: SoeConstantSchedule(
+        L, mu, sigma, V1, _horizon("SOE-2", k)), "oracle"),
+    # the noise ratio sigma^2/(mu^2 V1) is rarely known; the default harness
+    # estimate is 1 (override with an honest value when checking the
+    # epoch-halving bound)
+    "SOE-3": Policy(lambda L, mu, sigma, V1, noise_ratio, **_: SoeRestartSchedule(
+        L, mu, sigma if sigma > 0 else 1.0, V1,
+        noise_ratio=noise_ratio if noise_ratio is not None else 1.0), "oracle"),
+    "SOE-4": Policy(lambda L, k, **_: SoeGmviSchedule(L, _horizon("SOE-4", k)), "oracle"),
+    "SOE-MVI": Policy(lambda L, **_: SoeMviSchedule(L), "oracle"),
+    "SBOE-GSMVI": Policy(lambda L, mu, b, Lbar, **_: SboeGsmviSchedule(Lbar, b, mu, L=L),
+                         "block"),
+    "SBOE-MVI": Policy(lambda L, b, Lbar, **_: SboeMviSchedule(Lbar, b, L=L), "block"),
+    "SA": Policy(lambda L, mu, **_: SaSchedule(L, mu), "oracle"),
+    "SA-RM": Policy(lambda L, mu, **_: SaSchedule(L, mu, parity_offset=False), "oracle"),
+}
+POLICY_NAMES = tuple(POLICIES)
 
 
 def make_schedule(
@@ -492,39 +515,10 @@ def make_schedule(
     ``k`` is required by horizon-dependent policies (SOE-2, SOE-4); block
     policies use ``Lbar`` (defaulting to L) and ``b``.
     """
-    if name == "OE-GSMVI":
-        return OEGsmviSchedule(L, mu)
-    if name == "OE-GMVI":
-        return OEGmviSchedule(L)
-    if name == "OE-MVI":
-        return OEMviSchedule(L)
-    if name == "SOE-1":
-        return SoeDecreasingSchedule(L, mu)
-    if name == "SOE-2":
-        if k is None:
-            raise ValueError("SOE-2 needs the horizon k")
-        return SoeConstantSchedule(L, mu, sigma, V1, k)
-    if name == "SOE-3":
-        # the noise ratio sigma^2/(mu^2 V1) is rarely known; the default
-        # harness estimate is 1 (override with an honest value when checking
-        # the epoch-halving bound)
-        return SoeRestartSchedule(L, mu, sigma if sigma > 0 else 1.0, V1,
-                                  noise_ratio=noise_ratio if noise_ratio is not None else 1.0)
-    if name == "SOE-4":
-        if k is None:
-            raise ValueError("SOE-4 needs the horizon k")
-        return SoeGmviSchedule(L, k)
-    if name == "SOE-MVI":
-        return SoeMviSchedule(L)
-    if name == "SBOE-GSMVI":
-        return SboeGsmviSchedule(Lbar if Lbar is not None else L, b, mu, L=L)
-    if name == "SBOE-MVI":
-        return SboeMviSchedule(Lbar if Lbar is not None else L, b, L=L)
-    if name == "SA":
-        return SaSchedule(L, mu)
-    if name == "SA-RM":
-        return SaSchedule(L, mu, parity_offset=False)
-    raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")
+    return POLICIES[name].build(L=L, mu=mu, sigma=sigma, V1=V1, k=k, b=b,
+                                Lbar=L if Lbar is None else Lbar, noise_ratio=noise_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,7 @@ import numpy as np
 
 from .geometry import Ball, Box, FeasibleSet, FullSpace, SimplexProduct
 from .problems import VIProblem
-from .schedules import (
-    OEGmviSchedule,
-    OEGsmviSchedule,
-    OEMviSchedule,
-    SaSchedule,
-    SboeGsmviSchedule,
-    SboeMviSchedule,
-    Schedule,
-)
+from .schedules import POLICIES, SaSchedule, Schedule
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _PURPOSE_ORACLE = 1
@@ -305,15 +297,16 @@ def sboe_run(
 
 def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig,
         *, recursive_affine: bool = True) -> Trajectory:
-    """Single-run entry point: dispatch on the schedule family.
+    """Single-run entry point: dispatch on the policy's operator source.
 
-    Deterministic policies use exact operator values, block policies the
-    randomized block run, and everything else (the baseline included) the
-    stochastic run with the config's batch rule.
+    ``"exact"`` policies use exact operator values, ``"block"`` policies the
+    randomized block run, and ``"oracle"`` policies (the baseline included)
+    the stochastic run with the config's batch rule.
     """
-    if isinstance(schedule, (OEGsmviSchedule, OEGmviSchedule, OEMviSchedule)):
+    source = POLICIES[schedule.name].source
+    if source == "exact":
         return oe_run(problem, schedule, x1, config.k)
-    if isinstance(schedule, (SboeGsmviSchedule, SboeMviSchedule)):
+    if source == "block":
         return sboe_run(problem, schedule, x1, config.k, config.seed,
                         recursive_affine=recursive_affine)
     return soe_run(problem, schedule, x1, config.k, config.seed, batch=config.batch)

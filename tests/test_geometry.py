@@ -15,7 +15,6 @@ from oevi.geometry import (
     bregman,
     linear_minimize,
     project_simplex,
-    prox_step,
 )
 
 
@@ -67,31 +66,24 @@ class TestBregman:
 
 
 class TestProxStep:
+    # the Euclidean prox-mapping argmin_{x in X} gamma <g, x> + V(x_t, x) is
+    # the projection of x_t - gamma g onto X
     def test_fullspace_is_plain_step(self):
         fs = FullSpace(2)
-        out = prox_step(fs, [1.0, 1.0], [2.0, 0.0], 0.5)
+        out = fs.project(np.array([1.0, 1.0]) - 0.5 * np.array([2.0, 0.0]))
         np.testing.assert_allclose(out, [0.0, 1.0])
 
     def test_ball_radial_rescale(self):
         fs = Ball([0.0, 0.0], 1.0)
-        out = prox_step(fs, [1.0, 0.0], [-2.0, -4.0], 1.0)
+        out = fs.project(np.array([1.0, 0.0]) - np.array([-2.0, -4.0]))
         np.testing.assert_allclose(out, [0.6, 0.8])
 
     def test_simplex_step_matches_kkt_enumeration(self):
         fs = SimplexProduct([2], [1.0])
-        out = prox_step(fs, [0.5, 0.5], [-1.5, 0.5], 1.0)
+        out = fs.project(np.array([0.5, 0.5]) - np.array([-1.5, 0.5]))
         expected = brute_force_simplex_projection(np.array([2.0, 0.0]), 1.0)
         np.testing.assert_allclose(out, expected, atol=1e-12)
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
-
-    def test_infeasible_center_rejected(self):
-        fs = Ball([0.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            prox_step(fs, [2.0, 0.0], [0.0, 0.0], 1.0)
-
-    def test_nonpositive_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            prox_step(FullSpace(2), [0.0, 0.0], [1.0, 0.0], 0.0)
 
 
 def _random_sets(dim=6):
@@ -116,8 +108,8 @@ def test_prox_nonexpansive_in_direction(fs):
         x = _random_feasible(fs, rng)
         g1, g2 = rng.normal(size=fs.dim), rng.normal(size=fs.dim)
         gamma = float(rng.uniform(0.05, 2.0))
-        p1 = prox_step(fs, x, g1, gamma)
-        p2 = prox_step(fs, x, g2, gamma)
+        p1 = fs.project(x - gamma * g1)
+        p2 = fs.project(x - gamma * g2)
         assert np.linalg.norm(p1 - p2) <= gamma * np.linalg.norm(g1 - g2) + 1e-12
 
 
@@ -130,7 +122,7 @@ def test_three_point_inequality(fs):
         x = _random_feasible(fs, rng)
         g = rng.normal(size=fs.dim)
         gamma = float(rng.uniform(0.05, 2.0))
-        x_plus = prox_step(fs, x_t, g, gamma)
+        x_plus = fs.project(x_t - gamma * g)
         lhs = gamma * float(g @ (x_plus - x)) + bregman(x_t, x_plus)
         rhs = bregman(x_t, x) - bregman(x_plus, x)
         assert lhs <= rhs + 1e-9
@@ -141,7 +133,7 @@ def test_prox_output_is_member(fs):
     rng = np.random.default_rng(17)
     for _ in range(200):
         x_t = _random_feasible(fs, rng)
-        out = prox_step(fs, x_t, rng.normal(size=fs.dim), 1.0)
+        out = fs.project(x_t - rng.normal(size=fs.dim))
         assert fs.contains(out)
 
 

@@ -11,6 +11,7 @@ import pytest
 from oevi import cli, harness
 from oevi.geometry import analytic_center
 from oevi.harness import (
+    BOUND_CHECKS,
     TRAJECTORY_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -32,7 +33,7 @@ from oevi.harness import (
     write_trajectory_csv,
 )
 from oevi.problems import glm_generate, problem_to_json, traffic_generate
-from oevi.schedules import OEGsmviSchedule
+from oevi.schedules import POLICY_NAMES, OEGsmviSchedule
 from oevi.solvers import oe_run
 
 
@@ -380,6 +381,17 @@ class TestCheckBounds:
         checks = check_bounds(cfg)
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
+    def test_linear_rate_reports_its_slack(self, tmp_path):
+        # measured is max_t V(x_{t+1}, x*) / bound_t, compared with 1
+        [check] = check_bounds(tiny_config(tmp_path))
+        assert check.bound == "linear-rate distance" and check.passed
+        assert 0.0 < check.measured <= 1.0
+        assert check.limit == 1.0
+
+    def test_every_bounded_policy_has_a_check(self):
+        assert set(POLICY_NAMES) - set(BOUND_CHECKS) == {"SA", "SA-RM"}
+        assert set(BOUND_CHECKS) <= set(POLICY_NAMES)
+
     def test_corrupted_schedule_fails_validation(self, tmp_path):
         # L far below the true Lipschitz constant: gamma is too large for the
         # theorem conditions at the problem's actual constants
@@ -496,6 +508,17 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nkind = nosuch\n\n[run]\nk = 5\n\n[policy:SA]\n")
         assert cli.main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_unknown_policy_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT + "\n[policy:NOPE]\n")
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert "config error: unknown policy 'NOPE'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("override", [("--seeds", "3,3"), ("--k", "0")],

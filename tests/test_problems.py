@@ -24,8 +24,6 @@ from oevi.problems import (
     glm_exact_ramp,
     glm_generate,
     glm_oracle,
-    glm_sample,
-    minibatch,
     problem_from_json,
     problem_to_json,
     ramp_mean_jacobian,
@@ -171,22 +169,28 @@ class TestGlmOracle:
         for s in range(5):
             rng = np.random.default_rng(s)
             np.testing.assert_allclose(
-                glm_sample(spec, spec.x_star, rng), np.zeros(6), atol=1e-12
+                glm_oracle(spec, spec.x_star, rng, 1), np.zeros(6), atol=1e-12
             )
 
     def test_fixed_seed_reproducible(self):
         p = glm_generate(5, "hinge", R=1.0, sigma_y=0.5, seed=4, d_minus=0.5)
         x = p.set.project(np.ones(5))
-        a = glm_sample(p.glm, x, np.random.default_rng(11))
-        b = glm_sample(p.glm, x, np.random.default_rng(11))
+        a = glm_oracle(p.glm, x, np.random.default_rng(11), 1)
+        b = glm_oracle(p.glm, x, np.random.default_rng(11), 1)
         np.testing.assert_array_equal(a, b)
 
     def test_batch_one_matches_single_sample(self):
+        # one sample eta f(eta^T A x) - eta y from the same stream: eta first,
+        # then the label y ~ N(f(eta^T A x*), sigma_y)
         p = glm_generate(5, "hinge", R=1.0, sigma_y=0.3, seed=6, d_minus=0.5)
+        spec = p.glm
         x = p.set.project(np.full(5, 0.2))
-        a = glm_sample(p.glm, x, np.random.default_rng(2))
-        b = glm_oracle(p.glm, x, np.random.default_rng(2), 1)
-        np.testing.assert_array_equal(a, b)
+        rng = np.random.default_rng(2)
+        eta = rng.standard_normal(5)
+        y = rng.normal(max(eta @ (spec.A @ spec.x_star), 0.0), spec.sigma_y)
+        expected = eta * max(eta @ (spec.A @ x), 0.0) - eta * y
+        out = glm_oracle(spec, x, np.random.default_rng(2), 1)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
 
     def test_monte_carlo_mean_matches_exact_hinge(self):
         # smaller-N version of the acceptance check
@@ -289,34 +293,34 @@ class TestGlmExact:
 
 class TestMinibatch:
     def test_single_call_passthrough(self):
-        calls = []
-
-        def oracle(x, rng):
-            calls.append(1)
-            return np.array([1.0, 2.0])
-
-        out = minibatch(oracle, np.zeros(2), 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(out, [1.0, 2.0])
-        assert len(calls) == 1
+        # a batch of one draws one eta row and one label, nothing more
+        p = glm_generate(4, "hinge", R=1.0, sigma_y=0.5, seed=5, d_minus=0.5)
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        glm_oracle(p.glm, np.zeros(4), rng, 1)
+        ref.standard_normal((1, 4))
+        ref.normal(0.0, 1.0, size=1)
+        assert rng.standard_normal() == ref.standard_normal()
 
     def test_constant_oracle(self):
-        c = np.array([3.0, -1.0])
-        out = minibatch(lambda x, rng: c, np.zeros(2), 64, np.random.default_rng(0))
-        np.testing.assert_allclose(out, c)
+        # noiseless labels at the solution: every sample, hence the mean, is 0
+        p = glm_generate(4, "hinge", R=1.0, sigma_y=0.0, seed=5, d_minus=0.5)
+        out = glm_oracle(p.glm, p.glm.x_star, np.random.default_rng(0), 64)
+        np.testing.assert_allclose(out, np.zeros(4), atol=1e-12)
 
     def test_zero_batch_rejected(self):
+        p = glm_generate(4, "hinge", R=1.0, sigma_y=0.5, seed=5, d_minus=0.5)
         with pytest.raises(ValueError):
-            minibatch(lambda x, rng: x, np.zeros(2), 0, np.random.default_rng(0))
+            glm_oracle(p.glm, np.zeros(4), np.random.default_rng(0), 0)
 
     def test_variance_scales_inversely_with_batch(self):
-        def oracle(x, rng):
-            return rng.standard_normal(1)
-
+        # at x* a sample is -eta y0 with y0 ~ N(0, sigma_y): unit variance
+        # per coordinate for sigma_y = 1, so a batch of 100 has variance 0.01
+        p = glm_generate(2, "hinge", R=1.0, sigma_y=1.0, seed=5, d_minus=0.5)
         rng = np.random.default_rng(42)
         trials = 10_000
-        singles = np.array([oracle(None, rng)[0] for _ in range(trials)])
+        singles = np.array([glm_oracle(p.glm, p.glm.x_star, rng, 1)[0] for _ in range(trials)])
         batches = np.array(
-            [minibatch(oracle, np.zeros(1), 100, rng)[0] for _ in range(trials)]
+            [glm_oracle(p.glm, p.glm.x_star, rng, 100)[0] for _ in range(trials)]
         )
         ratio = batches.var(ddof=1) / singles.var(ddof=1)
         assert abs(ratio - 0.01) <= 0.2 * 0.01

@@ -125,10 +125,13 @@ class TestRestartPolicy:
     def test_local_index_within_epoch(self):
         sched = S.SoeRestartSchedule(4.0, 1.0, 1.0, 1.0)
         k1 = sched.epoch_length(1)
-        s, tl = sched.epoch_of(k1)
-        assert (s, tl) == (1, k1)
-        s, tl = sched.epoch_of(k1 + 1)
-        assert (s, tl) == (2, 1)
+        assert sched.epoch_ends(2) == [k1, k1 + sched.epoch_length(2)]
+        tab = sched.table(k1 + 1)
+        # gamma at local index l is 1/(mu (t0 + l - 1)), t0 = 4L/mu = 16:
+        # iteration k1 is local index k1 of epoch 1, k1 + 1 is index 1 of epoch 2
+        assert np.flatnonzero(tab.epoch_start).tolist() == [1, k1 + 1]
+        assert tab.gamma[k1] == pytest.approx(1.0 / (16.0 + k1 - 1.0))
+        assert tab.gamma[k1 + 1] == pytest.approx(1.0 / 16.0)
 
     def test_epoch_lengths_double_asymptotically(self):
         sched = S.SoeRestartSchedule(4.0, 1.0, 1.0, 1.0)

@@ -371,7 +371,8 @@ class TestWeightedAverage:
 
 
 class TestRunDispatcher:
-    def test_dispatch_by_schedule_family(self):
+    @pytest.mark.parametrize("name", S.POLICY_NAMES)
+    def test_dispatch_by_schedule_family(self, name):
         from oevi.solvers import RunConfig, run
 
         p = traffic_generate(10, 5, 0.5, seed=31)
@@ -380,15 +381,17 @@ class TestRunDispatcher:
         noisy = dataclasses.replace(p, oracle=lambda x, rng, m=1: p.operator(x))
         x1 = analytic_center(p.set)
         c = p.constants
-        cfg = RunConfig(policy="any", k=20, seed=2)
-        det = run(p, S.OEGsmviSchedule(c.L, c.mu), x1, cfg)
-        assert det.seed is None and det.operator_evals == 20
-        blk = run(p, S.SboeGsmviSchedule(Lbar=c.L, b=5, mu=c.mu, L=c.L), x1, cfg)
-        assert blk.block_index is not None
-        sto = run(noisy, S.SoeDecreasingSchedule(c.L, c.mu), x1, cfg)
-        assert sto.oracle_calls == 20
-        base = run(noisy, S.SaSchedule(c.L, c.mu), x1, cfg)
-        assert np.all(base.lams[1:] == 0.0)
+        k = 20
+        schedule = S.make_schedule(name, L=c.L, mu=c.mu, sigma=1.0, k=k, b=5)
+        traj = run(noisy, schedule, x1, RunConfig(policy=name, k=k, seed=2))
+        engines = {
+            "exact": traj.seed is None and traj.operator_evals == k,
+            "oracle": traj.oracle_calls > 0,
+            "block": traj.block_index is not None,
+        }
+        assert [source for source, used in engines.items() if used] == [
+            S.POLICIES[name].source
+        ]
 
     def test_config_invariants(self):
         from oevi.solvers import RunConfig
