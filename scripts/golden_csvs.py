@@ -5,7 +5,9 @@ Runs, each in a fresh process:
   - ``oevi run`` and ``oevi check`` on the two configs next to this script
     (golden_traffic.ini, golden_glm.ini);
   - ``oevi suite traffic --sizes 200,500``, ``oevi suite glm-hinge`` and
-    ``oevi suite glm-ramp``.
+    ``oevi suite glm-ramp``;
+  - ``oevi validate-schedule`` on every policy at one setting, plus the
+    settings in VALIDATIONS that fail a side condition or print a note.
 
 All outputs land under OUTDIR.  The manifest lists ``<sha256>  <path>`` for
 every file except the wall-clock ``timing.csv``, sorted by path.  With
@@ -31,6 +33,22 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 CONFIGS = ("golden_traffic.ini", "golden_glm.ini")
 SUITES = (("traffic", "--sizes", "200,500"), ("glm-hinge",), ("glm-ramp",))
+# spelled out, not imported: the script runs against any checkout's --src
+POLICY_NAMES = ("OE-GSMVI", "OE-GMVI", "OE-MVI", "SOE-1", "SOE-2", "SOE-3", "SOE-4",
+                "SOE-MVI", "SBOE-GSMVI", "SBOE-MVI", "SA", "SA-RM")
+VALIDATE_SETTING = ("--L", "2", "--mu", "0.1", "--sigma", "1", "--V1", "1", "--b", "4",
+                    "--k", "1000")
+# (report name, validate-schedule arguments)
+VALIDATIONS = (
+    *((name, (name, *VALIDATE_SETTING)) for name in POLICY_NAMES),
+    # L^2 gamma_k^2 exceeds the block final-step bound
+    ("SBOE-GSMVI_final", ("SBOE-GSMVI", "--L", "10", "--Lbar", "1", "--b", "2", "--mu", "0.1",
+                          "--k", "100")),
+    ("SBOE-MVI_final", ("SBOE-MVI", "--L", "10", "--Lbar", "1", "--b", "2", "--k", "100")),
+    # the noise dominates mu^2 V1, so q is clamped
+    ("SOE-2_clamped", ("SOE-2", "--L", "1", "--mu", "0.01", "--sigma", "100", "--V1", "1",
+                       "--k", "100")),
+)
 UNSTABLE = {"timing.csv"}  # wall-clock table, outside the byte-identity contract
 
 
@@ -43,7 +61,8 @@ def oevi(src: Path, args: list[str], stdout_path: Path | None = None):
         stdout_path.parent.mkdir(parents=True, exist_ok=True)
     with open(stdout_path, "w") as out:
         proc = subprocess.run(cmd, env=env, stdout=out, stderr=subprocess.PIPE, text=True)
-    # check exits 2 on a failed bound; the output still belongs in the manifest
+    # check and validate-schedule exit 2 on a failure; the output still
+    # belongs in the manifest
     if proc.returncode not in (0, 2):
         sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
 
@@ -92,6 +111,8 @@ def main(argv=None) -> int:
     for name, *extra in SUITES:
         # the suite summaries quote wall-clock times, so only their CSVs count
         oevi(src, ["suite", name, *extra, "--output", str(outdir / "suite" / name)])
+    for stem, flags in VALIDATIONS:
+        oevi(src, ["validate-schedule", *flags], outdir / "validate" / f"{stem}.txt")
     lines = manifest(outdir)
     if reference is None:
         print("\n".join(lines))

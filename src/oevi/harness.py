@@ -88,11 +88,10 @@ METRIC_COLUMNS = (
     "movement_sq",
 )
 
-TRAJECTORY_HEADER = (
-    "run_id,policy,seed,t,gamma,lambda,theta,"
-    + ",".join(METRIC_COLUMNS[:5])
-    + ",movement_sq,oracle_calls,wall_time_ns"
-)
+# the fields of one trajectory row, in CSV column order
+ROW_FIELDS = ("t", "gamma", "lambda", "theta", *METRIC_COLUMNS, "oracle_calls", "wall_time_ns")
+
+TRAJECTORY_HEADER = ",".join(("run_id", "policy", "seed", *ROW_FIELDS))
 
 _log = logging.getLogger(__name__)
 
@@ -142,10 +141,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.policies:
             raise ConfigError("config needs at least one policy")
+        seen = set()
         for policy in self.policies:
             if policy.name not in POLICIES:
                 raise ConfigError(f"unknown policy {policy.name!r}; "
                                   f"known: {', '.join(POLICY_NAMES)}")
+            # each policy's CSVs are named after it alone
+            if policy.name in seen:
+                raise ConfigError(f"policy {policy.name} is configured more than once")
+            seen.add(policy.name)
+            if policy.batch is not None and policy.batch < 1:
+                raise ConfigError(f"policy {policy.name}: batch size m must be >= 1, "
+                                  f"got {policy.batch}")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if len(set(self.seeds)) != len(self.seeds):
@@ -207,6 +214,13 @@ def build_problem(kind: str, params: dict) -> VIProblem:
 
 def load_config(path) -> ExperimentConfig:
     """Parse the documented key = value config format."""
+    try:
+        return _parse_config(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+
+
+def _parse_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -359,19 +373,14 @@ def trajectory_rows(
     rows = []
     for t in ts:
         x = traj.xs[t + 1]
-        row: dict = {
-            "t": t,
-            "gamma": float(traj.gammas[t]) if t >= 1 else None,
-            "lambda": float(traj.lams[t]) if t >= 1 else None,
-            "theta": float(traj.thetas[t]) if t >= 1 else None,
-            "V_to_solution": None,
-            "residual_exact": None,
-            "residual_certificate": None,
-            "gap_surrogate": None,
-            "weak_gap_exact": None,
-            "movement_sq": float(traj.movement_sq[t]) if t >= 1 else None,
-            "wall_time_ns": int(cum_time[t]) if timing else None,
-        }
+        row = dict.fromkeys(ROW_FIELDS)
+        row["t"] = t
+        if t >= 1:
+            row.update({"gamma": float(traj.gammas[t]), "lambda": float(traj.lams[t]),
+                        "theta": float(traj.thetas[t]),
+                        "movement_sq": float(traj.movement_sq[t])})
+        if timing:
+            row["wall_time_ns"] = int(cum_time[t])
         if x_star is not None:
             row["V_to_solution"] = bregman(x, x_star)
         Fx = problem.operator(x)  # the one exact evaluation at this checkpoint
@@ -392,30 +401,17 @@ def trajectory_rows(
     return rows
 
 
-def write_trajectory_csv(path: Path, run_id: str, policy: str, seed, rows: list[dict]):
-    lines = [TRAJECTORY_HEADER]
-    for row in rows:
-        fields = [
-            run_id,
-            policy,
-            "" if seed is None else str(seed),
-            str(row["t"]),
-            _fmt(row["gamma"]),
-            _fmt(row["lambda"]),
-            _fmt(row["theta"]),
-            _fmt(row["V_to_solution"]),
-            _fmt(row["residual_exact"]),
-            _fmt(row["residual_certificate"]),
-            _fmt(row["gap_surrogate"]),
-            _fmt(row["weak_gap_exact"]),
-            _fmt(row["movement_sq"]),
-            str(row["oracle_calls"]),
-            "" if row["wall_time_ns"] is None else str(row["wall_time_ns"]),
-        ]
-        lines.append(",".join(fields))
+def _write_lines(path: Path, lines: list[str]):
+    """Write ``lines`` through a temporary file, so ``path`` never holds a partial CSV."""
     tmp = path.with_suffix(".tmp")
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     os.replace(tmp, path)
+
+
+def write_trajectory_csv(path: Path, run_id: str, policy: str, seed, rows: list[dict]):
+    _write_lines(path, [TRAJECTORY_HEADER] + [
+        ",".join([run_id, policy, _fmt(seed), *(_fmt(row[f]) for f in ROW_FIELDS)])
+        for row in rows])
 
 
 AGGREGATE_HEADER = (
@@ -473,9 +469,7 @@ def write_aggregate_csv(path: Path, agg: AggregateResult, *, timing: bool = Fals
         fields.append(str(agg.oracle_calls[i]))
         fields.append(_fmt(agg.mean_step_time_ns) if timing else "")
         lines.append(",".join(fields))
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    _write_lines(path, lines)
 
 
 def _run_id(policy: str, seed) -> str:
@@ -650,7 +644,7 @@ def suite_traffic(
     lines = ["n,oe_ns_per_iter,sboe_ns_per_iter"]
     for n, oe_ns, sboe_ns in timing_rows:
         lines.append(f"{n},{_fmt(oe_ns)},{_fmt(sboe_ns)}")
-    (output / "timing.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(output / "timing.csv", lines)
     n_big, oe_ns, sboe_ns = timing_rows[-1]
     if n_big >= TIMING_MIN_SIZE:
         report.record(
@@ -863,6 +857,10 @@ def _check_soe_3(policy, schedule, problem, trajs, x1, k):
     x_star = _solution(problem)
     V1 = bregman(x1, x_star)
     ends = [K for K in schedule.epoch_ends(8) if K <= k]
+    if not ends:
+        return [BoundCheck(policy.name, "epoch halving", math.nan, math.nan, True,
+                           f"skipped: k = {k} ends before the first epoch end "
+                           f"K_1 = {schedule.epoch_length(1)}")]
     return [_seed_mean(policy, f"epoch {s} halving",
                        [bregman(tr.xs[K + 1], x_star) for tr in trajs],
                        bound_soe_restart(V1, s), detail="")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 _EPS = np.finfo(float).eps
 
 # Condition identifiers (validator report keys).
-COUPLING = "coupling"                      # theta_{t+1} gamma_{t+1} lambda_{t+1} = theta_t gamma_t * scale
+COUPLING = "coupling"                      # theta_{t+1} gamma_{t+1} lambda_{t+1} = theta_t gamma_t * b
 EXTRAP_DET = "extrap_weight_det"           # theta_{t-1} >= 4 L^2  theta_t gamma_t^2 lambda_t^2
 EXTRAP_PLAIN = "extrap_weight_plain"       # theta_{t-1} >= 9 L^2  theta_t gamma_t^2 lambda_t^2
 EXTRAP_STOCH = "extrap_weight_stoch"       # theta_{t-1} >= 16 L^2 theta_t gamma_t^2 lambda_t^2
@@ -53,7 +54,6 @@ class ScheduleTable:
     coupling identity is intentionally not claimed).
     """
 
-    k: int
     gamma: np.ndarray
     lam: np.ndarray
     log_theta: np.ndarray
@@ -66,7 +66,6 @@ class Schedule:
 
     name: str = ""
     conditions: tuple[str, ...] = ()
-    coupling_scale: float = 1.0
     notes: tuple[str, ...] = ()
 
     # constants the policy was built from (used by the validator and bounds)
@@ -85,21 +84,36 @@ class Schedule:
     def table(self, k: int) -> ScheduleTable:
         raise NotImplementedError
 
+    def _set_constants(self, *, mu_le_L: bool = False, **constants: float):
+        """Store each named constant as a float after checking that it is
+        positive, and with ``mu_le_L`` that mu does not exceed L."""
+        for name, value in constants.items():
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            setattr(self, name, float(value))
+        if mu_le_L and self.mu > self.L:
+            raise ValueError("mu cannot exceed L")
 
-def _const_table(k: int, gamma: float, lam: float, log_ratio: float) -> ScheduleTable:
-    """Table for policies with constant gamma, lambda and theta_t = exp(t * log_ratio)."""
-    t = np.arange(k + 1, dtype=float)
+
+def _table(k: int, gamma, lam, log_theta, epoch_start=None) -> ScheduleTable:
+    """Table for t = 0..k from scalars or length-(k+1) arrays.  lambda_0 is
+    undefined (nan), one sample is drawn per step from t = 1 on, and by
+    default no step restarts an epoch."""
     tab = ScheduleTable(
-        k=k,
-        gamma=np.full(k + 1, gamma),
-        lam=np.full(k + 1, lam),
-        log_theta=t * log_ratio,
+        gamma=np.full(k + 1, gamma, dtype=float),
+        lam=np.full(k + 1, lam, dtype=float),
+        log_theta=np.full(k + 1, log_theta, dtype=float),
         batch=np.ones(k + 1, dtype=int),
-        epoch_start=np.zeros(k + 1, dtype=bool),
+        epoch_start=np.zeros(k + 1, dtype=bool) if epoch_start is None else epoch_start,
     )
     tab.lam[0] = np.nan
     tab.batch[0] = 0
     return tab
+
+
+def _const_table(k: int, gamma: float, lam: float, log_ratio: float) -> ScheduleTable:
+    """Table for policies with constant gamma, lambda and theta_t = exp(t * log_ratio)."""
+    return _table(k, gamma, lam, np.arange(k + 1, dtype=float) * log_ratio)
 
 
 def _decreasing(mu: float, t0: float, t):
@@ -113,12 +127,6 @@ def _coupled_lam(gamma: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (theta[:-1] * gamma[:-1]) / (theta[1:] * gamma[1:])
 
 
-def _require_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
 class OEGsmviSchedule(Schedule):
     """Linear-rate policy for generalized strongly monotone problems:
     gamma = 1/(2L), lambda = (mu/L + 1)^-1, theta_t = (mu/L + 1)^t."""
@@ -127,10 +135,7 @@ class OEGsmviSchedule(Schedule):
     conditions = (COUPLING, EXTRAP_DET, THETA_GROWTH, FINAL_DET)
 
     def __init__(self, L: float, mu: float):
-        _require_positive(L=L, mu=mu)
-        if mu > L:
-            raise ValueError("mu cannot exceed L")
-        self.L, self.mu = float(L), float(mu)
+        self._set_constants(L=L, mu=mu, mu_le_L=True)
 
     def triple(self, t):
         # r**t is exact for small integer ratios, where exp(t log r) is not
@@ -149,8 +154,7 @@ class OEGmviSchedule(Schedule):
     conditions = (COUPLING, EXTRAP_PLAIN)
 
     def __init__(self, L: float):
-        _require_positive(L=L)
-        self.L = float(L)
+        self._set_constants(L=L)
 
     def table(self, k):
         return _const_table(k, 1.0 / (3.0 * self.L), 1.0, 0.0)
@@ -163,8 +167,7 @@ class OEMviSchedule(Schedule):
     conditions = (COUPLING, EXTRAP_DET, FINAL_DET, THETA_NONINC)
 
     def __init__(self, L: float):
-        _require_positive(L=L)
-        self.L = float(L)
+        self._set_constants(L=L)
 
     def table(self, k):
         return _const_table(k, 1.0 / (2.0 * self.L), 1.0, 0.0)
@@ -179,23 +182,12 @@ class SoeDecreasingSchedule(Schedule):
     conditions = (COUPLING, EXTRAP_STOCH, THETA_GROWTH, FINAL_STOCH)
 
     def __init__(self, L: float, mu: float):
-        _require_positive(L=L, mu=mu)
-        if mu > L:
-            raise ValueError("mu cannot exceed L")
-        self.L, self.mu = float(L), float(mu)
+        self._set_constants(L=L, mu=mu, mu_le_L=True)
         self.t0 = 4.0 * self.L / self.mu
 
     def table(self, k):
         gamma, theta = _decreasing(self.mu, self.t0, np.arange(k + 1, dtype=float))
-        lam = np.empty(k + 1)
-        lam[0] = np.nan
-        lam[1:] = _coupled_lam(gamma, theta)
-        tab = ScheduleTable(
-            k=k, gamma=gamma, lam=lam, log_theta=np.log(theta),
-            batch=np.ones(k + 1, dtype=int), epoch_start=np.zeros(k + 1, dtype=bool),
-        )
-        tab.batch[0] = 0
-        return tab
+        return _table(k, gamma, np.r_[np.nan, _coupled_lam(gamma, theta)], np.log(theta))
 
 
 class SoeConstantSchedule(Schedule):
@@ -213,12 +205,9 @@ class SoeConstantSchedule(Schedule):
     Q_FLOOR = 1e-3
 
     def __init__(self, L: float, mu: float, sigma: float, V1: float, k: int):
-        _require_positive(L=L, mu=mu, sigma=sigma, V1=V1)
-        if mu > L:
-            raise ValueError("mu cannot exceed L")
+        self._set_constants(L=L, mu=mu, sigma=sigma, V1=V1, mu_le_L=True)
         if k < 2:
             raise ValueError("the constant policy needs k >= 2")
-        self.L, self.mu, self.sigma, self.V1 = float(L), float(mu), float(sigma), float(V1)
         self.k = int(k)
         q = 1.0 + math.log(self.mu**2 * self.V1 / self.sigma**2) / math.log(self.k)
         self.q_clamped = q < self.Q_FLOOR
@@ -247,64 +236,38 @@ class SoeRestartSchedule(Schedule):
 
     def __init__(self, L: float, mu: float, sigma: float = 1.0, V1: float = 1.0,
                  noise_ratio: float | None = None):
-        _require_positive(L=L, mu=mu, sigma=sigma, V1=V1)
-        if mu > L:
-            raise ValueError("mu cannot exceed L")
-        self.L, self.mu, self.sigma, self.V1 = float(L), float(mu), float(sigma), float(V1)
+        self._set_constants(L=L, mu=mu, sigma=sigma, V1=V1, mu_le_L=True)
         self.t0 = 4.0 * self.L / self.mu
         self.noise_ratio = (
             float(noise_ratio) if noise_ratio is not None
             else self.sigma**2 / (self.mu**2 * self.V1)
         )
-        self._lengths: list[int] = []
-        self._ends: list[int] = []
 
     def epoch_length(self, s: int) -> int:
         base = (2.0 * math.sqrt(2.0) - 1.0) * self.t0 + 4.0
         return int(math.ceil(max(base, 2.0 ** (s + 6) * self.noise_ratio)))
 
-    def _extend_epochs(self, t: int):
-        while not self._ends or self._ends[-1] < t:
-            s = len(self._lengths) + 1
-            ks = self.epoch_length(s)
-            self._lengths.append(ks)
-            self._ends.append((self._ends[-1] if self._ends else 0) + ks)
-
     def epoch_ends(self, num: int) -> list[int]:
         """Cumulative iteration counts K_1..K_num (epoch boundaries)."""
-        while len(self._ends) < num:
-            self._extend_epochs((self._ends[-1] if self._ends else 0) + 1)
-        return self._ends[:num]
+        return list(accumulate(self.epoch_length(s) for s in range(1, num + 1)))
 
     def table(self, k):
-        self._extend_epochs(k)
         gamma = np.empty(k + 1)
         lam = np.empty(k + 1)
         log_theta = np.empty(k + 1)
         epoch_start = np.zeros(k + 1, dtype=bool)
         # prehistory from the first epoch's local formulas at local index 0
         gamma[0], theta0 = _decreasing(self.mu, self.t0, 0.0)
-        lam[0] = np.nan
         log_theta[0] = math.log(theta0)
-        start = 0
-        for ks in self._lengths:
-            if start >= k:
-                break
-            stop = min(start + ks, k)
+        start, s = 0, 1
+        while start < k:
+            stop = min(start + self.epoch_length(s), k)
             g, th = _decreasing(self.mu, self.t0, np.arange(1, stop - start + 1, dtype=float))
-            lm = np.empty_like(g)
-            lm[0] = 0.0
-            lm[1:] = _coupled_lam(g, th)
             sl = slice(start + 1, stop + 1)
-            gamma[sl], lam[sl], log_theta[sl] = g, lm, np.log(th)
+            gamma[sl], lam[sl], log_theta[sl] = g, np.r_[0.0, _coupled_lam(g, th)], np.log(th)
             epoch_start[start + 1] = True
-            start = stop
-        tab = ScheduleTable(
-            k=k, gamma=gamma, lam=lam, log_theta=log_theta,
-            batch=np.ones(k + 1, dtype=int), epoch_start=epoch_start,
-        )
-        tab.batch[0] = 0
-        return tab
+            start, s = stop, s + 1
+        return _table(k, gamma, lam, log_theta, epoch_start)
 
 
 class SoeGmviSchedule(Schedule):
@@ -315,10 +278,9 @@ class SoeGmviSchedule(Schedule):
     conditions = (COUPLING, EXTRAP_STOCH, FINAL_STOCH, THETA_NONDEC)
 
     def __init__(self, L: float, k: int):
-        _require_positive(L=L)
+        self._set_constants(L=L)
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.L = float(L)
         self.k = int(k)
 
     def table(self, k):
@@ -341,28 +303,16 @@ class SoeMviSchedule(Schedule):
     conditions = (COUPLING, THETA_NONINC, FINAL_STOCH)
 
     def __init__(self, L: float):
-        _require_positive(L=L)
-        self.L = float(L)
+        self._set_constants(L=L)
 
     def table(self, k):
         t = np.arange(k + 1, dtype=float)
         with np.errstate(divide="ignore"):
             gamma = 1.0 / (self.L * np.sqrt(t))
-        lam = np.empty(k + 1)
-        lam[0] = np.nan
-        lam[1] = 0.0
-        if k >= 2:
-            lam[2:] = gamma[1:-1] / gamma[2:]
         gamma[0] = np.nan
-        tab = ScheduleTable(
-            k=k, gamma=gamma, lam=lam, log_theta=np.zeros(k + 1),
-            batch=np.ones(k + 1, dtype=int),
-            epoch_start=np.zeros(k + 1, dtype=bool),
-        )
         # lambda_1 = 0 is a deliberate restart-style first step
-        tab.epoch_start[1] = True
-        tab.batch[0] = 0
-        return tab
+        return _table(k, gamma, np.r_[np.nan, 0.0, gamma[1:-1] / gamma[2:]], 0.0,
+                      epoch_start=t == 1)
 
 
 class SboeGsmviSchedule(Schedule):
@@ -374,15 +324,12 @@ class SboeGsmviSchedule(Schedule):
     conditions = (COUPLING, EXTRAP_BLOCK, THETA_GROWTH_BLOCK, WEIGHT_ORDER, FINAL_BLOCK)
 
     def __init__(self, Lbar: float, b: int, mu: float, L: float | None = None):
-        _require_positive(Lbar=Lbar, mu=mu)
+        self._set_constants(Lbar=Lbar, mu=mu)
         if b < 1:
             raise ValueError("b must be >= 1")
-        self.Lbar = float(Lbar)
         self.b = int(b)
-        self.mu = float(mu)
         # full-operator Lipschitz constant, used only by the final-step check
         self.L = float(L) if L is not None else self.Lbar * math.sqrt(self.b)
-        self.coupling_scale = float(self.b)
         self.gamma = 1.0 / (2.0 * self.Lbar * self.b)
 
     def _log_ratio(self):
@@ -402,13 +349,11 @@ class SboeMviSchedule(Schedule):
     conditions = (COUPLING, EXTRAP_BLOCK_MVI, WEIGHT_ORDER, FINAL_BLOCK, THETA_NONINC)
 
     def __init__(self, Lbar: float, b: int, L: float | None = None):
-        _require_positive(Lbar=Lbar)
+        self._set_constants(Lbar=Lbar)
         if b < 1:
             raise ValueError("b must be >= 1")
-        self.Lbar = float(Lbar)
         self.b = int(b)
         self.L = float(L) if L is not None else self.Lbar * math.sqrt(self.b)
-        self.coupling_scale = float(self.b)
 
     def table(self, k):
         return _const_table(k, 1.0 / (4.0 * self.Lbar * self.b), float(self.b), 0.0)
@@ -429,8 +374,7 @@ class SaSchedule(Schedule):
     notes = ("baseline policy; no side conditions claimed",)
 
     def __init__(self, L: float, mu: float, parity_offset: bool = True):
-        _require_positive(L=L, mu=mu)
-        self.L, self.mu = float(L), float(mu)
+        self._set_constants(L=L, mu=mu)
         self.parity_offset = parity_offset
         self.t0 = 4.0 * self.L / self.mu if parity_offset else 0.0
         if not parity_offset:
@@ -443,16 +387,8 @@ class SaSchedule(Schedule):
             gamma = 1.0 / (self.mu * (t + self.t0))
         if not self.parity_offset:
             gamma[0] = np.nan
-        lam = np.zeros(k + 1)
-        lam[0] = np.nan
-        tab = ScheduleTable(
-            k=k, gamma=gamma, lam=lam, log_theta=np.zeros(k + 1),
-            batch=np.ones(k + 1, dtype=int),
-            epoch_start=np.ones(k + 1, dtype=bool),  # never claims the coupling identity
-        )
-        tab.epoch_start[0] = False
-        tab.batch[0] = 0
-        return tab
+        # every step restarts: the baseline never claims the coupling identity
+        return _table(k, gamma, 0.0, 0.0, epoch_start=t > 0)
 
 
 @dataclass(frozen=True)
@@ -559,8 +495,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _first_bad(mask: np.ndarray, ts: np.ndarray, margin: np.ndarray, name: str) -> ConditionResult:
-    """mask True where the condition FAILS; margin is the (log-space) violation size."""
+# relative slack of the log-space inequalities
+_SLACK = 1e-10
+
+# theta_{t-1} >= coef lip^2 theta_t gamma_t^2 lambda_t^2: (coef, lip is Lbar rather than L)
+_EXTRAP = {EXTRAP_DET: (4.0, False), EXTRAP_PLAIN: (9.0, False), EXTRAP_STOCH: (16.0, False),
+           EXTRAP_BLOCK: (4.0, True), EXTRAP_BLOCK_MVI: (16.0, True)}
+
+# coef L^2 gamma_k^2 <= bound: (coef, bound)
+_FINAL = {FINAL_DET: (1.0, 0.5), FINAL_STOCH: (8.0, 1.0), FINAL_BLOCK: (4.0, 1.0)}
+
+
+def _first_bad(margin, ts, name: str, tol) -> ConditionResult:
+    """The condition fails at ts[i] where margin[i] > tol; margin is the
+    (log-space) violation size, reported at its largest."""
+    mask = margin > tol
     if not np.any(mask):
         return ConditionResult(name, True)
     idx = int(np.argmax(mask))
@@ -573,23 +522,23 @@ def validate(
     *,
     L: float | None = None,
     mu: float | None = None,
-    b: int | None = None,
     Lbar: float | None = None,
-    slack: float = 1e-10,
 ) -> ValidationReport:
     """Check the policy's own side conditions for t = 1..k.
 
-    Inequalities are verified in log space with relative slack ``slack``
-    (an absolute slack on log values).  The coupling identity is checked to
-    1e-12 relative, widened by the floating-point rounding floor of the log
-    values when theta leaves double range.  Conditions weighted by lambda_t
-    are vacuous at t = 1 (x_0 = x_1 makes the first extrapolation term zero)
-    and are checked from t = 2; restart boundaries, where lambda_t = 0, are
-    exempt from the coupling identity by construction.
+    ``L``, ``mu`` and ``Lbar`` replace the schedule's own constants, so a
+    schedule built from tuned constants can be checked at the true ones.
+    Inequalities are verified in log space with a fixed relative slack of
+    1e-10 (an absolute slack on log values).  The coupling identity is
+    checked to 1e-12 relative, widened by the floating-point rounding floor
+    of the log values when theta leaves double range.  Conditions weighted by
+    lambda_t are vacuous at t = 1 (x_0 = x_1 makes the first extrapolation
+    term zero) and are checked from t = 2; restart boundaries, where
+    lambda_t = 0, are exempt from the coupling identity by construction.
     """
     L = schedule.L if L is None else float(L)
     mu = schedule.mu if mu is None else float(mu)
-    b = schedule.b if b is None else int(b)
+    b = schedule.b
     Lbar = (schedule.Lbar if not math.isnan(schedule.Lbar) else L) if Lbar is None else float(Lbar)
 
     tab = schedule.table(k)
@@ -599,59 +548,41 @@ def validate(
     with np.errstate(divide="ignore", invalid="ignore"):
         log_gamma = np.log(tab.gamma)
         log_lam = np.log(tab.lam)
+    log_tg = tab.log_theta + log_gamma
 
     for cond in schedule.conditions:
         if cond == COUPLING:
             # evaluated for t = 1..k-1 on the pair (t, t+1); skip restarts
-            lhs = tab.log_theta[2:] + log_gamma[2:] + log_lam[2:]
-            rhs = tab.log_theta[1:-1] + log_gamma[1:-1] + math.log(schedule.coupling_scale)
-            keep = ~tab.epoch_start[2:]
-            diff = np.abs(lhs - rhs)
+            lhs = log_tg[2:] + log_lam[2:]
+            rhs = log_tg[1:-1] + math.log(b)
+            diff = np.where(tab.epoch_start[2:], -np.inf, np.abs(lhs - rhs))
             tol = np.maximum(1e-12, 32 * _EPS * np.maximum(np.abs(lhs), np.abs(rhs)))
-            mask = (diff > tol) & keep
-            report.results[cond] = _first_bad(mask, ts[1:-1], diff, cond)
-        elif cond in (EXTRAP_DET, EXTRAP_PLAIN, EXTRAP_STOCH, EXTRAP_BLOCK, EXTRAP_BLOCK_MVI):
-            coef = {EXTRAP_DET: 4.0, EXTRAP_PLAIN: 9.0, EXTRAP_STOCH: 16.0,
-                    EXTRAP_BLOCK: 4.0, EXTRAP_BLOCK_MVI: 16.0}[cond]
-            lip = Lbar if cond in (EXTRAP_BLOCK, EXTRAP_BLOCK_MVI) else L
+            result = _first_bad(diff, ts[1:-1], cond, tol)
+        elif cond in _EXTRAP:
+            coef, block = _EXTRAP[cond]
             # theta_{t-1} >= coef * lip^2 * theta_t gamma_t^2 lambda_t^2, t >= 2
-            lhs = tab.log_theta[1:-1]
-            rhs = (math.log(coef) + 2.0 * math.log(lip) + tab.log_theta[2:]
+            rhs = (math.log(coef) + 2.0 * math.log(Lbar if block else L) + tab.log_theta[2:]
                    + 2.0 * log_gamma[2:] + 2.0 * log_lam[2:])
             rhs = np.where(np.isnan(rhs), -np.inf, rhs)  # lambda = 0 at restarts
-            margin = rhs - lhs
-            mask = margin > slack
-            report.results[cond] = _first_bad(mask, ts[2:], margin, cond)
-        elif cond == THETA_GROWTH:
+            result = _first_bad(rhs - tab.log_theta[1:-1], ts[2:], cond, _SLACK)
+        elif cond in (THETA_GROWTH, THETA_GROWTH_BLOCK):
             lhs = tab.log_theta[1:]
+            if cond == THETA_GROWTH_BLOCK:
+                lhs = lhs + np.log1p(2.0 * mu * (b - 1) * tab.gamma[1:] / b)
             rhs = tab.log_theta[:-1] + np.log1p(2.0 * mu * tab.gamma[:-1])
-            margin = lhs - rhs
-            mask = margin > slack
-            report.results[cond] = _first_bad(mask, ts[1:], margin, cond)
-        elif cond == THETA_GROWTH_BLOCK:
-            lhs = tab.log_theta[1:] + np.log1p(2.0 * mu * (b - 1) * tab.gamma[1:] / b)
-            rhs = tab.log_theta[:-1] + np.log1p(2.0 * mu * tab.gamma[:-1])
-            margin = lhs - rhs
-            mask = margin > slack
-            report.results[cond] = _first_bad(mask, ts[1:], margin, cond)
+            result = _first_bad(lhs - rhs, ts[1:], cond, _SLACK)
         elif cond == WEIGHT_ORDER:
-            lhs = tab.log_theta[:-1] + log_gamma[:-1] + math.log(b)
-            rhs = tab.log_theta[1:] + log_gamma[1:] + (math.log(b - 1) if b > 1 else -np.inf)
-            margin = rhs - lhs
-            mask = margin > slack
-            report.results[cond] = _first_bad(mask, ts[1:], margin, cond)
-        elif cond in (FINAL_DET, FINAL_STOCH, FINAL_BLOCK):
-            coef, bound = {FINAL_DET: (1.0, 0.5), FINAL_STOCH: (8.0, 1.0),
-                           FINAL_BLOCK: (4.0, 1.0)}[cond]
+            lhs = log_tg[:-1] + math.log(b)
+            rhs = log_tg[1:] + (math.log(b - 1) if b > 1 else -np.inf)
+            result = _first_bad(rhs - lhs, ts[1:], cond, _SLACK)
+        elif cond in _FINAL:
+            coef, bound = _FINAL[cond]
             value = coef * L**2 * float(tab.gamma[k]) ** 2
-            ok = value <= bound * (1.0 + slack)
-            report.results[cond] = ConditionResult(cond, ok, None if ok else k,
-                                                   0.0 if ok else value - bound)
+            result = _first_bad(np.array([value - bound]), [k], cond, bound * _SLACK)
         elif cond in (THETA_NONINC, THETA_NONDEC):
             diff = np.diff(tab.log_theta[1:])
-            margin = diff if cond == THETA_NONINC else -diff
-            mask = margin > slack
-            report.results[cond] = _first_bad(mask, ts[2:], margin, cond)
+            result = _first_bad(diff if cond == THETA_NONINC else -diff, ts[2:], cond, _SLACK)
         else:
             raise ValueError(f"unknown condition {cond!r}")
+        report.results[cond] = result
     return report

@@ -21,6 +21,7 @@ from oevi.harness import (
     check_bounds,
     checkpoints,
     ensure_reference,
+    format_bound_checks,
     load_config,
     run_experiment,
     run_policy,
@@ -65,6 +66,16 @@ class TestConfigValidation:
     def test_bad_k_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, k=0)
+
+    def test_repeated_policy_rejected(self, tmp_path):
+        # both runs would write SOE-1_s*.csv and agg_SOE-1.csv
+        with pytest.raises(ConfigError, match="SOE-1 is configured more than once"):
+            tiny_config(tmp_path, policies=[PolicyRun("SOE-1"), PolicyRun("SOE-1", batch=4)])
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_batch_rejected(self, tmp_path, m):
+        with pytest.raises(ConfigError, match="batch size m must be >= 1"):
+            tiny_config(tmp_path, policies=[PolicyRun("SOE-1", batch=m)])
 
     def test_cadence_default(self, tmp_path):
         assert tiny_config(tmp_path, k=500).resolved_cadence() == 1
@@ -370,6 +381,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("text", [
+        CONFIG_TEXT + "\n[policy:SOE-1]\n",
+        "k = 5\n" + CONFIG_TEXT,
+        CONFIG_TEXT.replace("cadence = 1", "output = out%x"),
+    ], ids=["repeated-section", "no-section-header", "bad-interpolation"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="malformed config file"):
+            load_config(path)
+
 
 class TestCheckBounds:
     def test_linear_rate_and_movement_pass(self, tmp_path):
@@ -426,6 +448,13 @@ class TestCheckBounds:
         checks = check_bounds(cfg)
         assert len(checks) == 3
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+    def test_restart_halving_skipped_before_first_epoch(self):
+        cfg = ExperimentConfig(problem=glm_generate(10, "hinge", 100.0, 1.0, seed=3),
+                               policies=[PolicyRun("SOE-3")], k=50, seeds=(1, 2))
+        assert format_bound_checks(check_bounds(cfg)) == (
+            "[PASS] SOE-3: epoch halving skipped: k = 50 ends before the first "
+            "epoch end K_1 = 128")
 
     def test_stochastic_mean_bound(self, tmp_path):
         p = tiny_problem()
@@ -508,6 +537,21 @@ class TestCli:
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nkind = nosuch\n\n[run]\nk = 5\n\n[policy:SA]\n")
         assert cli.main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("text", [
+        CONFIG_TEXT + "\n[policy:SOE-1]\n",
+        CONFIG_TEXT.replace("m = 2", "m = 0"),
+    ], ids=["repeated-section", "zero-batch"])
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_unknown_policy_is_config_error(self, tmp_path, capsys, command):

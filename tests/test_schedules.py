@@ -1,6 +1,7 @@
 """Stepsize-policy tests: closed-form values, coupling identities, restart
 epoch bookkeeping, and the side-condition validator."""
 
+import copy
 import math
 
 import numpy as np
@@ -222,6 +223,53 @@ class TestBaselinePolicy:
         assert sched.triple(10**6)[0] * 10**6 == pytest.approx(1.0, rel=1e-2)
 
 
+def _edited(sched, edit):
+    """``sched`` with ``edit(tab)`` applied to every table it builds."""
+    build = sched.table
+
+    def table(k):
+        tab = build(k)
+        edit(tab)
+        return tab
+
+    sched.table = table
+    return sched
+
+
+# One failing setting per condition family: (condition, schedule, validate
+# overrides, first violation, worst violation), validated at k = 100.
+FAILURES = [
+    (S.COUPLING, lambda: _edited(S.OEGmviSchedule(1.0), lambda tab: np.put(tab.lam, 5, 1.5)),
+     {}, 4, 0.4054651081081644),
+    (S.EXTRAP_DET, lambda: S.OEGsmviSchedule(2.0, 0.5), dict(L=3.0), 2, 0.5877866649021222),
+    (S.EXTRAP_PLAIN, lambda: S.OEGmviSchedule(1.0), dict(L=1.5), 2, 0.8109302162163288),
+    (S.EXTRAP_STOCH, lambda: _edited(S.SoeDecreasingSchedule(4.0, 1.0),
+                                     lambda tab: np.put(tab.lam, 9, 3 * tab.lam[9])),
+     {}, 9, 1.3913708822839466),
+    (S.EXTRAP_BLOCK, lambda: S.SboeGsmviSchedule(1.0, 3, 0.1), dict(Lbar=2.0), 2,
+     1.375483445015675),
+    (S.EXTRAP_BLOCK_MVI, lambda: S.SboeMviSchedule(1.0, 3), dict(Lbar=2.0), 2,
+     1.3862943611198904),
+    (S.THETA_GROWTH, lambda: S.OEGsmviSchedule(2.0, 0.5), dict(mu=0.25), 1,
+     0.10536051565782856),
+    (S.THETA_GROWTH_BLOCK, lambda: S.SboeGsmviSchedule(1.0, 3, 0.1), dict(mu=0.05), 1,
+     0.00533145033959026),
+    (S.WEIGHT_ORDER, lambda: _edited(S.SboeMviSchedule(1.0, 2),
+                                     lambda tab: np.put(tab.gamma, 10, 0.375)),
+     {}, 10, 0.40546510810816416),
+    (S.FINAL_DET, lambda: S.OEGsmviSchedule(2.0, 0.5), dict(L=3.0), 100, 0.0625),
+    (S.FINAL_STOCH, lambda: S.SoeDecreasingSchedule(4.0, 1.0), dict(L=80.0), 100,
+     2.871455576559547),
+    (S.FINAL_BLOCK, lambda: S.SboeMviSchedule(1.0, 2, L=10.0), {}, 100, 5.25),
+    (S.THETA_NONINC, lambda: _edited(S.OEMviSchedule(1.0),
+                                     lambda tab: np.put(tab.log_theta, 7, 0.5)),
+     {}, 7, 0.5),
+    (S.THETA_NONDEC, lambda: _edited(S.SoeGmviSchedule(1.0, 99),
+                                     lambda tab: np.put(tab.log_theta, 7, -0.5)),
+     {}, 7, 0.5),
+]
+
+
 class TestValidator:
     def _draws(self, count=20):
         rng = np.random.default_rng(0)
@@ -279,6 +327,15 @@ class TestValidator:
         assert not report.results[S.EXTRAP_PLAIN].passed
         assert report.results[S.EXTRAP_PLAIN].first_violation_t == 2
 
+    @pytest.mark.parametrize("cond,make,overrides,first_t,worst", FAILURES,
+                             ids=[case[0] for case in FAILURES])
+    def test_each_condition_reports_its_failure(self, cond, make, overrides, first_t, worst):
+        report = S.validate(make(), 100, **overrides)
+        result = report.results[cond]
+        assert (result.passed, result.first_violation_t, result.worst_violation) == (
+            False, first_t, worst)
+        assert not report.passed
+
     def test_restart_bookkeeping_in_table(self):
         sched = S.SoeRestartSchedule(4.0, 1.0, 1.0, 1.0)
         k = 500
@@ -310,3 +367,12 @@ class TestValidator:
         for t in (1, 2, 50, 200):
             g, lam, th = sched.triple(t)
             assert g > 0 and lam >= 0 and th > 0
+
+    @pytest.mark.parametrize("name", S.POLICY_NAMES)
+    def test_tables_leave_the_schedule_unchanged(self, name):
+        # run_experiment shares one schedule across its worker threads
+        sched = S.make_schedule(name, L=2.0, mu=0.1, sigma=1.0, V1=1.0, k=200, b=4)
+        before = copy.deepcopy(vars(sched))
+        sched.table(5000)
+        sched.triple(300)
+        assert vars(sched) == before
