@@ -18,7 +18,8 @@ difference, so byte identity between two checkouts is:
     python3 scripts/golden_csvs.py /tmp/golden-a --src ../other/src > a.txt
     python3 scripts/golden_csvs.py /tmp/golden-b --compare a.txt
 
-The whole set takes a few minutes on two cores.
+The whole set took 109-155 s over two runs on a 2-core host with
+OPENBLAS_NUM_THREADS=1.
 """
 
 from __future__ import annotations

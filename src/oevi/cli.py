@@ -119,6 +119,8 @@ def main(argv=None) -> int:
             print(format_bound_checks(checks))
             return 0 if all(c.passed for c in checks) else 2
         if args.command == "validate-schedule":
+            if args.k < 1:
+                raise ConfigError("k must be >= 1")
             schedule = make_schedule(
                 args.policy, L=args.L, mu=args.mu, sigma=args.sigma,
                 V1=args.V1, k=args.k, b=args.b, Lbar=args.Lbar,

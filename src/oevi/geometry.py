@@ -153,6 +153,14 @@ class SimplexProduct(FeasibleSet):
         self.dim = sum(self.block_sizes)
         offsets = np.cumsum((0,) + self.block_sizes)
         self._slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+        # blocks as rows of a (num_blocks, max_size) array: equal blocks are a
+        # reshape of the vector; unequal ones are padded on the right, and
+        # the mask picks out the real entries
+        self._demand_array = np.array(self.demands)
+        self._row_mask = None
+        if len(set(self.block_sizes)) > 1:
+            width = max(self.block_sizes)
+            self._row_mask = np.arange(width) < np.array(self.block_sizes)[:, None]
 
     @property
     def num_blocks(self) -> int:
@@ -172,10 +180,12 @@ class SimplexProduct(FeasibleSet):
 
     def project(self, z) -> np.ndarray:
         v = _vector(z, self.dim, "z")
-        out = np.empty_like(v)
-        for sl, d in zip(self._slices, self.demands):
-            out[sl] = project_simplex(v[sl], d)
-        return out
+        if self._row_mask is None:
+            rows = v.reshape(self.num_blocks, -1)
+            return _project_rows(rows, self._demand_array).reshape(-1)
+        rows = np.full(self._row_mask.shape, -np.inf)
+        rows[self._row_mask] = v
+        return _project_rows(rows, self._demand_array)[self._row_mask]
 
     def support_min(self, c) -> np.ndarray:
         v = _vector(c, self.dim, "c")
@@ -201,13 +211,29 @@ def project_simplex(v, d: float) -> np.ndarray:
     d = float(d)
     if d < 0:
         raise ValueError("simplex demand must be nonnegative")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - d
-    j = np.arange(1, v.shape[0] + 1)
-    # largest index with u_j > (cumsum_j - d) / j ; at least j = 1 qualifies
-    rho = int(np.nonzero(u > css / j)[0][-1]) if np.any(u > css / j) else 0
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    return _project_rows(v[None, :], np.array([d]))[0]
+
+
+def _project_rows(rows: np.ndarray, demands: np.ndarray) -> np.ndarray:
+    """Project each row of ``rows`` onto its simplex {sum(x) = d, x >= 0}.
+
+    One sort and one cumulative sum for all rows.  Entries of -inf are
+    padding: they sort last and never qualify, so a padded row projects
+    exactly as its real entries would alone.
+    """
+    num, width = rows.shape
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    css -= demands[:, None]
+    qualifies = u > css / np.arange(1, width + 1)
+    # rho is the largest index with u_j > (cumsum_j - d) / j.  With d > 0,
+    # j = 1 qualifies; a row where none does (d = 0) takes rho = 0, and
+    # marking j = 1 in every row gives that without moving any other rho.
+    qualifies[:, 0] = True
+    rho = width - 1 - np.argmax(qualifies[:, ::-1], axis=1)
+    tau = css[np.arange(num), rho] / (rho + 1.0)
+    out = rows - tau[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def bregman(x, y) -> float:

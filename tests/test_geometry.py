@@ -178,6 +178,48 @@ class TestProjectSimplex:
             assert np.all(out >= 0.0)
 
 
+def per_block_projection(fs, z):
+    """Reference: project each block of z on its own by sort and threshold."""
+    out = np.empty_like(z)
+    for sl, d in zip(fs.block_slices(), fs.demands):
+        v = z[sl]
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u) - d
+        j = np.arange(1, v.shape[0] + 1)
+        rho = int(np.nonzero(u > css / j)[0][-1]) if np.any(u > css / j) else 0
+        out[sl] = np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+    return out
+
+
+class TestSimplexProductProjection:
+    @pytest.mark.parametrize("sizes, demands", [
+        ((200,) * 5, (1.0, 0.5, 2.0, 3.0, 0.25)),
+        ((200,), (1.5,)),
+        ((7, 5, 9), (1.0, 2.5, 0.3)),
+        ((3, 1, 4), (1.0, 0.0, 2.0)),
+        ((1, 1, 1), (0.5, 1.0, 0.0)),
+        ((40,) * 25, tuple(np.linspace(0.0, 2.0, 25))),
+    ], ids=["equal", "one-block", "unequal", "zero-demand", "size-one", "many-blocks"])
+    def test_bytes_match_per_block_projection(self, sizes, demands):
+        fs = SimplexProduct(sizes, demands)
+        rng = np.random.default_rng(sum(sizes))
+        for i in range(100):
+            z = rng.normal(scale=3.0, size=fs.dim)
+            if i % 2:
+                z = np.round(z)  # tied entries within and across blocks
+            expect = per_block_projection(fs, z)
+            assert fs.project(z).tobytes() == expect.tobytes()
+            if len(sizes) == 1:
+                assert project_simplex(z, demands[0]).tobytes() == expect.tobytes()
+
+    def test_zero_demand_block_is_zero(self):
+        fs = SimplexProduct([3, 2], [1.0, 0.0])
+        out = fs.project(np.array([0.2, 5.0, -1.0, 4.0, 4.0]))
+        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(out[3:], [0.0, 0.0])
+        assert fs.contains(out)
+
+
 class TestLinearMinimize:
     def test_simplex_unit_mass_on_min(self):
         fs = SimplexProduct([3], [1.0])

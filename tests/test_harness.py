@@ -526,6 +526,14 @@ class TestCli:
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_validate_schedule_rejects_nonpositive_k(self, capsys, k):
+        rc = cli.main(["validate-schedule", "OE-GSMVI", "--L", "2", "--mu", "0.1", "--k", k])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "config error: k must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT)

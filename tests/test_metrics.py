@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oevi.geometry import (
     Ball,
@@ -15,6 +18,7 @@ from oevi.geometry import (
     bregman,
 )
 from oevi.metrics import (
+    GAP_CLAMP,
     bound_gsmvi_linear,
     bound_mvi_gap,
     bregman_diameter,
@@ -147,6 +151,16 @@ def grid_search_weak_gap(problem, x_bar, resolution=1e-3):
     return float(vals.max())
 
 
+def skewed_traffic_point():
+    """Traffic n = 50 and the point with all of each block's demand on its
+    first arc."""
+    p = traffic_generate(50, 5, 0.005, seed=1)
+    x_bar = np.zeros(50)
+    for sl in p.set.block_slices():
+        x_bar[sl.start] = 1.0
+    return p, x_bar
+
+
 class TestWeakGapExact:
     def test_zero_at_solution_strongly_monotone(self):
         rng = np.random.default_rng(5)
@@ -198,14 +212,20 @@ class TestWeakGapExact:
             weak_gap_exact_affine(p, np.zeros(2))
 
     def test_inner_cap_raises(self):
-        # skewed point: all of each block's demand on its first arc
-        p = traffic_generate(50, 5, 0.005, seed=1)
-        x_bar = np.zeros(50)
-        for sl in p.set.block_slices():
-            x_bar[sl.start] = 1.0
+        p, x_bar = skewed_traffic_point()
         assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) > 0.0
         with pytest.raises(RuntimeError, match="max_inner=3"):
             weak_gap_exact_affine(p, x_bar, inner_tol=1e-12, max_inner=3)
+
+    def test_inner_steps_on_skewed_point(self, monkeypatch):
+        # restarted FISTA needs about 200 projections here; plain projected
+        # ascent with the same step and stop needs about 2,000
+        p, x_bar = skewed_traffic_point()
+        calls = []
+        project = p.set.project
+        monkeypatch.setattr(p.set, "project", lambda z: calls.append(1) or project(z))
+        assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) > 0.0
+        assert 0 < len(calls) <= 400
 
     def test_nonaffine_rejected(self):
         import dataclasses
@@ -214,6 +234,74 @@ class TestWeakGapExact:
         p = dataclasses.replace(p, affine=None)
         with pytest.raises(ValueError):
             weak_gap_exact_affine(p, analytic_center(p.set))
+
+
+def frank_wolfe_bracket(problem, x_bar, iters=3000):
+    """Certified bracket [lower, upper] on max_{x in X} phi(x) for the
+    weak-gap objective phi(x) = <G x + b, x_bar - x>, by Frank-Wolfe with
+    exact line search from x_bar.  Every iterate z is feasible, so phi(z) is
+    a lower bound; phi is concave, so phi(z) + max_{v in X} <grad phi(z), v - z>
+    is an upper bound.  The linear maximization is written out here for
+    simplex products and boxes."""
+    G, b, fs = problem.affine.G, problem.affine.b, problem.set
+    c = G.T @ x_bar - b
+    z = x_bar.copy()
+    lower, upper = -math.inf, math.inf
+    for _ in range(iters):
+        phi = float((G @ z + b) @ (x_bar - z))
+        grad = c - (G + G.T) @ z
+        if isinstance(fs, Box):
+            v = np.where(grad > 0.0, fs.upper, fs.lower)
+        else:
+            v = np.zeros_like(z)
+            for sl, d in zip(fs.block_slices(), fs.demands):
+                v[sl.start + int(np.argmax(grad[sl]))] = d
+        direction = v - z
+        slope = float(grad @ direction)
+        lower, upper = max(lower, phi), min(upper, phi + slope)
+        if upper - lower <= 1e-13:
+            break
+        # phi(z + s d) = phi(z) + s slope - s^2 <d, G d>
+        curvature = float(direction @ G @ direction)
+        z = z + (1.0 if curvature <= 0.0 else min(1.0, slope / (2.0 * curvature))) * direction
+    return lower, upper
+
+
+@st.composite
+def _monotone_affine_points(draw):
+    """A monotone affine problem on a simplex product or a box, and a point."""
+    n = draw(st.integers(2, 6))
+    entries = st.floats(-2.0, 2.0)
+    A = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+    B = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+    # a zero weight leaves G skew, which takes the linear branch
+    G = draw(st.sampled_from([0.0, 0.05, 1.0])) * A @ A.T + B - B.T
+    b = draw(hnp.arrays(np.float64, n, elements=entries))
+    if draw(st.booleans()):
+        cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+        edges = [0, *sorted(cuts), n]
+        sizes = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        demands = draw(st.lists(st.floats(0.0, 1.0), min_size=len(sizes),
+                                max_size=len(sizes)))
+        fs = SimplexProduct(sizes, demands)
+    else:
+        lower = draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 0.0)))
+        fs = Box(lower, lower + draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 1.0))))
+    x_bar = fs.project(draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0))))
+    return affine_problem(AffineSpec(G, b), fs), x_bar
+
+
+@pytest.mark.filterwarnings("ignore:operator is not monotone")
+@settings(max_examples=60, deadline=None)
+@given(_monotone_affine_points())
+def test_weak_gap_within_frank_wolfe_bracket(case):
+    p, x_bar = case
+    inner_tol = 1e-8
+    gap = weak_gap_exact_affine(p, x_bar, inner_tol=inner_tol)
+    lower, upper = frank_wolfe_bracket(p, x_bar)
+    # the inner solve may stop short of the maximum by about inner_tol; on
+    # the upper side, only rounding (both may evaluate phi at one vertex)
+    assert lower - 2.0 * inner_tol <= gap <= upper + abs(GAP_CLAMP)
 
 
 class TestGapBoundAlongRun:
