@@ -153,14 +153,11 @@ class SimplexProduct(FeasibleSet):
         self.dim = sum(self.block_sizes)
         offsets = np.cumsum((0,) + self.block_sizes)
         self._slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
-        # blocks as rows of a (num_blocks, max_size) array: equal blocks are a
-        # reshape of the vector; unequal ones are padded on the right, and
-        # the mask picks out the real entries
+        # blocks as rows of a (num_blocks, max_size) array, padded on the
+        # right; the mask picks out the real entries
         self._demand_array = np.array(self.demands)
-        self._row_mask = None
-        if len(set(self.block_sizes)) > 1:
-            width = max(self.block_sizes)
-            self._row_mask = np.arange(width) < np.array(self.block_sizes)[:, None]
+        width = max(self.block_sizes, default=0)
+        self._row_mask = np.arange(width) < np.array(self.block_sizes)[:, None]
 
     @property
     def num_blocks(self) -> int:
@@ -180,9 +177,6 @@ class SimplexProduct(FeasibleSet):
 
     def project(self, z) -> np.ndarray:
         v = _vector(z, self.dim, "z")
-        if self._row_mask is None:
-            rows = v.reshape(self.num_blocks, -1)
-            return _project_rows(rows, self._demand_array).reshape(-1)
         rows = np.full(self._row_mask.shape, -np.inf)
         rows[self._row_mask] = v
         return _project_rows(rows, self._demand_array)[self._row_mask]

@@ -218,8 +218,7 @@ class TestWeakGapExact:
             weak_gap_exact_affine(p, x_bar, inner_tol=1e-12, max_inner=3)
 
     def test_inner_steps_on_skewed_point(self, monkeypatch):
-        # restarted FISTA needs about 200 projections here; plain projected
-        # ascent with the same step and stop needs about 2,000
+        # restarted FISTA needs about 200 projections here; 400 leaves twice that
         p, x_bar = skewed_traffic_point()
         calls = []
         project = p.set.project
