@@ -97,7 +97,7 @@ def main(argv=None) -> int:
         if args.command == "suite":
             seeds = _parse_int_list(args.seeds)
             if args.name == "traffic":
-                sizes = _parse_int_list(args.sizes) if args.sizes else (200, 500, 1000)
+                sizes = (200, 500, 1000) if args.sizes is None else _parse_int_list(args.sizes)
                 report = suite_traffic(
                     sizes, args.d_minus, seeds, k=args.k,
                     output=args.output or Path("out/traffic"),

@@ -599,8 +599,13 @@ def suite_traffic(
     columns (n, oe_ns_per_iter, sboe_ns_per_iter).  Asserts the block solver
     is cheaper per iteration at the largest size (skipped below n = 500 where
     interpreter overhead dominates) and that the deterministic run reaches
-    the contraction implied by its linear-rate guarantee.
+    the contraction implied by its linear-rate guarantee.  An empty size
+    list, or a size that is not a positive multiple of ``blocks``, raises
+    ``ConfigError`` before any work.
     """
+    if not sizes or any(n <= 0 or n % blocks for n in sizes):
+        raise ConfigError(f"traffic sizes must be a nonempty list of positive multiples "
+                          f"of the block count {blocks}, got {tuple(sizes)}")
     report = SuiteReport("traffic")
     output = Path(output)
     output.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -25,7 +25,6 @@ from .geometry import (
     FullSpace,
     SimplexProduct,
     analytic_center,
-    bregman,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -255,7 +254,7 @@ class GLMSpec:
 
     The signal x* lies on the sphere of radius R; the feasible set is the
     centered ball of that radius.  ``sigma_y`` is the label noise standard
-    deviation.
+    deviation.  ``A_x_star`` = A x* is computed once, at construction.
     """
 
     link: str
@@ -263,6 +262,7 @@ class GLMSpec:
     x_star: np.ndarray
     R: float
     sigma_y: float
+    A_x_star: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -284,6 +284,7 @@ class GLMSpec:
             raise ValueError("A must be full rank")
         if self.sigma_y < 0:
             raise ValueError("sigma_y must be nonnegative")
+        object.__setattr__(self, "A_x_star", A @ x_star)
 
     @property
     def dim(self) -> int:
@@ -301,7 +302,7 @@ def glm_oracle(spec: GLMSpec, x, rng: np.random.Generator, m: int = 1) -> np.nda
         raise ValueError("x has wrong dimension")
     eta = rng.standard_normal((m, spec.dim))
     s = eta @ (spec.A @ xv)
-    s_star = eta @ (spec.A @ spec.x_star)
+    s_star = eta @ spec.A_x_star
     y = rng.normal(_link(spec.link, s_star), spec.sigma_y)
     return eta.T @ (_link(spec.link, s) - y) / m
 
@@ -432,37 +433,67 @@ def glm_problem(spec: GLMSpec, *, seed: int | None = None) -> VIProblem:
     )
 
 
+# Anderson acceleration of the reference solve: differences kept, and the
+# residual growth over the best iterate that clears them
+_AA_MEMORY = 10
+_AA_RESTART = 100.0
+
+
 def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**6) -> np.ndarray:
     """High-accuracy reference solution of a strongly monotone instance.
 
-    Runs operator extrapolation with the linear-rate schedule until both the
-    Bregman movement V(x_{t+1}, x_t) and the residual certificate drop below
-    ``tol``; the result is suitable as ``known_solution``.
+    Type-II Anderson acceleration of the projected map
+    T(x) = P_X(x - F(x)/L), started at the analytic center.  Each step
+    evaluates F once and moves to P_X(T(x) - (dX + dR) c), where the columns
+    of dX and dR are the last ten differences of iterates and of residuals
+    T(x) - x, and c minimizes ||T(x) - x - dR c|| (least squares).  Every
+    iterate is feasible.  On an affine problem the steps act like GMRES on
+    the identified face (Walker & Ni 2011), so a few hundred operator calls
+    replace the thousands that plain projected steps need at rate
+    1 - O(mu/L).
+
+    The solve returns the first iterate whose natural residual
+    ||x - P_X(x - F(x))|| is at most ``tol``; by the error bound of strongly
+    monotone problems it lies within (1 + L) tol / mu of the solution, and
+    the result is suitable as ``known_solution``.  An iterate whose residual
+    exceeds 100 times the smallest seen clears the differences and restarts
+    from the best iterate.
     """
     if problem.constants.mu <= 0:
         raise ValueError("reference solve requires a strongly monotone problem (mu > 0)")
-    L, mu = problem.constants.L, problem.constants.mu
-    gamma = 1.0 / (2.0 * L)
-    lam = 1.0 / (mu / L + 1.0)
+    L = problem.constants.L
     fs = problem.set
     F = problem.operator
 
-    x_prev = analytic_center(fs)
-    x = x_prev.copy()
-    F_prev = F(x_prev)
-    F_cur = F_prev.copy()
+    x = analytic_center(fs)
+    dX = np.empty((x.shape[0], _AA_MEMORY))
+    dR = np.empty_like(dX)
+    used = slot = 0
+    prev = None  # (x, T(x) - x) of the last step
+    best_r, x_best, F_best = math.inf, x, None
     for _ in range(max_iter):
-        g = F_cur + lam * (F_cur - F_prev)
-        x_next = fs.project(x - gamma * g)
-        F_next = F(x_next)
-        movement = bregman(x_next, x)
-        # certificate for the step just taken: F(x_t) - F(x_{t+1})
-        # + lam [F(x_t) - F(x_{t-1})] + (x_{t+1} - x_t) / gamma
-        delta = F_cur - F_next + lam * (F_cur - F_prev) + (x_next - x) / gamma
-        if movement <= tol and float(np.linalg.norm(delta)) <= tol:
-            return x_next
-        x_prev, x = x, x_next
-        F_prev, F_cur = F_cur, F_next
+        Fx = F(x)
+        r = float(np.linalg.norm(x - fs.project(x - Fx)))
+        if r <= tol:
+            return x
+        if r > _AA_RESTART * best_r:
+            x, Fx = x_best, F_best
+            used = slot = 0
+            prev = None
+        elif r < best_r:
+            best_r, x_best, F_best = r, x, Fx
+        Tx = fs.project(x - Fx / L)
+        res = Tx - x
+        if prev is not None:
+            dX[:, slot] = x - prev[0]
+            dR[:, slot] = res - prev[1]
+            slot = (slot + 1) % _AA_MEMORY
+            used = min(used + 1, _AA_MEMORY)
+        prev = (x, res)
+        if used:
+            c = np.linalg.lstsq(dR[:, :used], res, rcond=None)[0]
+            Tx = fs.project(Tx - (dX[:, :used] + dR[:, :used]) @ c)
+        x = Tx
     raise RuntimeError(
         f"reference solve did not reach tol={tol} within {max_iter} iterations; "
         "check the problem configuration"

@@ -45,6 +45,27 @@ def iteration_rng(seed: int, t: int) -> np.random.Generator:
     return _philox(seed, _PURPOSE_ORACLE, counter=t << 192)
 
 
+def _iteration_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """``iteration_rng(seed, t)`` for any t from one generator.
+
+    ``at(t)`` sets the counter to t << 192 with an empty output buffer, the
+    state a fresh ``iteration_rng(seed, t)`` starts in, and returns the same
+    generator, so the draws match while the generator is built once.  Each
+    run makes its own: the generator is never shared between runs.
+    """
+    gen = iteration_rng(seed, 0)
+    bitgen = gen.bit_generator
+    state = bitgen.state
+    counter = state["state"]["counter"]
+
+    def at(t: int) -> np.random.Generator:
+        counter[3] = t
+        bitgen.state = state
+        return gen
+
+    return at
+
+
 def output_rng(seed: int) -> np.random.Generator:
     """Stream for randomized output selection (uniform-index rule)."""
     return _philox(seed, _PURPOSE_OUTPUT)
@@ -193,6 +214,7 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     traj = _alloc(schedule.name, x, k, seed=seed, blocks=len(slices) if blocks else 0)
     # column-major copy so per-block column slices hit the fast matvec path
     G = np.asfortranarray(problem.affine.G) if source == "affine" else None
+    stream = _iteration_streams(seed) if source == "oracle" else None
 
     def evaluate(t: int, y: np.ndarray) -> np.ndarray:
         """Operator value at y = x_{t+1}, counted on the trajectory."""
@@ -200,7 +222,7 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
             m = _resolve_batch(batch, tab, t + 1)
             traj.oracle_calls += m
             traj.batch_sizes[t + 1] = m
-            return np.asarray(problem.oracle(y, iteration_rng(seed, t), m), dtype=float)
+            return np.asarray(problem.oracle(y, stream(t), m), dtype=float)
         traj.operator_evals += 1
         return np.asarray(problem.operator(y), dtype=float)
 

@@ -534,6 +534,17 @@ class TestCli:
         assert "config error: k must be >= 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("sizes", [",", "200,0", "200,-5", "200,203"],
+                             ids=["empty", "zero", "negative", "not-a-block-multiple"])
+    def test_suite_traffic_rejects_bad_sizes(self, tmp_path, capsys, sizes):
+        out = tmp_path / "traffic"
+        rc = cli.main(["suite", "traffic", "--sizes", sizes, "--output", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "config error: traffic sizes must be a nonempty list of positive" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_run_subcommand(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT)

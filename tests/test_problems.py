@@ -1,6 +1,7 @@
 """Problem-family tests: affine/traffic instances, GLM operators and oracles,
 mini-batching, reference solutions, and JSON round-trips."""
 
+import dataclasses
 import json
 import math
 from contextlib import nullcontext as _nullcontext
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oevi.geometry import Ball, Box, FullSpace, SimplexProduct
+from oevi.geometry import Ball, Box, FullSpace, SimplexProduct, analytic_center, bregman
 from oevi.problems import (
     AffineSpec,
     GLMSpec,
@@ -401,6 +402,10 @@ class TestOperatorInvariants:
             lhs = float(problem.operator(x) @ (x - x_star))
             assert lhs >= (mu - 1e-6) * float((x - x_star) @ (x - x_star))
 
+    def test_glm_spec_caches_signal_image(self):
+        spec = glm_generate(6, "hinge", R=2.0, sigma_y=0.1, seed=57).glm
+        np.testing.assert_array_equal(spec.A_x_star, spec.A @ spec.x_star)
+
     def test_glm_spec_invariants_rejected(self):
         with pytest.raises(ValueError):  # x_star off the sphere
             GLMSpec("hinge", np.eye(2), np.array([1.0, 0.0]), 2.0, 0.1)
@@ -521,8 +526,84 @@ def test_affine_json_round_trip_is_lossless(p):
 
 
 def test_unserializable_set_rejected():
-    import dataclasses
-
     p = affine_problem(AffineSpec(np.eye(2), np.zeros(2)), FullSpace(2))
     with pytest.raises(ValueError, match="cannot serialize"):
         problem_to_json(dataclasses.replace(p, set=object()))
+
+
+def _oe_reference(problem, tol):
+    """The reference solve before Anderson acceleration: operator
+    extrapolation with the linear-rate schedule until the Bregman movement and
+    the residual certificate both drop below tol."""
+    L, mu = problem.constants.L, problem.constants.mu
+    gamma, lam = 1.0 / (2.0 * L), 1.0 / (mu / L + 1.0)
+    fs, F = problem.set, problem.operator
+    x = analytic_center(fs)
+    F_prev = F_cur = F(x)
+    while True:
+        x_next = fs.project(x - gamma * (F_cur + lam * (F_cur - F_prev)))
+        F_next = F(x_next)
+        delta = F_cur - F_next + lam * (F_cur - F_prev) + (x_next - x) / gamma
+        if bregman(x_next, x) <= tol and float(np.linalg.norm(delta)) <= tol:
+            return x_next
+        x = x_next
+        F_prev, F_cur = F_cur, F_next
+
+
+def _natural_residual(problem, x):
+    return float(np.linalg.norm(x - problem.set.project(x - problem.operator(x))))
+
+
+@st.composite
+def _strongly_monotone_problems(draw):
+    """G = mu0 I + s A A^T + K (B - B^T): strongly monotone with modulus at
+    least mu0, with a skew part up to ten times the symmetric one."""
+    n = draw(st.integers(2, 8))
+    unit = hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
+    A, B = draw(unit), draw(unit)
+    G = (draw(st.floats(0.2, 1.0)) * np.eye(n) + draw(st.floats(0.0, 1.0)) * A @ A.T
+         + draw(st.sampled_from([0.0, 1.0, 10.0])) * (B - B.T))
+    kind = draw(st.sampled_from(["full", "ball", "box", "simplex"]))
+    if kind == "full":
+        fs = FullSpace(n)
+    elif kind == "ball":
+        fs = Ball(draw(_vectors(n, -1.0, 1.0)), draw(st.floats(0.01, 3.0)))
+    elif kind == "box":
+        lower = draw(_vectors(n, -1.0, 1.0))
+        fs = Box(lower, lower + draw(_vectors(n, 0.0, 2.0)))
+    else:
+        blocks = draw(_compositions(n))
+        fs = SimplexProduct(blocks, draw(_vectors(len(blocks), 0.0, 5.0)))
+    return affine_problem(AffineSpec(G, draw(_vectors(n))), fs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_strongly_monotone_problems())
+def test_reference_feasible_with_residual_at_most_tol(p):
+    L, mu = p.constants.L, p.constants.mu
+    assert mu > 0
+    for tol in (1e-10, 1e-5):
+        x_new, x_old = solve_reference(p, tol), _oe_reference(p, tol)
+        r_new, r_old = _natural_residual(p, x_new), _natural_residual(p, x_old)
+        assert p.set.contains(x_new)
+        assert r_new <= tol
+        # both lie within (1 + L)/mu times their residual of the solution;
+        # 1e-12 absorbs round-off in the residuals
+        dist = float(np.linalg.norm(x_new - x_old))
+        assert dist <= (1.0 + L) / mu * (r_new + r_old) + 1e-12, (tol, dist, r_new, r_old)
+
+
+def test_reference_operator_calls():
+    p = traffic_generate(200, 5, 0.005, seed=10_200)
+    calls = 0
+
+    def counted(y, _F=p.operator):
+        nonlocal calls
+        calls += 1
+        return _F(y)
+
+    x = solve_reference(dataclasses.replace(p, operator=counted), tol=1e-10)
+    assert _natural_residual(p, x) <= 1e-10
+    # Anderson acceleration takes 263 calls, plain projected steps 2,653 and
+    # the operator-extrapolation loop it replaced over 5,000
+    assert calls <= 400

@@ -12,6 +12,7 @@ from oevi.solvers import (
     SBOE_MVI_AVERAGE,
     SOE_MVI_TAIL_AVERAGE,
     Trajectory,
+    _iteration_streams,
     iteration_rng,
     oe_run,
     output_rng,
@@ -409,6 +410,16 @@ class TestIterationStreams:
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0
         assert np.abs(a - d).max() > 0
+
+    def test_one_generator_per_run_matches_fresh_streams(self):
+        at = _iteration_streams(7)
+        for t in (0, 1, 5, 3157, 2**40, 3):
+            fresh, reset = iteration_rng(7, t), at(t)
+            np.testing.assert_array_equal(fresh.standard_normal((3, 4)),
+                                          reset.standard_normal((3, 4)))
+            np.testing.assert_array_equal(fresh.normal(np.arange(3.0), 2.0),
+                                          reset.normal(np.arange(3.0), 2.0))
+            np.testing.assert_array_equal(fresh.integers(0, 7, 9), reset.integers(0, 7, 9))
 
     def test_movement_convention(self):
         p = scalar_problem()
