@@ -492,8 +492,9 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
         prev = (x, res)
         if used:
             c = np.linalg.lstsq(dR[:, :used], res, rcond=None)[0]
-            Tx = fs.project(Tx - (dX[:, :used] + dR[:, :used]) @ c)
-        x = Tx
+            x = fs.project(Tx - (dX[:, :used] + dR[:, :used]) @ c)
+        else:
+            x = Tx
     raise RuntimeError(
         f"reference solve did not reach tol={tol} within {max_iter} iterations; "
         "check the problem configuration"

@@ -604,6 +604,5 @@ def test_reference_operator_calls():
 
     x = solve_reference(dataclasses.replace(p, operator=counted), tol=1e-10)
     assert _natural_residual(p, x) <= 1e-10
-    # Anderson acceleration takes 263 calls, plain projected steps 2,653 and
-    # the operator-extrapolation loop it replaced over 5,000
+    # Anderson acceleration takes 263 calls; plain projected steps take 2,653
     assert calls <= 400
