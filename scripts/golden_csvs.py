@@ -2,8 +2,8 @@
 """Write a golden set of oevi outputs and print its sha256 manifest.
 
 Runs, each in a fresh process:
-  - ``oevi run`` and ``oevi check`` on the two configs next to this script
-    (golden_traffic.ini, golden_glm.ini);
+  - ``oevi run`` and ``oevi check`` on the three configs next to this script
+    (golden_traffic.ini, golden_glm.ini, golden_glm_sparse.ini);
   - ``oevi suite traffic --sizes 200,500``, ``oevi suite glm-hinge`` and
     ``oevi suite glm-ramp``;
   - ``oevi validate-schedule`` on every policy at one setting, plus the
@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-CONFIGS = ("golden_traffic.ini", "golden_glm.ini")
+CONFIGS = ("golden_traffic.ini", "golden_glm.ini", "golden_glm_sparse.ini")
 SUITES = (("traffic", "--sizes", "200,500"), ("glm-hinge",), ("glm-ramp",))
 # spelled out, not imported: the script runs against any checkout's --src
 POLICY_NAMES = ("OE-GSMVI", "OE-GMVI", "OE-MVI", "SOE-1", "SOE-2", "SOE-3", "SOE-4",

@@ -161,16 +161,28 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one seed")
         if self.validate_policies not in ("fail", "warn", "skip"):
             raise ConfigError("validate_policies must be fail, warn, or skip")
+        if self.cadence is not None and self.cadence < 1:
+            raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
+        if self.workers is not None and self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def resolved_cadence(self) -> int:
         if self.cadence is not None:
-            return max(1, int(self.cadence))
+            return int(self.cadence)
         return 1 if self.k <= 1000 else math.ceil(self.k / 100)
 
     def resolved_workers(self) -> int:
+        """The configured worker count, else ``OEVI_WORKERS``, else 1."""
         if self.workers is not None:
-            return max(1, int(self.workers))
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+            return int(self.workers)
+        text = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+        if workers < 1:
+            raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
+        return workers
 
 
 def checkpoints(k: int, cadence: int) -> list[int]:
@@ -342,13 +354,16 @@ def seed_free(policy: PolicyRun, problem: VIProblem) -> bool:
 
 
 def run_policy(policy: PolicyRun, problem: VIProblem, schedule: Schedule, x1,
-               k: int, seed: int):
+               k: int, seed: int, checkpoints: list[int] | None = None):
+    """One run of ``policy``; with ``checkpoints`` it keeps only the operator
+    values ``trajectory_rows`` reads on that grid (see ``RunConfig``)."""
     if POLICIES[policy.name].source == "oracle" and problem.oracle is None:
         # a deterministic problem is a zero-noise stochastic one; the
         # stochastic runners then coincide with the exact-operator run
         exact = problem.operator
         problem = replace(problem, oracle=lambda x, rng, m=1: exact(x))
-    config = RunConfig(policy=policy.name, k=k, seed=seed, batch=policy.batch)
+    config = RunConfig(policy=policy.name, k=k, seed=seed, batch=policy.batch,
+                       checkpoints=checkpoints)
     return run(problem, schedule, x1, config, recursive_affine=policy.recursive_affine)
 
 
@@ -495,6 +510,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
     """Execute every (policy, seed) pair, a seed-free policy once on the first
     seed; write one trajectory CSV per pair and one aggregate CSV per policy
     under config.output (if set)."""
+    workers = config.resolved_workers()
     problem = config.problem
     if config.compute_reference:
         problem = ensure_reference(problem)
@@ -519,13 +535,12 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
         # keep only the rows: holding trajectories would add one run's
         # (k+2) x n arrays to the peak memory for every finished job
         policy, schedule, seeds = job
-        traj = run_policy(policy, problem, schedule, x1, config.k, seeds[0])
+        traj = run_policy(policy, problem, schedule, x1, config.k, seeds[0], ts)
         rows = trajectory_rows(
             traj, problem, ts, weak_gap=config.weak_gap, timing=config.timing
         )
         return policy.name, seeds, rows, mean_iteration_ns(traj)
 
-    workers = config.resolved_workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one, jobs))

@@ -68,11 +68,17 @@ def residual_certificate(traj: Trajectory, t_index: int, F_next) -> float:
     where Fh are the operator values the run actually used (exact for
     deterministic runs, stored samples for stochastic ones) and ``F_next`` is
     the exact operator value F(x_{t+1}).  By the prox-mapping optimality
-    condition this value upper-bounds the true residual at x_{t+1}.
+    condition this value upper-bounds the true residual at x_{t+1}.  A run
+    given checkpoints keeps Fh only where its checkpoints need it; any other
+    t raises ``ValueError``.
     """
     if not 1 <= t_index <= traj.k:
         raise ValueError(f"t_index {t_index} outside [1, {traj.k}]")
     t = t_index
+    missing = [s for s in (t - 1, t) if s not in traj.ops]
+    if missing:
+        raise ValueError(f"residual certificate at t = {t} needs the operator values at "
+                         f"t = {missing}, but the run kept values only at its checkpoints")
     lam = float(traj.lams[t])
     gamma = float(traj.gammas[t])
     delta = (

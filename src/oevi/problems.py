@@ -395,6 +395,8 @@ def glm_generate(
     [0, 1] and d equidistant on [d_minus, 1]; the ramp link uses A = I (its
     closed-form operator is only available there).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     x_star = rng.uniform(0.0, 1.0, size=n)
     x_star *= R / float(np.linalg.norm(x_star))

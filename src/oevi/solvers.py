@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,16 +73,24 @@ def output_rng(seed: int) -> np.random.Generator:
 
 @dataclass
 class RunConfig:
-    """Run-level knobs for the harness: policy, budget, batching, seeding."""
+    """Run-level knobs for the harness: policy, budget, batching, seeding.
+
+    ``checkpoints`` is the grid of rows the caller will evaluate; the run then
+    keeps the operator values only at {t - 1, t : t in the grid, t >= 1}, the
+    ones the residual certificate reads.  ``None`` keeps every value.
+    """
 
     policy: str
     k: int
     seed: int = 0
     batch: int | Callable[[int], int] | None = None
+    checkpoints: Sequence[int] | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.checkpoints is not None and not all(0 <= t <= self.k for t in self.checkpoints):
+            raise ValueError(f"checkpoints must lie in [0, {self.k}]")
 
 
 @dataclass
@@ -90,14 +98,16 @@ class Trajectory:
     """Iterates and bookkeeping of one solver run.
 
     ``xs[t]`` is iterate x_t for t = 0..k+1 with the convention x_0 = x_1;
-    ``ops[t]`` is the operator value (exact or sampled) the run used at x_t.
+    ``ops[t]`` is the operator value (exact or sampled) the run used at x_t,
+    for every t in 0..k, or, for a run given checkpoints, only for
+    t in {c - 1, c : c a checkpoint >= 1}.
     ``movement_sq[t]`` = ||x_{t+1} - x_t||^2 for t >= 1 and 0 at t = 0.
     Schedule echoes are indexed by t with slot 0 unused (nan).
     """
 
     policy: str
     xs: np.ndarray
-    ops: np.ndarray
+    ops: dict[int, np.ndarray]
     movement_sq: np.ndarray
     gammas: np.ndarray
     lams: np.ndarray
@@ -135,7 +145,7 @@ def _alloc(policy: str, x1: np.ndarray, k: int, seed=None, blocks: int = 0) -> T
     return Trajectory(
         policy=policy,
         xs=xs,
-        ops=np.empty((k + 1, n)),
+        ops={},
         movement_sq=np.zeros(k + 1),
         gammas=np.full(k + 1, np.nan),
         lams=np.full(k + 1, np.nan),
@@ -189,7 +199,8 @@ def _block_sets(fs: FeasibleSet, partition: tuple[int, ...]) -> list[FeasibleSet
 
 
 def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | None, *,
-             source: str = "operator", batch=None, blocks: bool = False) -> Trajectory:
+             source: str = "operator", batch=None, blocks: bool = False,
+             checkpoints: Sequence[int] | None = None) -> Trajectory:
     """The iteration loop behind every runner.
 
     Step t extrapolates the current operator value against the previous one,
@@ -202,7 +213,9 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     oracle on the (seed, t) stream, and ``"affine"`` (block runs of affine
     problems) adds G[:, block] (x_{t+1} - x_t)[block] to the current value.
     A step whose squared movement is not finite stops the run with
-    ``ValueError``.
+    ``ValueError``.  The operator values kept in ``ops`` are the arrays the
+    steps used, at every t or, given ``checkpoints``, at the indices the
+    residual certificate reads there (see ``RunConfig``).
     """
     x = _start_point(problem, x1)
     tab = schedule.table(k)
@@ -229,13 +242,20 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     gammas, lams = tab.gamma.tolist(), tab.lam.tolist()
     traj.gammas[1:], traj.lams[1:] = tab.gamma[1:], tab.lam[1:]
     traj.thetas[1:] = [_table_theta(tab, t) for t in range(1, k + 1)]
+    if checkpoints is None:
+        keep = range(k + 1)
+    else:
+        keep = {s for t in checkpoints if t >= 1 for s in (t - 1, t)}
+    ops = traj.ops
     F_prev = F_cur = evaluate(0, x)
-    traj.ops[0] = F_cur
+    if 0 in keep:
+        ops[0] = F_cur
     sl = slice(None)
     for t in range(1, k + 1):
         tic = time.perf_counter_ns()
         gamma, lam = gammas[t], lams[t]
-        traj.ops[t] = F_cur
+        if t in keep:
+            ops[t] = F_cur
         if blocks:
             i = int(drawn[t - 1])
             sl = slices[i]
@@ -281,8 +301,7 @@ def soe_run(
     """Stochastic run: operator values come from the problem's mini-batch
     oracle.  The estimate at x_{t-1} is the stored value from step t-1 (the
     extrapolation reuses the same realization, never a fresh sample)."""
-    if problem.oracle is None:
-        raise ValueError("problem has no stochastic oracle")
+    _require_oracle(problem)
     return _iterate(problem, schedule, x1, k, seed, source="oracle", batch=batch)
 
 
@@ -313,25 +332,38 @@ def sboe_run(
     changed block, costing O(n * n_i) per iteration instead of a full
     evaluation; otherwise every iteration re-evaluates F.
     """
-    source = "affine" if recursive_affine and problem.affine is not None else "operator"
-    return _iterate(problem, schedule, x1, k, seed, source=source, blocks=True)
+    return _iterate(problem, schedule, x1, k, seed, blocks=True,
+                    source=_block_source(problem, recursive_affine))
+
+
+def _require_oracle(problem: VIProblem):
+    if problem.oracle is None:
+        raise ValueError("problem has no stochastic oracle")
+
+
+def _block_source(problem: VIProblem, recursive_affine: bool) -> str:
+    return "affine" if recursive_affine and problem.affine is not None else "operator"
 
 
 def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig,
         *, recursive_affine: bool = True) -> Trajectory:
     """Single-run entry point: dispatch on the policy's operator source.
 
-    ``"exact"`` policies use exact operator values, ``"block"`` policies the
-    randomized block run, and ``"oracle"`` policies (the baseline included)
-    the stochastic run with the config's batch rule.
+    ``"exact"`` policies run as ``oe_run``, ``"block"`` policies as
+    ``sboe_run``, and ``"oracle"`` policies (the baseline included) as
+    ``soe_run`` with the config's batch rule; the config's checkpoints say
+    which operator values the run keeps.
     """
     source = POLICIES[schedule.name].source
+    grid = config.checkpoints
     if source == "exact":
-        return oe_run(problem, schedule, x1, config.k)
+        return _iterate(problem, schedule, x1, config.k, None, checkpoints=grid)
     if source == "block":
-        return sboe_run(problem, schedule, x1, config.k, config.seed,
-                        recursive_affine=recursive_affine)
-    return soe_run(problem, schedule, x1, config.k, config.seed, batch=config.batch)
+        return _iterate(problem, schedule, x1, config.k, config.seed, blocks=True,
+                        source=_block_source(problem, recursive_affine), checkpoints=grid)
+    _require_oracle(problem)
+    return _iterate(problem, schedule, x1, config.k, config.seed, source="oracle",
+                    batch=config.batch, checkpoints=grid)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ determinism, aggregation consistency, bound checks, and the CLI surface."""
 import dataclasses
 import logging
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from oevi import cli, harness
 from oevi.geometry import analytic_center
 from oevi.harness import (
     BOUND_CHECKS,
+    ROW_FIELDS,
     TRAJECTORY_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -80,6 +83,22 @@ class TestConfigValidation:
     def test_cadence_default(self, tmp_path):
         assert tiny_config(tmp_path, k=500).resolved_cadence() == 1
         assert tiny_config(tmp_path, k=10_000).resolved_cadence() == 100
+
+    @pytest.mark.parametrize("key,value", [("cadence", 0), ("cadence", -4),
+                                           ("workers", 0), ("workers", -1)])
+    def test_nonpositive_cadence_or_workers_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
+            tiny_config(tmp_path, **{key: value})
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_workers_env_rejected(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv(harness.WORKERS_ENV, value)
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(ConfigError, match=harness.WORKERS_ENV):
+            cfg.resolved_workers()
+        with pytest.raises(ConfigError, match=harness.WORKERS_ENV):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoints_include_endpoints(self):
         assert checkpoints(10, 1) == list(range(11))
@@ -284,6 +303,55 @@ class TestValidationWarning:
                             lambda schedule, k: validate(schedule, k, L=100 * schedule.L))
         with pytest.raises(ConfigError, match="schedule validation failed"):
             run_experiment(tiny_config(tmp_path))
+
+
+def _row_bytes(rows):
+    """Each row's fields, floats as their IEEE bytes."""
+    return [[struct.pack("<d", v) if isinstance(v, float) else v
+             for v in (row[f] for f in ROW_FIELDS)] for row in rows]
+
+
+class TestKeptOperatorValues:
+    @pytest.mark.parametrize("cadence", [3, 7])
+    @pytest.mark.parametrize("make,policy", [
+        (tiny_problem, PolicyRun("OE-GMVI")),  # exact operator
+        (glm_problem, PolicyRun("SOE-MVI", batch=4)),  # noisy oracle
+        (glm_problem, PolicyRun("SOE-4")),
+        (tiny_problem, PolicyRun("SA")),  # the noiseless oracle wrap
+        (tiny_problem, PolicyRun("SBOE-MVI")),  # block-recursive affine update
+        (tiny_problem, PolicyRun("SBOE-MVI", recursive_affine=False)),
+    ], ids=["exact", "oracle-m4", "oracle-SOE-4", "noiseless-oracle", "block-affine",
+            "block-operator"])
+    def test_grid_run_rows_match_keep_all_run(self, make, policy, cadence):
+        problem = ensure_reference(make())
+        x1 = analytic_center(problem.set)
+        k = 40
+        ts = checkpoints(k, cadence)
+        schedule = schedule_for(policy, problem, k, x1)
+        full = run_policy(policy, problem, schedule, x1, k, 5)
+        kept = run_policy(policy, problem, schedule, x1, k, 5, ts)
+        assert sorted(full.ops) == list(range(k + 1))
+        assert set(kept.ops) == {s for t in ts[1:] for s in (t - 1, t)}
+        for t, F in kept.ops.items():
+            assert F.tobytes() == full.ops[t].tobytes(), t
+        assert (_row_bytes(trajectory_rows(kept, problem, ts))
+                == _row_bytes(trajectory_rows(full, problem, ts)))
+
+    def test_run_memory_is_the_iterates(self):
+        # with the grid passed down, the largest allocation is xs; keeping every
+        # operator value as well would double the peak
+        problem = ensure_reference(traffic_generate(100, 5, 0.005, seed=7))
+        k = 3000
+        cfg = ExperimentConfig(problem=problem, policies=[PolicyRun("OE-GSMVI")], k=k,
+                               seeds=(1,), cadence=30, workers=1, compute_reference=False)
+        xs_bytes = (k + 2) * problem.dim * 8
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * xs_bytes, (peak, xs_bytes)
 
 
 CONFIG_TEXT = """
@@ -551,6 +619,26 @@ class TestCli:
         rc = cli.main(["run", str(path), "--output", str(tmp_path / "out"), "--k", "5"])
         assert rc == 0
         assert (tmp_path / "out" / "OE-GSMVI_s1.csv").exists()
+
+    def test_run_rejects_bad_cadence_and_workers(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("cadence = 1", "cadence = -4"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 1
+        assert "config error: cadence must be >= 1, got -4" in capsys.readouterr().err
+        path.write_text(CONFIG_TEXT)
+        assert cli.main(["run", str(path), "--output", str(out), "--workers", "0"]) == 1
+        assert "config error: workers must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_suite_glm_rejects_nonpositive_n(self, tmp_path, capsys, n):
+        rc = cli.main(["suite", "glm-hinge", "--n", n, "--k", "5",
+                       "--output", str(tmp_path / "glm")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: n must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"

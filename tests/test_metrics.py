@@ -31,7 +31,7 @@ from oevi.metrics import (
 )
 from oevi.problems import AffineSpec, affine_problem, solve_reference, traffic_generate
 from oevi import schedules as S
-from oevi.solvers import OE_MVI_AVERAGE, oe_run, weighted_average
+from oevi.solvers import OE_MVI_AVERAGE, RunConfig, oe_run, run, weighted_average
 
 
 def skew_simplex_problem(n=6, blocks=2, seed=0):
@@ -107,6 +107,18 @@ class TestResidualCertificate:
             residual_certificate(traj, 0, np.zeros(2))
         with pytest.raises(ValueError):
             residual_certificate(traj, 5, np.zeros(2))
+
+    def test_value_not_kept_names_t(self):
+        # a run given checkpoints keeps F only at {t - 1, t} for each checkpoint t
+        p = affine_problem(AffineSpec(np.eye(2) * 2.0, np.ones(2)), FullSpace(2))
+        sched = S.OEGmviSchedule(p.constants.L)
+        traj = run(p, sched, np.zeros(2), RunConfig("OE-GMVI", k=10, checkpoints=[0, 5, 10]))
+        assert sorted(traj.ops) == [4, 5, 9, 10]
+        assert residual_certificate(traj, 5, p.operator(traj.xs[6])) >= 0.0
+        for t in (1, 6, 8):
+            with pytest.raises(ValueError, match=rf"at t = {t} .*kept values only at its "
+                                                 r"checkpoints"):
+                residual_certificate(traj, t, p.operator(traj.xs[t + 1]))
 
 
 class TestGapSurrogate:

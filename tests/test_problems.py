@@ -163,6 +163,12 @@ class TestTraffic:
             traffic_generate(10, 5, 1.5, seed=1)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_glm_generate_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        glm_generate(n, "hinge", R=1.0, sigma_y=0.5, seed=4)
+
+
 class TestGlmOracle:
     def test_zero_at_solution_noiseless(self):
         p = glm_generate(6, "hinge", R=2.0, sigma_y=0.0, seed=3, d_minus=0.5)

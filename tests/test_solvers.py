@@ -274,7 +274,7 @@ def _movement_trajectory(movements):
     traj = Trajectory(
         policy="stub",
         xs=np.arange((k + 2), dtype=float)[:, None],
-        ops=np.zeros((k + 1, 1)),
+        ops={},
         movement_sq=np.asarray(movements, dtype=float),
         gammas=np.full(k + 1, 0.5),
         lams=np.full(k + 1, 1.0),
@@ -399,6 +399,9 @@ class TestRunDispatcher:
 
         with pytest.raises(ValueError):
             RunConfig(policy="x", k=0)
+        for ts in ([0, 11], [-1, 4]):
+            with pytest.raises(ValueError, match=r"checkpoints must lie in \[0, 10\]"):
+                RunConfig(policy="x", k=10, checkpoints=ts)
 
 
 class TestIterationStreams:
