@@ -11,7 +11,6 @@ from .geometry import (
     SimplexProduct,
     analytic_center,
     bregman,
-    linear_minimize,
     project_simplex,
 )
 from .problems import (
@@ -48,7 +47,6 @@ from .solvers import (
     weighted_average,
 )
 from .metrics import (
-    bregman_diameter,
     gap_surrogate,
     max_bregman_from,
     residual_certificate,

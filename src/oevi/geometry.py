@@ -7,9 +7,10 @@ Every solver iteration in this package reduces to a single prox-mapping
 where V is the Bregman distance of a distance-generating function.  Only the
 Euclidean generator omega(x) = ||x||^2 / 2 is implemented, for which
 V(x, y) = ||x - y||^2 / 2 and the prox-mapping is the Euclidean projection of
-x_t - gamma * g onto X.  Four set variants are supported: the whole space, a
+x_t - gamma * g onto X.  Four set kinds are supported: the whole space, a
 Euclidean ball, a box, and a product of scaled simplices (one simplex per
-demand block).
+demand block).  Each kind is one ``FeasibleSet`` subclass that owns all of
+its geometry, so no other module branches on the kind of a set.
 
 All operations are pure functions of their inputs and safe to call from
 concurrent solver runs.
@@ -17,6 +18,7 @@ concurrent solver runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +40,35 @@ def _vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     return v
 
 
-class FeasibleSet:
-    """Base class for constraint geometries.
+def partition_slices(sizes, dim: int | None = None) -> list[slice]:
+    """Slices of consecutive blocks of the given sizes; ``ValueError`` unless
+    every size is positive and, given ``dim``, they sum to it."""
+    sizes = tuple(int(s) for s in sizes)
+    if any(s <= 0 for s in sizes):
+        raise ValueError("block sizes must be positive")
+    if dim is not None and sum(sizes) != dim:
+        raise ValueError(f"block partition {sizes} does not cover the dimension {dim}")
+    offsets = np.cumsum((0,) + sizes)
+    return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
 
-    Subclasses implement ``contains`` (tolerant membership), ``project``
-    (exact Euclidean projection) and, for bounded sets, ``support_min``
-    (a minimizer of a linear functional).
+
+class FeasibleSet:
+    """Base class for constraint geometries: a set kind is one subclass.
+
+    A kind implements ``contains`` (tolerant membership), ``project`` (exact
+    Euclidean projection) and, as far as its shape allows: ``support_min(c)``
+    = argmin <c, x>, the start point ``analytic_center()``, the maxima
+    ``bregman_diameter()`` and ``max_convex_quadratic(x1, alpha, l)`` =
+    max alpha ||x - x1||^2 / 2 + <l, x> (by ``_max_quadratic``), whose
+    alpha = 1, l = 0 case is ``max_bregman_from(x1)`` = max V(x1, x), the
+    exact normal-cone residual (if ``has_exact_residual``), ``split`` into
+    one set per block, and ``to_doc()``, read back by ``SET_KINDS[kind]``.
+    The defaults here raise.
     """
 
     dim: int
+    bounded = True
+    has_exact_residual = False
 
     def contains(self, x) -> bool:
         raise NotImplementedError
@@ -54,17 +76,46 @@ class FeasibleSet:
     def project(self, z) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def bounded(self) -> bool:
-        return True
-
     def support_min(self, c) -> np.ndarray:
         raise NotImplementedError
+
+    def analytic_center(self) -> np.ndarray:
+        raise TypeError(f"unknown feasible set {type(self).__name__}")
+
+    def max_bregman_from(self, x1) -> float:
+        if not self.bounded:
+            raise ValueError(f"max Bregman radius unsupported for {type(self).__name__}")
+        return self.max_convex_quadratic(x1, 1.0, np.zeros(self.dim))
+
+    def bregman_diameter(self) -> float:
+        raise ValueError(f"Bregman diameter unsupported for {type(self).__name__}")
+
+    def max_convex_quadratic(self, x1, alpha: float, linear) -> float:
+        if alpha < 0:
+            raise ValueError("alpha must be nonnegative")
+        return self._max_quadratic(_vector(x1, self.dim, "x1"), alpha,
+                                   _vector(linear, self.dim, "linear"))
+
+    def _max_quadratic(self, x1v: np.ndarray, alpha: float, lv: np.ndarray) -> float:
+        raise ValueError(f"unsupported set {type(self).__name__}")
+
+    def residual_exact(self, x, Fx) -> float:
+        raise ValueError(f"exact residual unsupported for {type(self).__name__}; "
+                         "use residual_certificate")
+
+    def split(self, sizes) -> list[FeasibleSet]:
+        raise TypeError(f"unsupported set {type(self).__name__}")
+
+    def to_doc(self) -> dict:
+        raise ValueError(f"cannot serialize a {type(self).__name__} set")
 
 
 @dataclass(frozen=True)
 class FullSpace(FeasibleSet):
     dim: int
+    kind = "full"
+    bounded = False
+    has_exact_residual = True
 
     def contains(self, x) -> bool:
         _vector(x, self.dim)
@@ -73,16 +124,31 @@ class FullSpace(FeasibleSet):
     def project(self, z) -> np.ndarray:
         return _vector(z, self.dim, "z").copy()
 
-    @property
-    def bounded(self) -> bool:
-        return False
-
     def support_min(self, c) -> np.ndarray:
         raise ValueError("linear minimization is undefined on an unbounded set")
+
+    def analytic_center(self) -> np.ndarray:
+        return np.zeros(self.dim)
+
+    def residual_exact(self, x, Fx) -> float:
+        return float(np.linalg.norm(np.asarray(Fx, dtype=float)))
+
+    def split(self, sizes) -> list[FeasibleSet]:
+        return [FullSpace(sl.stop - sl.start) for sl in partition_slices(sizes, self.dim)]
+
+    def to_doc(self) -> dict:
+        return {"set": self.kind}
+
+    @classmethod
+    def from_doc(cls, doc: dict, dim: int) -> FullSpace:
+        return cls(dim)
 
 
 class Ball(FeasibleSet):
     """Euclidean ball {x : ||x - center|| <= radius}."""
+
+    kind = "ball"
+    has_exact_residual = True
 
     def __init__(self, center, radius: float):
         self.center = _vector(center, name="center")
@@ -110,9 +176,51 @@ class Ball(FeasibleSet):
             return self.center.copy()
         return self.center - v * (self.radius / nrm)
 
+    def analytic_center(self) -> np.ndarray:
+        return self.center.copy()
+
+    def bregman_diameter(self) -> float:
+        return 2.0 * self.radius**2
+
+    def _max_quadratic(self, x1v, alpha, lv) -> float:
+        # objective is convex, so the max sits on the sphere; there it is
+        # linear in the direction u: maximize <alpha (c - x1) + l, u>
+        c, R = self.center, self.radius
+        base = 0.5 * alpha * float(np.linalg.norm(c - x1v)) ** 2 + 0.5 * alpha * R**2
+        drift = alpha * (c - x1v) + lv
+        return base + float(lv @ c) + R * float(np.linalg.norm(drift))
+
+    def residual_exact(self, x, Fx) -> float:
+        # interior points: ||F(x)||; on the boundary the component of -F
+        # along the outward normal ray is removable
+        xv = np.asarray(x, dtype=float)
+        Fv = np.asarray(Fx, dtype=float)
+        if not self.contains(xv):
+            raise ValueError("x is not feasible")
+        r = float(np.linalg.norm(xv - self.center))
+        if r < self.radius - MEMBERSHIP_TOL:
+            return float(np.linalg.norm(Fv))
+        u = (xv - self.center) / self.radius
+        removable = max(0.0, -float(Fv @ u))
+        return math.sqrt(max(float(Fv @ Fv) - removable**2, 0.0))
+
+    def split(self, sizes) -> list[FeasibleSet]:
+        if len(partition_slices(sizes, self.dim)) != 1:
+            raise ValueError("a ball cannot be split into blocks")
+        return [self]
+
+    def to_doc(self) -> dict:
+        return {"set": self.kind, "center": self.center.tolist(), "radius": self.radius}
+
+    @classmethod
+    def from_doc(cls, doc: dict, dim: int) -> Ball:
+        return cls(doc["center"], doc["radius"])
+
 
 class Box(FeasibleSet):
     """Axis-aligned box {x : lower <= x <= upper} (componentwise)."""
+
+    kind = "box"
 
     def __init__(self, lower, upper):
         self.lower = _vector(lower, name="lower")
@@ -137,34 +245,47 @@ class Box(FeasibleSet):
         # deterministic output.
         return np.where(v < 0, self.upper, self.lower).astype(float)
 
+    def analytic_center(self) -> np.ndarray:
+        return 0.5 * (self.lower + self.upper)
+
+    def bregman_diameter(self) -> float:
+        return bregman(self.lower, self.upper)
+
+    def _max_quadratic(self, x1v, alpha, lv) -> float:
+        # separable and convex per coordinate: sum the larger endpoint values
+        ends = np.stack([self.lower, self.upper])
+        return float((0.5 * alpha * (ends - x1v) ** 2 + lv * ends).max(axis=0).sum())
+
+    def split(self, sizes) -> list[FeasibleSet]:
+        return [Box(self.lower[sl], self.upper[sl]) for sl in partition_slices(sizes, self.dim)]
+
+    def to_doc(self) -> dict:
+        return {"set": self.kind, "lower": self.lower.tolist(), "upper": self.upper.tolist()}
+
+    @classmethod
+    def from_doc(cls, doc: dict, dim: int) -> Box:
+        return cls(doc["lower"], doc["upper"])
+
 
 class SimplexProduct(FeasibleSet):
     """Product of scaled simplices: block w satisfies sum(x_w) = d_w, x_w >= 0."""
+
+    kind = "simplex"
 
     def __init__(self, block_sizes, demands):
         self.block_sizes = tuple(int(s) for s in block_sizes)
         self.demands = tuple(float(d) for d in demands)
         if len(self.block_sizes) != len(self.demands):
             raise ValueError("need one demand per block")
-        if any(s <= 0 for s in self.block_sizes):
-            raise ValueError("block sizes must be positive")
+        self._slices = partition_slices(self.block_sizes)
         if any(d < 0 for d in self.demands):
             raise ValueError("demands must be nonnegative")
         self.dim = sum(self.block_sizes)
-        offsets = np.cumsum((0,) + self.block_sizes)
-        self._slices = [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
         # blocks as rows of a (num_blocks, max_size) array, padded on the
         # right; the mask picks out the real entries
         self._demand_array = np.array(self.demands)
         width = max(self.block_sizes, default=0)
         self._row_mask = np.arange(width) < np.array(self.block_sizes)[:, None]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_sizes)
-
-    def block_slices(self) -> list[slice]:
-        return list(self._slices)
 
     def contains(self, x) -> bool:
         v = _vector(x, self.dim)
@@ -190,22 +311,55 @@ class SimplexProduct(FeasibleSet):
             out[sl.start + int(np.argmin(v[sl]))] = d
         return out
 
-    def vertices_block(self, w: int) -> np.ndarray:
-        """Vertices of block w as rows (demand placed on one coordinate)."""
-        n_w = self.block_sizes[w]
-        return self.demands[w] * np.eye(n_w)
+    def analytic_center(self) -> np.ndarray:
+        return np.repeat(self._demand_array / self.block_sizes, self.block_sizes)
+
+    def bregman_diameter(self) -> float:
+        # farthest vertex pair per block: distance sqrt(2) d_w (or 0 if the
+        # block has one coordinate)
+        return sum(d * d for d, s in zip(self.demands, self.block_sizes) if s > 1)
+
+    def _max_quadratic(self, x1v, alpha, lv) -> float:
+        # the max of a convex function over a polytope sits at a vertex:
+        # enumerate them blockwise (block w's vertices are d_w e_j)
+        total = 0.0
+        for sl, d in zip(self._slices, self.demands):
+            verts = d * np.eye(sl.stop - sl.start)
+            vals = 0.5 * alpha * ((verts - x1v[sl]) ** 2).sum(axis=1) + verts @ lv[sl]
+            total += float(vals.max())
+        return total
+
+    def split(self, sizes) -> list[FeasibleSet]:
+        if tuple(sizes) != self.block_sizes:
+            raise ValueError("block partition must match the simplex-product structure")
+        return [SimplexProduct((s,), (d,)) for s, d in zip(self.block_sizes, self.demands)]
+
+    def to_doc(self) -> dict:
+        return {"set": self.kind, "blocks": list(self.block_sizes),
+                "demands": list(self.demands)}
+
+    @classmethod
+    def from_doc(cls, doc: dict, dim: int) -> SimplexProduct:
+        return cls(doc["blocks"], doc["demands"])
+
+
+# the one table from a doc's "set" kind to its class
+SET_KINDS = {cls.kind: cls for cls in (FullSpace, Ball, Box, SimplexProduct)}
+
+
+def set_from_doc(doc: dict, dim: int) -> FeasibleSet:
+    """Rebuild a set from its doc; a doc without "set" predates the key and
+    names a simplex product when it has "blocks", the whole space otherwise."""
+    kind = doc.get("set", "simplex" if "blocks" in doc else "full")
+    if kind not in SET_KINDS:
+        raise ValueError(f"unknown set kind {kind!r}")
+    return SET_KINDS[kind].from_doc(doc, dim)
 
 
 def project_simplex(v, d: float) -> np.ndarray:
-    """Euclidean projection of v onto {x : sum(x) = d, x >= 0}.
-
-    Sort-then-threshold algorithm, O(n log n); exact up to round-off.
-    """
-    v = _vector(v, name="v")
-    d = float(d)
-    if d < 0:
-        raise ValueError("simplex demand must be nonnegative")
-    return _project_rows(v[None, :], np.array([d]))[0]
+    """Euclidean projection of v onto {x : sum(x) = d, x >= 0}: the one-block
+    simplex product, by sort and threshold in O(n log n)."""
+    return SimplexProduct((np.size(v),), (d,)).project(v)
 
 
 def _project_rows(rows: np.ndarray, demands: np.ndarray) -> np.ndarray:
@@ -238,28 +392,7 @@ def bregman(x, y) -> float:
     return 0.5 * float(diff @ diff)
 
 
-def linear_minimize(fs: FeasibleSet, c) -> np.ndarray:
-    """argmin_{x in X} <c, x> for a bounded set (support oracle for gap metrics)."""
-    if not fs.bounded:
-        raise ValueError("linear minimization is undefined on an unbounded set")
-    return fs.support_min(c)
-
-
 def analytic_center(fs: FeasibleSet) -> np.ndarray:
-    """A canonical interior/representative point of the set.
-
-    Used as the default start of solver runs and as the reference point of
-    the default V(x_1, x*) estimate.
-    """
-    if isinstance(fs, FullSpace):
-        return np.zeros(fs.dim)
-    if isinstance(fs, Ball):
-        return fs.center.copy()
-    if isinstance(fs, Box):
-        return 0.5 * (fs.lower + fs.upper)
-    if isinstance(fs, SimplexProduct):
-        out = np.empty(fs.dim)
-        for sl, d, n_w in zip(fs.block_slices(), fs.demands, fs.block_sizes):
-            out[sl] = d / n_w
-        return out
-    raise TypeError(f"unknown feasible set {type(fs).__name__}")
+    """The set's canonical interior/representative point: the default start
+    of solver runs and the reference point of the default V(x_1, x*) estimate."""
+    return fs.analytic_center()

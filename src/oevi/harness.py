@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, FullSpace, analytic_center, bregman
+from .geometry import analytic_center, bregman
 from .metrics import (
     bound_gmvi_movement,
     bound_gmvi_residual,
@@ -49,7 +49,6 @@ from .metrics import (
     bound_soe_gmvi_residual_sq,
     bound_soe_mvi_gap,
     bound_soe_restart,
-    bregman_diameter,
     gap_surrogate,
     max_bregman_from,
     residual_certificate,
@@ -381,8 +380,6 @@ def trajectory_rows(
     certificate and the gap surrogate all read that value.
     """
     x_star = problem.known_solution
-    res_exact_ok = isinstance(problem.set, (FullSpace, Ball))
-    surrogate_ok = problem.set.bounded
     weak_ok = weak_gap and _weak_gap_available(problem)
     cum_time = np.cumsum(traj.step_time_ns)
     rows = []
@@ -399,11 +396,11 @@ def trajectory_rows(
         if x_star is not None:
             row["V_to_solution"] = bregman(x, x_star)
         Fx = problem.operator(x)  # the one exact evaluation at this checkpoint
-        if res_exact_ok:
+        if problem.set.has_exact_residual:
             row["residual_exact"] = residual_exact(problem.set, x, Fx)
         if t >= 1:
             row["residual_certificate"] = residual_certificate(traj, t, Fx)
-        if surrogate_ok:
+        if problem.set.bounded:
             row["gap_surrogate"] = gap_surrogate(problem.set, x, Fx)
         if weak_ok:
             row["weak_gap_exact"] = weak_gap_exact_affine(problem, x)
@@ -699,7 +696,12 @@ def suite_glm(
     early 1/(mu t) steps are oversized for roughly the first L/mu
     iterations.  The assertion is calibrated for the default budget (the
     classic baseline eventually recovers, so very large k closes the gap).
+    An unknown link or ``n < 1`` raises ``ConfigError`` before any work.
     """
+    if link not in ("hinge", "ramp"):
+        raise ConfigError(f"unknown link {link!r}")
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     report = SuiteReport(f"glm-{link}")
     output = Path(output)
     output.mkdir(parents=True, exist_ok=True)
@@ -743,7 +745,7 @@ def suite_glm(
                 compute_reference=False,
             )
             run_experiment(cfg)
-    elif link == "ramp":
+    else:
         mus = []
         for R in radius_grid:
             problem = glm_generate(n, "ramp", R=R, sigma_y=0.1, seed=22_000 + int(R))
@@ -764,8 +766,6 @@ def suite_glm(
             all(m > 0 for m in mus) and all(a > b for a, b in zip(mus, mus[1:])),
             f"mus={['%.3e' % m for m in mus]}",
         )
-    else:
-        raise ConfigError(f"unknown link {link!r}")
     return report
 
 
@@ -905,7 +905,7 @@ def _check_soe_mvi(policy, schedule, problem, trajs, x1, k):
     gaps = [weak_gap_exact_affine(problem, weighted_average(tr, SOE_MVI_TAIL_AVERAGE))
             for tr in trajs]
     limit = bound_soe_mvi_gap(schedule.L, _sigma(policy, problem, policy.batch or 1),
-                              bregman_diameter(problem.set), k)
+                              problem.set.bregman_diameter(), k)
     return [_seed_mean(policy, bound, gaps, limit)]
 
 

@@ -18,15 +18,7 @@ import math
 
 import numpy as np
 
-from .geometry import (
-    Ball,
-    Box,
-    FeasibleSet,
-    FullSpace,
-    MEMBERSHIP_TOL,
-    SimplexProduct,
-    linear_minimize,
-)
+from .geometry import FeasibleSet
 from .problems import VIProblem
 from .solvers import Trajectory
 
@@ -34,29 +26,15 @@ GAP_CLAMP = -1e-12  # gap values this close to zero are rounding, report 0
 
 
 def residual_exact(fs: FeasibleSet, x, Fx) -> float:
-    """Exact residual min_{y in -N_X(x)} ||y - F(x)||.
+    """Exact residual min_{y in -N_X(x)} ||y - F(x)|| on sets with
+    ``has_exact_residual`` (the whole space and balls); polyhedral sets
+    report residuals through the certificate instead."""
+    return fs.residual_exact(x, Fx)
 
-    Supported where the normal cone is trivial to describe: the whole space
-    (residual ||F(x)||) and balls (interior points likewise; on the boundary
-    the component of -F along the outward normal ray is removable).
-    Polyhedral sets report residuals through the certificate instead.
-    """
-    xv = np.asarray(x, dtype=float)
-    Fv = np.asarray(Fx, dtype=float)
-    if isinstance(fs, FullSpace):
-        return float(np.linalg.norm(Fv))
-    if isinstance(fs, Ball):
-        if not fs.contains(xv):
-            raise ValueError("x is not feasible")
-        r = float(np.linalg.norm(xv - fs.center))
-        if r < fs.radius - MEMBERSHIP_TOL:
-            return float(np.linalg.norm(Fv))
-        u = (xv - fs.center) / fs.radius
-        removable = max(0.0, -float(Fv @ u))
-        return math.sqrt(max(float(Fv @ Fv) - removable**2, 0.0))
-    raise ValueError(
-        f"exact residual unsupported for {type(fs).__name__}; use residual_certificate"
-    )
+
+def max_bregman_from(fs: FeasibleSet, x1) -> float:
+    """max_{x in X} V(x1, x) (Euclidean generator), read by the gap bounds."""
+    return fs.max_bregman_from(x1)
 
 
 def residual_certificate(traj: Trajectory, t_index: int, F_next) -> float:
@@ -99,7 +77,7 @@ def gap_surrogate(fs: FeasibleSet, x_bar, Fx) -> float:
     """
     xb = np.asarray(x_bar, dtype=float)
     Fb = np.asarray(Fx, dtype=float)
-    best = linear_minimize(fs, Fb)
+    best = fs.support_min(Fb)
     value = float(Fb @ (xb - best))
     if value < GAP_CLAMP:
         return value  # genuinely negative: caller should know
@@ -137,7 +115,7 @@ def weak_gap_exact_affine(
     # objective phi(x) = <G x + b, x_bar - x>, gradient G^T x_bar - S x - b
     c = G.T @ xb - b
     if lam_max <= 1e-12 * max(abs(lam_min), abs(lam_max), 1.0):
-        x_opt = linear_minimize(problem.set, -c)
+        x_opt = problem.set.support_min(-c)
     else:
         S = G + G.T
         step = 1.0 / lam_max
@@ -163,76 +141,6 @@ def weak_gap_exact_affine(
     if value < GAP_CLAMP:
         return value
     return max(value, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Set-geometry helpers for the gap and averaged-output bounds
-# ---------------------------------------------------------------------------
-
-
-def max_bregman_from(fs: FeasibleSet, x1) -> float:
-    """max_{x in X} V(x1, x) in closed form (Euclidean generator).
-
-    Ball: (||x1 - center|| + R)^2 / 2.  Box: per-coordinate farthest corner.
-    Simplex product: per-block vertex enumeration (the max of a convex
-    function over a polytope is attained at a vertex).
-    """
-    x1v = np.asarray(x1, dtype=float)
-    if isinstance(fs, Ball):
-        return 0.5 * (float(np.linalg.norm(x1v - fs.center)) + fs.radius) ** 2
-    if isinstance(fs, Box):
-        far = np.maximum(np.abs(x1v - fs.lower), np.abs(fs.upper - x1v))
-        return 0.5 * float(far @ far)
-    if isinstance(fs, SimplexProduct):
-        total = 0.0
-        for w, sl in enumerate(fs.block_slices()):
-            verts = fs.vertices_block(w)
-            d2 = ((verts - x1v[sl]) ** 2).sum(axis=1)
-            total += 0.5 * float(d2.max())
-        return total
-    raise ValueError(f"max Bregman radius unsupported for {type(fs).__name__}")
-
-
-def bregman_diameter(fs: FeasibleSet) -> float:
-    """D_X = max_{x1, x2 in X} V(x1, x2) (Euclidean generator)."""
-    if isinstance(fs, Ball):
-        return 2.0 * fs.radius**2
-    if isinstance(fs, Box):
-        span = fs.upper - fs.lower
-        return 0.5 * float(span @ span)
-    if isinstance(fs, SimplexProduct):
-        # farthest vertex pair per block: distance sqrt(2) d_w (or 0 if the
-        # block has one coordinate)
-        return sum(d * d for d, s in zip(fs.demands, fs.block_sizes) if s > 1)
-    raise ValueError(f"Bregman diameter unsupported for {type(fs).__name__}")
-
-
-def max_convex_quadratic(fs: FeasibleSet, x1, alpha: float, linear) -> float:
-    """max_{x in X} alpha * ||x - x1||^2 / 2 + <linear, x> for alpha >= 0.
-
-    Needed by the block-policy gap bound.  Supported for simplex products
-    (blockwise vertex enumeration) and balls (boundary maximization in
-    closed form).
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    x1v = np.asarray(x1, dtype=float)
-    lv = np.asarray(linear, dtype=float)
-    if isinstance(fs, SimplexProduct):
-        total = 0.0
-        for w, sl in enumerate(fs.block_slices()):
-            verts = fs.vertices_block(w)
-            vals = 0.5 * alpha * ((verts - x1v[sl]) ** 2).sum(axis=1) + verts @ lv[sl]
-            total += float(vals.max())
-        return total
-    if isinstance(fs, Ball):
-        # objective is convex, so the max sits on the sphere; there it is
-        # linear in the direction u: maximize <alpha (c - x1) + l, u>
-        c, R = fs.center, fs.radius
-        base = 0.5 * alpha * float(np.linalg.norm(c - x1v)) ** 2 + 0.5 * alpha * R**2
-        drift = alpha * (c - x1v) + lv
-        return base + float(lv @ c) + R * float(np.linalg.norm(drift))
-    raise ValueError(f"unsupported set {type(fs).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +219,8 @@ def bound_sboe_gap(problem: VIProblem, Lbar: float, b: int, x1, k: int) -> float
     x1v = np.asarray(x1, dtype=float)
     F1 = np.asarray(problem.operator(x1v), dtype=float)
     coef = (b - 1) / (4.0 * Lbar * b)
-    inner_max = coef * float(F1 @ x1v) + max_convex_quadratic(
-        problem.set, x1v, 5.0 * (b + 1.0), -coef * F1
+    inner_max = coef * float(F1 @ x1v) + problem.set.max_convex_quadratic(
+        x1v, 5.0 * (b + 1.0), -coef * F1
     )
     return 4.0 * Lbar * b / (k - 1.0 + b) * inner_max
 

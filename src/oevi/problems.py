@@ -20,11 +20,10 @@ import numpy as np
 
 from .geometry import (
     Ball,
-    Box,
     FeasibleSet,
-    FullSpace,
     SimplexProduct,
-    analytic_center,
+    partition_slices,
+    set_from_doc,
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -63,11 +62,14 @@ class VIProblem:
     label: str = ""
     seed: Optional[int] = None
 
+    def __post_init__(self):
+        if self.block_partition is not None:
+            partition_slices(self.block_partition, self.dim)
+
     def block_slices(self) -> list[slice]:
         if self.block_partition is None:
             raise ValueError("problem has no block partition")
-        offsets = np.cumsum((0,) + tuple(self.block_partition))
-        return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
+        return partition_slices(self.block_partition, self.dim)
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,8 @@ def affine_constants(spec: AffineSpec) -> tuple[float, float]:
 
 def block_lipschitz(spec: AffineSpec, block_partition) -> float:
     """Largest per-block Lipschitz constant: max_i sigma_max of the block rows of G."""
-    offsets = np.cumsum((0,) + tuple(block_partition))
-    if offsets[-1] != spec.dim:
-        raise ValueError("block partition does not cover the dimension")
-    return max(
-        float(np.linalg.norm(spec.G[int(a):int(b), :], 2))
-        for a, b in zip(offsets[:-1], offsets[1:])
-    )
+    return max(float(np.linalg.norm(spec.G[sl, :], 2))
+               for sl in partition_slices(block_partition, spec.dim))
 
 
 def affine_problem(
@@ -467,7 +464,7 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
     fs = problem.set
     F = problem.operator
 
-    x = analytic_center(fs)
+    x = fs.analytic_center()
     dX = np.empty((x.shape[0], _AA_MEMORY))
     dR = np.empty_like(dX)
     used = slot = 0
@@ -508,31 +505,6 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
 # ---------------------------------------------------------------------------
 
 
-def _set_to_doc(fs: FeasibleSet) -> dict:
-    if isinstance(fs, FullSpace):
-        return {"set": "full"}
-    if isinstance(fs, Ball):
-        return {"set": "ball", "center": fs.center.tolist(), "radius": fs.radius}
-    if isinstance(fs, Box):
-        return {"set": "box", "lower": fs.lower.tolist(), "upper": fs.upper.tolist()}
-    if isinstance(fs, SimplexProduct):
-        return {"set": "simplex", "blocks": list(fs.block_sizes), "demands": list(fs.demands)}
-    raise ValueError(f"cannot serialize a {type(fs).__name__} set")
-
-
-def _set_from_doc(doc: dict, dim: int) -> FeasibleSet:
-    kind = doc.get("set", "simplex" if "blocks" in doc else "full")
-    if kind == "full":
-        return FullSpace(dim)
-    if kind == "ball":
-        return Ball(doc["center"], doc["radius"])
-    if kind == "box":
-        return Box(doc["lower"], doc["upper"])
-    if kind == "simplex":
-        return SimplexProduct(doc["blocks"], doc["demands"])
-    raise ValueError(f"unknown set kind {kind!r}")
-
-
 PROBLEM_JSON_FORMAT = 1
 
 
@@ -549,13 +521,15 @@ def problem_to_json(problem: VIProblem) -> str:
     provenance.
     """
     if problem.affine is not None:
+        if not isinstance(problem.set, FeasibleSet):
+            raise ValueError(f"cannot serialize a {type(problem.set).__name__} set")
         sol, part = problem.known_solution, problem.block_partition
         doc = {
             "format": PROBLEM_JSON_FORMAT,
             "kind": "affine",
             "G": problem.affine.G.tolist(),
             "b": problem.affine.b.tolist(),
-            **_set_to_doc(problem.set),
+            **problem.set.to_doc(),
             "sigma": problem.constants.sigma,
             "known_solution": None if sol is None else np.asarray(sol, dtype=float).tolist(),
             "block_partition": None if part is None else [int(s) for s in part],
@@ -592,7 +566,7 @@ def problem_from_json(text: str) -> VIProblem:
     kind = doc.get("kind")
     if kind == "affine":
         spec = AffineSpec(G=np.array(doc["G"], dtype=float), b=np.array(doc["b"], dtype=float))
-        fs = _set_from_doc(doc, spec.dim)
+        fs = set_from_doc(doc, spec.dim)
         # documents without "block_partition" predate it: simplex blocks were the partition
         blocks = doc.get("block_partition", doc.get("blocks"))
         return affine_problem(

@@ -25,7 +25,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Ball, Box, FeasibleSet, FullSpace, SimplexProduct
 from .problems import VIProblem
 from .schedules import POLICIES, SaSchedule, Schedule
 
@@ -178,26 +177,6 @@ def _resolve_batch(batch, tab, t: int) -> int:
     return int(batch)
 
 
-def _block_sets(fs: FeasibleSet, partition: tuple[int, ...]) -> list[FeasibleSet]:
-    if isinstance(fs, SimplexProduct):
-        if tuple(partition) != fs.block_sizes:
-            raise ValueError("block partition must match the simplex-product structure")
-        return [SimplexProduct((s,), (d,)) for s, d in zip(fs.block_sizes, fs.demands)]
-    if isinstance(fs, FullSpace):
-        return [FullSpace(s) for s in partition]
-    if isinstance(fs, Box):
-        offsets = np.cumsum((0,) + tuple(partition))
-        return [
-            Box(fs.lower[int(a):int(b)], fs.upper[int(a):int(b)])
-            for a, b in zip(offsets[:-1], offsets[1:])
-        ]
-    if isinstance(fs, Ball):
-        if len(partition) != 1:
-            raise ValueError("a ball cannot be split into blocks")
-        return [fs]
-    raise TypeError(f"unsupported set {type(fs).__name__}")
-
-
 def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | None, *,
              source: str = "operator", batch=None, blocks: bool = False,
              checkpoints: Sequence[int] | None = None) -> Trajectory:
@@ -222,7 +201,7 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     fs = problem.set
     if blocks:
         slices = problem.block_slices()
-        parts = _block_sets(fs, tuple(problem.block_partition))
+        parts = fs.split(problem.block_partition)
         drawn = _philox(seed, _PURPOSE_BLOCK).integers(0, len(slices), size=k)
     traj = _alloc(schedule.name, x, k, seed=seed, blocks=len(slices) if blocks else 0)
     # column-major copy so per-block column slices hit the fast matvec path

@@ -1,11 +1,14 @@
 """Geometry tests: Bregman distances, prox-mappings, projections, support
 oracles, and the prox inequalities every solver step relies on."""
 
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oevi
 from oevi.geometry import (
     Ball,
     Box,
@@ -13,7 +16,7 @@ from oevi.geometry import (
     SimplexProduct,
     analytic_center,
     bregman,
-    linear_minimize,
+    partition_slices,
     project_simplex,
 )
 
@@ -137,6 +140,61 @@ def test_prox_output_is_member(fs):
         assert fs.contains(out)
 
 
+@pytest.mark.parametrize("fs", _random_sets(), ids=lambda s: type(s).__name__)
+def test_set_contract(fs):
+    # what a set owns, against projections of random points: the start
+    # point, the support oracle, the closed-form maxima, and the split
+    rng = np.random.default_rng(37)
+    x1 = analytic_center(fs)
+    assert fs.contains(x1)
+    sizes = (2, 3, 1)  # the blocks of the simplex product in _random_sets
+    if type(fs) is Ball:
+        assert fs.split((fs.dim,)) == [fs]
+        with pytest.raises(ValueError):
+            fs.split(sizes)
+    else:
+        parts = list(zip(partition_slices(sizes, fs.dim), fs.split(sizes)))
+    if not fs.bounded:
+        for query in (lambda: fs.support_min(x1), lambda: fs.max_bregman_from(x1),
+                      fs.bregman_diameter, lambda: fs.max_convex_quadratic(x1, 1.0, x1)):
+            with pytest.raises(ValueError):
+                query()
+    for _ in range(300):
+        z1, z2 = rng.normal(size=(2, fs.dim)) * 3.0
+        p1, p2 = fs.project(z1), fs.project(z2)
+        if type(fs) is not Ball:
+            blockwise = np.concatenate([part.project(z1[sl]) for sl, part in parts])
+            assert blockwise.tobytes() == p1.tobytes()
+        if not fs.bounded:
+            continue
+        c, lin = rng.normal(size=(2, fs.dim))
+        alpha = float(rng.uniform(0.0, 3.0))
+        assert float(c @ fs.support_min(c)) <= float(c @ p1) + 1e-9
+        for start in (x1, p2):
+            assert fs.max_bregman_from(start) >= bregman(start, p1) - 1e-9
+            value = alpha * bregman(start, p1) + float(lin @ p1)
+            assert fs.max_convex_quadratic(start, alpha, lin) >= value - 1e-9
+        assert fs.bregman_diameter() >= bregman(p1, p2) - 1e-9
+
+
+def test_set_kinds_are_named_only_in_geometry():
+    # a set kind is one class in geometry.py: no other module branches on it
+    kinds = {"FullSpace", "Ball", "Box", "SimplexProduct"}
+    found = []
+    for path in sorted(Path(oevi.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1]) if isinstance(n, (ast.Name, ast.Attribute))}
+            if named & kinds:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 class TestProjectSimplex:
     def test_already_feasible(self):
         np.testing.assert_allclose(project_simplex([0.5, 0.5], 1.0), [0.5, 0.5])
@@ -181,7 +239,7 @@ class TestProjectSimplex:
 def per_block_projection(fs, z):
     """Reference: project each block of z on its own by sort and threshold."""
     out = np.empty_like(z)
-    for sl, d in zip(fs.block_slices(), fs.demands):
+    for sl, d in zip(partition_slices(fs.block_sizes), fs.demands):
         v = z[sl]
         u = np.sort(v)[::-1]
         css = np.cumsum(u) - d
@@ -223,34 +281,34 @@ class TestSimplexProductProjection:
 class TestLinearMinimize:
     def test_simplex_unit_mass_on_min(self):
         fs = SimplexProduct([3], [1.0])
-        np.testing.assert_allclose(linear_minimize(fs, [3.0, 1.0, 2.0]), [0.0, 1.0, 0.0])
+        np.testing.assert_allclose(fs.support_min([3.0, 1.0, 2.0]), [0.0, 1.0, 0.0])
 
     def test_ball_antipodal(self):
         fs = Ball([0.0, 0.0], 2.0)
-        np.testing.assert_allclose(linear_minimize(fs, [0.0, 1.0]), [0.0, -2.0])
+        np.testing.assert_allclose(fs.support_min([0.0, 1.0]), [0.0, -2.0])
 
     def test_ball_zero_cost_returns_center(self):
         fs = Ball([1.0, -1.0], 2.0)
-        np.testing.assert_allclose(linear_minimize(fs, [0.0, 0.0]), [1.0, -1.0])
+        np.testing.assert_allclose(fs.support_min([0.0, 0.0]), [1.0, -1.0])
 
     def test_box_vertex(self):
         fs = Box([0.0, 0.0], [1.0, 1.0])
-        np.testing.assert_allclose(linear_minimize(fs, [-1.0, 1.0]), [1.0, 0.0])
+        np.testing.assert_allclose(fs.support_min([-1.0, 1.0]), [1.0, 0.0])
 
     def test_simplex_tie_break_lowest_index(self):
         fs = SimplexProduct([3], [2.0])
-        np.testing.assert_allclose(linear_minimize(fs, [1.0, 1.0, 5.0]), [2.0, 0.0, 0.0])
+        np.testing.assert_allclose(fs.support_min([1.0, 1.0, 5.0]), [2.0, 0.0, 0.0])
 
     def test_fullspace_rejected(self):
         with pytest.raises(ValueError):
-            linear_minimize(FullSpace(2), [1.0, 0.0])
+            FullSpace(2).support_min([1.0, 0.0])
 
     @pytest.mark.parametrize("fs", _random_sets()[1:], ids=lambda s: type(s).__name__)
     def test_support_dominates_random_points(self, fs):
         rng = np.random.default_rng(31)
         for _ in range(200):
             c = rng.normal(size=fs.dim)
-            best = linear_minimize(fs, c)
+            best = fs.support_min(c)
             assert fs.contains(best)
             x = _random_feasible(fs, rng)
             assert float(c @ best) <= float(c @ x) + 1e-9

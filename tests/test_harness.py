@@ -517,6 +517,25 @@ class TestCheckBounds:
         assert len(checks) == 3
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
+    def test_box_block_gap_bound(self):
+        # a box problem read back from JSON, split into two blocks
+        from oevi.geometry import Box
+        from oevi.problems import AffineSpec, affine_problem, problem_from_json
+
+        rng = np.random.default_rng(23)
+        n = 6
+        A = rng.normal(size=(n, n))
+        spec = AffineSpec(np.eye(n) + 0.5 * (A - A.T), rng.normal(size=n))
+        p = affine_problem(spec, Box(-np.ones(n), np.ones(n)), block_partition=(3, 3))
+        cfg = ExperimentConfig(problem=problem_from_json(problem_to_json(p)),
+                               policies=[PolicyRun("SBOE-MVI"), PolicyRun("OE-MVI")],
+                               k=200, seeds=(1, 2))
+        checks = {c.policy: c for c in check_bounds(cfg)}
+        sboe = checks["SBOE-MVI"]
+        assert sboe.bound == "expected weighted-average gap"
+        assert math.isfinite(sboe.measured) and math.isfinite(sboe.limit)
+        assert all(c.passed for c in checks.values()), checks
+
     def test_restart_halving_skipped_before_first_epoch(self):
         cfg = ExperimentConfig(problem=glm_generate(10, "hinge", 100.0, 1.0, seed=3),
                                policies=[PolicyRun("SOE-3")], k=50, seeds=(1, 2))
@@ -573,6 +592,14 @@ class TestSuites:
         )
         assert report.passed, report.summary()
         assert (tmp_path / "glm" / "ramp_R2" / "agg_SOE-1.csv").exists()
+
+
+    @pytest.mark.parametrize("link, n", [("hinge", 0), ("nosuch", 10)])
+    def test_glm_suite_bad_input_leaves_no_directory(self, tmp_path, link, n):
+        out = tmp_path / "glm"
+        with pytest.raises(ConfigError):
+            suite_glm(link, n=n, k=5, output=out)
+        assert not out.exists()
 
 
 class TestCli:

@@ -1,6 +1,7 @@
 """Metric tests: residuals (exact and certified), gap measures against
 independent grid-search oracles, set-geometry helpers, and bound formulas."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,15 +17,14 @@ from oevi.geometry import (
     SimplexProduct,
     analytic_center,
     bregman,
+    partition_slices,
 )
 from oevi.metrics import (
     GAP_CLAMP,
     bound_gsmvi_linear,
     bound_mvi_gap,
-    bregman_diameter,
     gap_surrogate,
     max_bregman_from,
-    max_convex_quadratic,
     residual_certificate,
     residual_exact,
     weak_gap_exact_affine,
@@ -168,7 +168,7 @@ def skewed_traffic_point():
     first arc."""
     p = traffic_generate(50, 5, 0.005, seed=1)
     x_bar = np.zeros(50)
-    for sl in p.set.block_slices():
+    for sl in partition_slices(p.set.block_sizes):
         x_bar[sl.start] = 1.0
     return p, x_bar
 
@@ -265,7 +265,7 @@ def frank_wolfe_bracket(problem, x_bar, iters=3000):
             v = np.where(grad > 0.0, fs.upper, fs.lower)
         else:
             v = np.zeros_like(z)
-            for sl, d in zip(fs.block_slices(), fs.demands):
+            for sl, d in zip(partition_slices(fs.block_sizes), fs.demands):
                 v[sl.start + int(np.argmax(grad[sl]))] = d
         direction = v - z
         slope = float(grad @ direction)
@@ -354,21 +354,34 @@ class TestSetGeometryHelpers:
         assert max_bregman_from(fs, np.array([0.0, 0.0])) == pytest.approx(0.5 * (4.0 + 1.0))
 
     def test_diameters(self):
-        assert bregman_diameter(Ball([0.0, 0.0], 3.0)) == pytest.approx(18.0)
-        assert bregman_diameter(Box([0.0, 0.0], [1.0, 2.0])) == pytest.approx(2.5)
-        assert bregman_diameter(SimplexProduct([2, 3], [1.0, 2.0])) == pytest.approx(5.0)
+        assert Ball([0.0, 0.0], 3.0).bregman_diameter() == pytest.approx(18.0)
+        assert Box([0.0, 0.0], [1.0, 2.0]).bregman_diameter() == pytest.approx(2.5)
+        assert SimplexProduct([2, 3], [1.0, 2.0]).bregman_diameter() == pytest.approx(5.0)
         # single-coordinate blocks are points: no spread
-        assert bregman_diameter(SimplexProduct([1], [5.0])) == 0.0
+        assert SimplexProduct([1], [5.0]).bregman_diameter() == 0.0
 
     def test_max_convex_quadratic_vs_sampling(self):
         fs = SimplexProduct([3, 2], [1.0, 1.0])
         rng = np.random.default_rng(13)
         x1 = analytic_center(fs)
         lin = rng.normal(size=5)
-        val = max_convex_quadratic(fs, x1, 2.0, lin)
+        val = fs.max_convex_quadratic(x1, 2.0, lin)
         for _ in range(2000):
             x = fs.project(rng.normal(size=5) * 2)
             assert val >= 1.0 * float(((x - x1) ** 2).sum()) + float(lin @ x) - 1e-9
+
+    def test_box_max_convex_quadratic_matches_vertices(self):
+        # a convex function peaks at a vertex: enumerate all 2^n corners
+        rng = np.random.default_rng(19)
+        n = 5
+        lower = rng.normal(size=n)
+        fs = Box(lower, lower + rng.uniform(0.1, 2.0, size=n))
+        for alpha in (0.0, 0.7, 3.0):
+            x1, lin = fs.project(rng.normal(size=n)), rng.normal(size=n)
+            best = max(alpha * bregman(x1, v) + float(lin @ v)
+                       for v in (np.where(m, fs.upper, fs.lower)
+                                 for m in itertools.product((False, True), repeat=n)))
+            assert fs.max_convex_quadratic(x1, alpha, lin) == pytest.approx(best, rel=1e-12)
 
 
 class TestBoundFormulas:

@@ -12,7 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oevi.geometry import Ball, Box, FullSpace, SimplexProduct, analytic_center, bregman
+from oevi.geometry import (
+    Ball,
+    Box,
+    FullSpace,
+    SimplexProduct,
+    analytic_center,
+    bregman,
+    partition_slices,
+)
 from oevi.problems import (
     AffineSpec,
     GLMSpec,
@@ -352,7 +360,7 @@ class TestSolveReference:
         x = solve_reference(p, tol=1e-10)
         # re-derive the residual at the returned point through the VI optimality
         F = p.operator(x)
-        for sl, d in zip(p.set.block_slices(), p.set.demands):
+        for sl, d in zip(partition_slices(p.set.block_sizes), p.set.demands):
             # per-block: mass sits only on minimal-cost coordinates
             active = x[sl] > 1e-9
             assert F[sl][active].max() <= F[sl].min() + 1e-6
@@ -529,6 +537,22 @@ def test_affine_json_round_trip_is_lossless(p):
         np.testing.assert_array_equal(q.known_solution, p.known_solution)
     assert q.block_partition == p.block_partition
     assert q.seed == p.seed
+
+
+@pytest.mark.parametrize("fs", [FullSpace(6), Box(-np.ones(6), np.ones(6))],
+                         ids=lambda s: type(s).__name__)
+def test_block_partition_must_cover_dimension(fs):
+    # a partition short of n would leave the uncovered coordinates at their
+    # start value for a whole block run
+    spec = AffineSpec(np.eye(6), np.ones(6))
+    with pytest.raises(ValueError, match="does not cover"):
+        affine_problem(spec, fs, block_partition=(3, 2))
+    with pytest.raises(ValueError, match="must be positive"):
+        affine_problem(spec, fs, block_partition=(7, -1))
+    doc = json.loads(problem_to_json(affine_problem(spec, fs, block_partition=(3, 3))))
+    doc["block_partition"] = [3, 2]
+    with pytest.raises(ValueError, match="does not cover"):
+        problem_from_json(json.dumps(doc))
 
 
 def test_unserializable_set_rejected():
