@@ -1,5 +1,7 @@
 """Experiment harness: configuration, seeded multi-run execution, CSV
 emission, aggregation, canned benchmark suites, and bound checking.
+Every run goes through ``solvers.run``, which decides how a policy runs on a
+problem; the harness never reads the problem's oracle.
 
 Determinism contract: with timing disabled (the default), (config, seed) maps
 to CSV bytes as a pure function.  Wall-clock measurements are inherently not
@@ -7,10 +9,10 @@ reproducible, so per-step times are written to trajectory CSVs only when
 ``timing = true`` and suite timing tables go to a separate ``timing.csv``
 that is excluded from the byte-identity guarantee.
 
-A policy whose run cannot depend on its seed (``seed_free``) runs once; its
-rows are written under every seed, each CSV with its own ``run_id`` and
-``seed``, and the aggregates count every seed, so the bytes equal those of a
-run per seed.  With ``timing = true`` those CSVs repeat the one run's
+A policy whose run cannot depend on its seed (``solvers.seed_free``) runs
+once; its rows are written under every seed, each CSV with its own ``run_id``
+and ``seed``, and the aggregates count every seed, so the bytes equal those of
+a run per seed.  With ``timing = true`` those CSVs repeat the one run's
 ``wall_time_ns``, and the policy's ``mean_step_time_ns`` comes from that run.
 
 Trajectory CSV schema (one file per (policy, seed)):
@@ -71,6 +73,7 @@ from .solvers import (
     RunConfig,
     output_rng,
     run,
+    seed_free,
     select_best_movement,
     select_uniform_R,
     weighted_average,
@@ -152,12 +155,9 @@ class ExperimentConfig:
             if policy.batch is not None and policy.batch < 1:
                 raise ConfigError(f"policy {policy.name}: batch size m must be >= 1, "
                                   f"got {policy.batch}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
-        if not self.seeds:
-            raise ConfigError("config needs at least one seed")
+            if POLICIES[policy.name].source == "block":
+                _check_blocks(policy.name, self.problem)
+        _check_budget(self.k, self.seeds)
         if self.validate_policies not in ("fail", "warn", "skip"):
             raise ConfigError("validate_policies must be fail, warn, or skip")
         if self.cadence is not None and self.cadence < 1:
@@ -182,6 +182,26 @@ class ExperimentConfig:
         if workers < 1:
             raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
         return workers
+
+
+def _check_budget(k: int, seeds) -> None:
+    """Raise ``ConfigError`` unless k >= 1 and the seeds are distinct and nonempty."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
+    if not seeds:
+        raise ConfigError("config needs at least one seed")
+
+
+def _check_blocks(name: str, problem: VIProblem) -> None:
+    """A block policy needs a partition that the problem's set splits along."""
+    if problem.block_partition is None:
+        raise ConfigError(f"policy {name} needs a block partition")
+    try:
+        problem.set.split(problem.block_partition)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"policy {name}: {exc}") from exc
 
 
 def checkpoints(k: int, cadence: int) -> list[int]:
@@ -302,68 +322,39 @@ def _parse_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def default_v1_estimate(problem: VIProblem, x1) -> float:
-    """Fallback V(x1, x*) estimate: distance from x1 to the set's analytic
-    center (squared, halved); 1.0 when x1 is the center itself."""
-    est = bregman(x1, analytic_center(problem.set))
-    return est if est > 0 else 1.0
+def _sigma(policy: PolicyRun, problem: VIProblem, m: int = 1) -> float:
+    """The noise level of an m-sample oracle estimate: mini-batching cuts the
+    per-step estimator noise, and the horizon policies and the bounds consume
+    that level.  A user override of sigma is taken as the noise estimate."""
+    sigma = policy.sigma if policy.sigma is not None else problem.constants.sigma
+    return sigma / math.sqrt(m)
 
 
 def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
+    """The policy's schedule at the problem's constants, overrides applied.
+    Without an override or a known solution, V1 is 1.0."""
     c = problem.constants
     L = policy.L if policy.L is not None else c.L
     mu = policy.mu if policy.mu is not None else c.mu
-    sigma = policy.sigma if policy.sigma is not None else c.sigma
-    # mini-batching cuts the per-step estimator noise; the horizon policies
-    # consume that effective level
-    if policy.batch and policy.batch > 1:
-        sigma = sigma / math.sqrt(policy.batch)
     V1 = policy.V1
     if V1 is None:
-        if problem.known_solution is not None:
-            V1 = bregman(x1, problem.known_solution)
-            V1 = V1 if V1 > 0 else 1.0
-        else:
-            V1 = default_v1_estimate(problem, x1)
+        x_star = problem.known_solution
+        V1 = bregman(x1, x_star) if x_star is not None else 1.0
+        V1 = V1 if V1 > 0 else 1.0
     b = len(problem.block_partition) if problem.block_partition else 1
     Lbar = None
     if POLICIES[policy.name].source == "block":
-        if problem.block_partition is None:
-            raise ConfigError(f"policy {policy.name} needs a block partition")
         if problem.affine is not None and policy.L is None:
             Lbar = block_lipschitz(problem.affine, problem.block_partition)
         else:
             Lbar = L
     try:
         return make_schedule(
-            policy.name, L=L, mu=mu, sigma=sigma, V1=V1, k=k, b=b, Lbar=Lbar,
-            noise_ratio=policy.noise_ratio,
+            policy.name, L=L, mu=mu, sigma=_sigma(policy, problem, policy.batch or 1), V1=V1,
+            k=k, b=b, Lbar=Lbar, noise_ratio=policy.noise_ratio,
         )
     except ValueError as exc:
         raise ConfigError(f"cannot build policy {policy.name}: {exc}") from exc
-
-
-def seed_free(policy: PolicyRun, problem: VIProblem) -> bool:
-    """Whether a run of ``policy`` on ``problem`` cannot depend on its seed:
-    exact-operator policies draw nothing, and an oracle policy on a problem
-    without an oracle runs on the exact operator (see run_policy).  Block
-    policies always draw their block sequence from the seed."""
-    source = POLICIES[policy.name].source
-    return source == "exact" or (source == "oracle" and problem.oracle is None)
-
-
-def run_policy(policy: PolicyRun, problem: VIProblem, schedule: Schedule, x1,
-               k: int, seed: int, checkpoints: list[int] | None = None):
-    """One run of ``policy``; with ``checkpoints`` it keeps only the operator
-    values ``trajectory_rows`` reads on that grid (see ``RunConfig``)."""
-    if POLICIES[policy.name].source == "oracle" and problem.oracle is None:
-        # a deterministic problem is a zero-noise stochastic one; the
-        # stochastic runners then coincide with the exact-operator run
-        exact = problem.operator
-        problem = replace(problem, oracle=lambda x, rng, m=1: exact(x))
-    config = RunConfig(policy=policy.name, k=k, seed=seed, batch=policy.batch,
-                       checkpoints=checkpoints)
-    return run(problem, schedule, x1, config, recursive_affine=policy.recursive_affine)
 
 
 def _weak_gap_available(problem: VIProblem) -> bool:
@@ -523,7 +514,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
                 raise ConfigError(f"schedule validation failed:\n{report.summary()}")
             _log.warning("schedule validation failed, running anyway:\n%s",
                          report.summary())
-        if seed_free(policy, problem):
+        if seed_free(policy.name, problem):
             jobs.append((policy, schedule, config.seeds))
         else:
             jobs.extend((policy, schedule, (seed,)) for seed in config.seeds)
@@ -532,7 +523,10 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
         # keep only the rows: holding trajectories would add one run's
         # (k+2) x n arrays to the peak memory for every finished job
         policy, schedule, seeds = job
-        traj = run_policy(policy, problem, schedule, x1, config.k, seeds[0], ts)
+        # the run keeps only the operator values trajectory_rows reads on ts
+        traj = run(problem, schedule, x1,
+                   RunConfig(policy.name, config.k, seeds[0], policy.batch, checkpoints=ts),
+                   recursive_affine=policy.recursive_affine)
         rows = trajectory_rows(
             traj, problem, ts, weak_gap=config.weak_gap, timing=config.timing
         )
@@ -612,12 +606,13 @@ def suite_traffic(
     is cheaper per iteration at the largest size (skipped below n = 500 where
     interpreter overhead dominates) and that the deterministic run reaches
     the contraction implied by its linear-rate guarantee.  An empty size
-    list, or a size that is not a positive multiple of ``blocks``, raises
-    ``ConfigError`` before any work.
+    list, a size that is not a positive multiple of ``blocks``, ``k < 1`` or
+    seeds that are repeated or empty raise ``ConfigError`` before any work.
     """
     if not sizes or any(n <= 0 or n % blocks for n in sizes):
         raise ConfigError(f"traffic sizes must be a nonempty list of positive multiples "
                           f"of the block count {blocks}, got {tuple(sizes)}")
+    _check_budget(1 if k is None else k, tuple(seeds))
     report = SuiteReport("traffic")
     output = Path(output)
     output.mkdir(parents=True, exist_ok=True)
@@ -696,12 +691,14 @@ def suite_glm(
     early 1/(mu t) steps are oversized for roughly the first L/mu
     iterations.  The assertion is calibrated for the default budget (the
     classic baseline eventually recovers, so very large k closes the gap).
-    An unknown link or ``n < 1`` raises ``ConfigError`` before any work.
+    An unknown link, ``n < 1``, ``k < 1`` or seeds that are repeated or empty
+    raise ``ConfigError`` before any work.
     """
     if link not in ("hinge", "ramp"):
         raise ConfigError(f"unknown link {link!r}")
     if n < 1:
         raise ConfigError("n must be >= 1")
+    _check_budget(k, tuple(seeds))
     report = SuiteReport(f"glm-{link}")
     output = Path(output)
     output.mkdir(parents=True, exist_ok=True)
@@ -788,13 +785,6 @@ def _solution(problem: VIProblem) -> np.ndarray:
     if problem.known_solution is None:
         raise ConfigError("bound checks need a known or computable solution")
     return problem.known_solution
-
-
-def _sigma(policy: PolicyRun, problem: VIProblem, m: int = 1) -> float:
-    """The noise level of an m-sample oracle estimate a bound is checked at;
-    a user override of sigma is taken as the noise estimate."""
-    sigma = policy.sigma if policy.sigma is not None else problem.constants.sigma
-    return sigma / math.sqrt(m)
 
 
 def _seed_mean(policy: PolicyRun, bound: str, vals, limit: float,
@@ -974,14 +964,13 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
             checks.append(BoundCheck(policy.name, "schedule validation", math.nan,
                                      math.nan, False, report.summary()))
             continue
-        if seed_free(policy, problem):
-            # one run stands for every seed; each copy carries its own seed
-            # for the seed-keyed output draws (SOE-4's R)
-            traj = run_policy(policy, problem, schedule, x1, config.k, config.seeds[0])
-            trajs = [replace(traj, seed=seed) for seed in config.seeds]
-        else:
-            trajs = [run_policy(policy, problem, schedule, x1, config.k, seed)
-                     for seed in config.seeds]
+        seeds = config.seeds[:1] if seed_free(policy.name, problem) else config.seeds
+        trajs = [run(problem, schedule, x1, RunConfig(policy.name, config.k, seed, policy.batch),
+                     recursive_affine=policy.recursive_affine) for seed in seeds]
+        if len(trajs) < len(config.seeds):
+            # the seed-free run stands for every seed; each copy carries its
+            # own seed for the seed-keyed output draws (SOE-4's R)
+            trajs = [replace(trajs[0], seed=seed) for seed in config.seeds]
         checks.extend(_bound_checks_for(policy, schedule, problem, trajs, x1, config.k))
     return checks
 

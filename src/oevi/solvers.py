@@ -8,8 +8,14 @@ the exact operator; the stochastic method (``soe_run``) uses mini-batch
 oracle estimates, reusing the previous estimate rather than re-sampling it;
 the randomized block method (``sboe_run``) moves one block per iteration and,
 for affine operators, updates the operator value through the changed block
-only.  The stochastic-approximation baseline (``sa_run``) is the stochastic
-method with lambda_t = 0.
+only.  A full step is the one-block step over all coordinates.  The
+stochastic-approximation baseline (``sa_run``) is the stochastic method with
+lambda_t = 0.
+
+``run`` is the single entry point; the policy's operator source decides how
+the run goes.  An oracle policy on a problem without an oracle runs as the
+zero-noise case, on the exact operator, so such a run and an exact-operator
+run do not depend on the seed (``seed_free``).
 
 Oracle randomness is counter-based: iteration t of a run with seed s draws
 from a Philox stream keyed by (s, t), so trajectories are reproducible
@@ -82,7 +88,7 @@ class RunConfig:
     policy: str
     k: int
     seed: int = 0
-    batch: int | Callable[[int], int] | None = None
+    batch: int | None = None
     checkpoints: Sequence[int] | None = None
 
     def __post_init__(self):
@@ -136,116 +142,96 @@ class Trajectory:
         return int(self.batch_sizes[: t + 1].sum())
 
 
-def _alloc(policy: str, x1: np.ndarray, k: int, seed=None, blocks: int = 0) -> Trajectory:
-    n = x1.shape[0]
-    xs = np.empty((k + 2, n))
-    xs[0] = x1
-    xs[1] = x1
-    return Trajectory(
-        policy=policy,
-        xs=xs,
-        ops={},
-        movement_sq=np.zeros(k + 1),
-        gammas=np.full(k + 1, np.nan),
-        lams=np.full(k + 1, np.nan),
-        thetas=np.full(k + 1, np.nan),
-        batch_sizes=np.zeros(k + 1, dtype=int),
-        step_time_ns=np.zeros(k + 1, dtype=np.int64),
-        block_index=np.full(k + 1, -1, dtype=int) if blocks else None,
-        num_blocks=max(blocks, 1),
-        seed=seed,
-    )
-
-
-def _start_point(problem: VIProblem, x1) -> np.ndarray:
-    x = np.asarray(x1, dtype=float).copy()
-    if not problem.set.contains(x):
-        raise ValueError("start point x1 is not feasible")
-    return x
-
-
 def _table_theta(tab, t: int) -> float:
     lt = float(tab.log_theta[t])
     return math.inf if lt > 700.0 else math.exp(lt)
 
 
-def _resolve_batch(batch, tab, t: int) -> int:
-    if batch is None:
-        return int(tab.batch[t])
-    if callable(batch):
-        return int(batch(t))
-    return int(batch)
-
-
-def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | None, *,
-             source: str = "operator", batch=None, blocks: bool = False,
+def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | None,
+             source: str, *, batch: int | None = None, recursive_affine: bool = True,
              checkpoints: Sequence[int] | None = None) -> Trajectory:
     """The iteration loop behind every runner.
 
     Step t extrapolates the current operator value against the previous one,
     g = F_t + lambda_t (F_t - F_{t-1}), and takes one prox-mapping with
-    stepsize gamma_t.  With ``blocks`` the step moves only one block, drawn
-    up front from the block stream, and copies the other coordinates.
+    stepsize gamma_t on one block of coordinates, writing x_{t+1} into
+    ``xs[t + 1]``; the coordinates outside the block carry over.  The block is
+    the whole vector, with the problem's set, unless ``source`` is ``"block"``:
+    then it is one block of the partition, drawn up front from the block
+    stream.
 
-    ``source`` says where the next operator value comes from: ``"operator"``
-    evaluates F exactly, ``"oracle"`` draws a mini-batch from the problem's
-    oracle on the (seed, t) stream, and ``"affine"`` (block runs of affine
-    problems) adds G[:, block] (x_{t+1} - x_t)[block] to the current value.
-    A step whose squared movement is not finite stops the run with
-    ``ValueError``.  The operator values kept in ``ops`` are the arrays the
+    ``source`` is the policy's operator source (``schedules.Policy``) and says
+    where the next operator value comes from.  ``"exact"`` evaluates F.
+    ``"oracle"`` draws a mini-batch from the problem's oracle on the (seed, t)
+    stream, with the batch sizes of the schedule table or the integer
+    ``batch``; a problem without an oracle is the zero-noise case, whose
+    estimate is F itself.  ``"block"`` evaluates F, or for an affine problem
+    with ``recursive_affine`` adds G[:, block] (x_{t+1} - x_t)[block] to the
+    current value.  A step whose squared movement is not finite stops the run
+    with ``ValueError``.  The operator values kept in ``ops`` are the arrays the
     steps used, at every t or, given ``checkpoints``, at the indices the
     residual certificate reads there (see ``RunConfig``).
     """
-    x = _start_point(problem, x1)
+    x = np.asarray(x1, dtype=float)
+    if not problem.set.contains(x):
+        raise ValueError("start point x1 is not feasible")
+    n = x.shape[0]
     tab = schedule.table(k)
-    fs = problem.set
+    blocks = source == "block"
     if blocks:
         slices = problem.block_slices()
-        parts = fs.split(problem.block_partition)
+        parts = problem.set.split(problem.block_partition)
         drawn = _philox(seed, _PURPOSE_BLOCK).integers(0, len(slices), size=k)
-    traj = _alloc(schedule.name, x, k, seed=seed, blocks=len(slices) if blocks else 0)
+    else:
+        slices, parts, drawn = [slice(0, n)], [problem.set], np.zeros(k, dtype=int)
+    batch_sizes = np.zeros(k + 1, dtype=int)
+    if source == "oracle":
+        batch_sizes[1:] = tab.batch[1:] if batch is None else batch
+    traj = Trajectory(
+        policy=schedule.name, xs=np.empty((k + 2, n)), ops={}, movement_sq=np.zeros(k + 1),
+        gammas=np.r_[np.nan, tab.gamma[1:]], lams=np.r_[np.nan, tab.lam[1:]],
+        thetas=np.array([np.nan] + [_table_theta(tab, t) for t in range(1, k + 1)]),
+        batch_sizes=batch_sizes, step_time_ns=np.zeros(k + 1, dtype=np.int64),
+        oracle_calls=int(batch_sizes.sum()), block_index=np.r_[-1, drawn] if blocks else None,
+        num_blocks=len(slices), seed=None if source == "exact" else seed,
+    )
+    xs, ops, order = traj.xs, traj.ops, drawn.tolist()
+    xs[:2] = x
     # column-major copy so per-block column slices hit the fast matvec path
-    G = np.asfortranarray(problem.affine.G) if source == "affine" else None
-    stream = _iteration_streams(seed) if source == "oracle" else None
+    G = (np.asfortranarray(problem.affine.G)
+         if blocks and recursive_affine and problem.affine is not None else None)
+    sample = problem.oracle if source == "oracle" else None
+    stream = _iteration_streams(seed) if sample is not None else None
+    sizes = batch_sizes.tolist()
 
     def evaluate(t: int, y: np.ndarray) -> np.ndarray:
-        """Operator value at y = x_{t+1}, counted on the trajectory."""
-        if source == "oracle":
-            m = _resolve_batch(batch, tab, t + 1)
-            traj.oracle_calls += m
-            traj.batch_sizes[t + 1] = m
-            return np.asarray(problem.oracle(y, stream(t), m), dtype=float)
+        """The oracle's mini-batch estimate at y = x_{t+1}, else F(y), counted."""
+        if sample is not None:
+            return np.asarray(sample(y, stream(t), sizes[t + 1]), dtype=float)
         traj.operator_evals += 1
         return np.asarray(problem.operator(y), dtype=float)
 
     gammas, lams = tab.gamma.tolist(), tab.lam.tolist()
-    traj.gammas[1:], traj.lams[1:] = tab.gamma[1:], tab.lam[1:]
-    traj.thetas[1:] = [_table_theta(tab, t) for t in range(1, k + 1)]
     if checkpoints is None:
         keep = range(k + 1)
     else:
         keep = {s for t in checkpoints if t >= 1 for s in (t - 1, t)}
-    ops = traj.ops
-    F_prev = F_cur = evaluate(0, x)
+    F_prev = F_cur = evaluate(0, xs[1])
     if 0 in keep:
         ops[0] = F_cur
-    sl = slice(None)
     for t in range(1, k + 1):
         tic = time.perf_counter_ns()
         gamma, lam = gammas[t], lams[t]
         if t in keep:
             ops[t] = F_cur
-        if blocks:
-            i = int(drawn[t - 1])
-            sl = slices[i]
-            traj.block_index[t] = i
-            x_next = x.copy()
-            g = F_cur[sl] + lam * (F_cur[sl] - F_prev[sl])
-            x_next[sl] = parts[i].project(x[sl] - gamma * g)
-        else:
-            x_next = fs.project(x - gamma * (F_cur + lam * (F_cur - F_prev)))
-        traj.xs[t + 1] = x_next
-        d = x_next[sl] - x[sl]
+        i = order[t - 1]
+        sl, x, x_next = slices[i], xs[t], xs[t + 1]
+        if blocks:  # the coordinates outside the block carry over
+            x_next[:] = x
+        F_sl, x_sl = F_cur[sl], x[sl]
+        y = parts[i].project(x_sl - gamma * (F_sl + lam * (F_sl - F_prev[sl])))
+        x_next[sl] = y
+        d = y - x_sl
         move = float(d @ d)
         if not math.isfinite(move):
             raise ValueError(f"{schedule.name} run diverged at t = {t}: "
@@ -253,12 +239,11 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
         traj.movement_sq[t] = move
         if t < k:
             F_prev = F_cur
-            if source == "affine":
+            if G is not None:
                 F_cur = F_cur + G[:, sl] @ d
                 traj.block_updates += 1
             else:
                 F_cur = evaluate(t, x_next)
-        x = x_next
         traj.step_time_ns[t] = time.perf_counter_ns() - tic
     return traj
 
@@ -266,7 +251,7 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
 def oe_run(problem: VIProblem, schedule: Schedule, x1, k: int) -> Trajectory:
     """Deterministic operator-extrapolation run: k iterations, one exact
     operator evaluation and one prox-mapping each."""
-    return _iterate(problem, schedule, x1, k, None)
+    return _iterate(problem, schedule, x1, k, None, "exact")
 
 
 def soe_run(
@@ -275,17 +260,17 @@ def soe_run(
     x1,
     k: int,
     seed: int,
-    batch: int | Callable[[int], int] | None = None,
+    batch: int | None = None,
 ) -> Trajectory:
     """Stochastic run: operator values come from the problem's mini-batch
-    oracle.  The estimate at x_{t-1} is the stored value from step t-1 (the
-    extrapolation reuses the same realization, never a fresh sample)."""
-    _require_oracle(problem)
-    return _iterate(problem, schedule, x1, k, seed, source="oracle", batch=batch)
+    oracle, or, for a problem without one, are the zero-noise estimate F.  The
+    estimate at x_{t-1} is the stored value from step t-1 (the extrapolation
+    reuses the same realization, never a fresh sample)."""
+    return _iterate(problem, schedule, x1, k, seed, "oracle", batch=batch)
 
 
 def sa_run(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int,
-           batch: int | Callable[[int], int] | None = None) -> Trajectory:
+           batch: int | None = None) -> Trajectory:
     """Stochastic-approximation baseline: plain prox steps against the latest
     oracle estimate.  This is the stochastic run with the baseline schedule,
     whose lambda_t = 0 switches extrapolation off."""
@@ -304,45 +289,35 @@ def sboe_run(
     recursive_affine: bool = True,
 ) -> Trajectory:
     """Randomized block run: each iteration draws a block uniformly, updates
-    it with one block prox-mapping, and copies the rest.
+    it with one block prox-mapping, and carries the rest over.
 
     For affine operators with ``recursive_affine`` (default) the full
     operator vector is maintained through rank updates restricted to the
     changed block, costing O(n * n_i) per iteration instead of a full
     evaluation; otherwise every iteration re-evaluates F.
     """
-    return _iterate(problem, schedule, x1, k, seed, blocks=True,
-                    source=_block_source(problem, recursive_affine))
+    return _iterate(problem, schedule, x1, k, seed, "block",
+                    recursive_affine=recursive_affine)
 
 
-def _require_oracle(problem: VIProblem):
-    if problem.oracle is None:
-        raise ValueError("problem has no stochastic oracle")
-
-
-def _block_source(problem: VIProblem, recursive_affine: bool) -> str:
-    return "affine" if recursive_affine and problem.affine is not None else "operator"
+def seed_free(policy: str, problem: VIProblem) -> bool:
+    """Whether a ``run`` of ``policy`` on ``problem`` cannot depend on its
+    seed: exact-operator policies draw nothing, and an oracle policy on a
+    problem without an oracle is the zero-noise case, which evaluates F.
+    Block policies always draw their block sequence from the seed."""
+    source = POLICIES[policy].source
+    return source == "exact" or (source == "oracle" and problem.oracle is None)
 
 
 def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig,
         *, recursive_affine: bool = True) -> Trajectory:
-    """Single-run entry point: dispatch on the policy's operator source.
-
-    ``"exact"`` policies run as ``oe_run``, ``"block"`` policies as
-    ``sboe_run``, and ``"oracle"`` policies (the baseline included) as
-    ``soe_run`` with the config's batch rule; the config's checkpoints say
-    which operator values the run keeps.
-    """
-    source = POLICIES[schedule.name].source
-    grid = config.checkpoints
-    if source == "exact":
-        return _iterate(problem, schedule, x1, config.k, None, checkpoints=grid)
-    if source == "block":
-        return _iterate(problem, schedule, x1, config.k, config.seed, blocks=True,
-                        source=_block_source(problem, recursive_affine), checkpoints=grid)
-    _require_oracle(problem)
-    return _iterate(problem, schedule, x1, config.k, config.seed, source="oracle",
-                    batch=config.batch, checkpoints=grid)
+    """Single-run entry point: the policy's operator source (``"exact"``,
+    ``"oracle"`` or ``"block"``, see ``schedules.Policy``) says how the run
+    goes.  The config's batch size applies to oracle policies, and its
+    checkpoints say which operator values the run keeps."""
+    return _iterate(problem, schedule, x1, config.k, config.seed,
+                    POLICIES[schedule.name].source, batch=config.batch,
+                    recursive_affine=recursive_affine, checkpoints=config.checkpoints)
 
 
 # ---------------------------------------------------------------------------

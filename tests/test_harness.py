@@ -27,9 +27,7 @@ from oevi.harness import (
     format_bound_checks,
     load_config,
     run_experiment,
-    run_policy,
     schedule_for,
-    seed_free,
     suite_glm,
     suite_traffic,
     trajectory_rows,
@@ -38,7 +36,7 @@ from oevi.harness import (
 )
 from oevi.problems import glm_generate, problem_to_json, traffic_generate
 from oevi.schedules import POLICY_NAMES, OEGsmviSchedule
-from oevi.solvers import oe_run
+from oevi.solvers import RunConfig, oe_run, run, seed_free
 
 
 def tiny_problem(noise=0.0):
@@ -99,6 +97,33 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=harness.WORKERS_ENV):
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("policy,partition,match", [
+        ("SBOE-GSMVI", (2, 4),
+         "policy SBOE-GSMVI: block partition must match the simplex-product structure"),
+        ("SBOE-MVI", None, "policy SBOE-MVI needs a block partition"),
+    ], ids=["mismatched-partition", "no-partition"])
+    def test_block_policy_problem_rejected_before_work(self, tmp_path, monkeypatch, capsys,
+                                                       policy, partition, match):
+        from oevi.geometry import SimplexProduct
+        from oevi.problems import AffineSpec, affine_problem
+
+        def no_reference(*args, **kwargs):
+            raise AssertionError("reference solved for a rejected config")
+
+        monkeypatch.setattr(harness, "solve_reference", no_reference)
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 6))
+        spec = AffineSpec(A - A.T + 2 * np.eye(6), rng.normal(size=6))
+        problem = affine_problem(spec, SimplexProduct([3, 3], [1, 1]), block_partition=partition)
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(problem=problem, policies=[PolicyRun(policy)], k=10, seeds=(1,))
+        # the CLI reports it as a config error
+        (tmp_path / "p.json").write_text(problem_to_json(problem))
+        (tmp_path / "exp.ini").write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}"
+                                          f"\n\n[run]\nk = 10\n\n[policy:{policy}]\n")
+        assert cli.main(["run", str(tmp_path / "exp.ini")]) == 1
+        assert f"config error: {match}" in capsys.readouterr().err
 
     def test_checkpoints_include_endpoints(self):
         assert checkpoints(10, 1) == list(range(11))
@@ -197,6 +222,12 @@ def count_engine_calls(monkeypatch) -> list[int]:
     return seeds
 
 
+def run_one(policy, problem, schedule, x1, k, seed, ts=None):
+    """The engine call the harness makes for one (policy, seed) run."""
+    config = RunConfig(policy.name, k, seed, policy.batch, checkpoints=ts)
+    return run(problem, schedule, x1, config, recursive_affine=policy.recursive_affine)
+
+
 def glm_problem():
     return glm_generate(5, "hinge", 2.0, 0.1, seed=3)  # has a stochastic oracle
 
@@ -210,7 +241,7 @@ class TestSeedFreeRuns:
     ])
     def test_engine_calls(self, tmp_path, monkeypatch, policy, make, runs):
         problem = make()
-        assert seed_free(PolicyRun(policy), problem) == (runs == 1)
+        assert seed_free(policy, problem) == (runs == 1)
         seeds = count_engine_calls(monkeypatch)
         cfg = tiny_config(tmp_path, problem=problem, policies=[PolicyRun(policy)],
                           seeds=(1, 2, 3))
@@ -235,7 +266,7 @@ class TestSeedFreeRuns:
             schedule = schedule_for(policy, problem, 12, x1)
             per_seed = []
             for seed in cfg.seeds:
-                traj = run_policy(policy, problem, schedule, x1, 12, seed)
+                traj = run_one(policy, problem, schedule, x1, 12, seed)
                 rows = trajectory_rows(traj, problem, ts)
                 per_seed.append(rows)
                 run_id = f"{policy.name}_s{seed}"
@@ -253,7 +284,7 @@ class TestSeedFreeRuns:
         cfg = ExperimentConfig(problem=problem, policies=[policy], k=40, seeds=(1, 2, 3, 4))
         x1 = analytic_center(problem.set)
         schedule = schedule_for(policy, problem, 40, x1)
-        trajs = [run_policy(policy, problem, schedule, x1, 40, seed) for seed in cfg.seeds]
+        trajs = [run_one(policy, problem, schedule, x1, 40, seed) for seed in cfg.seeds]
         expected = _bound_checks_for(policy, schedule, problem, trajs, x1, 40)
         seeds = count_engine_calls(monkeypatch)
         assert check_bounds(cfg) == expected
@@ -328,8 +359,8 @@ class TestKeptOperatorValues:
         k = 40
         ts = checkpoints(k, cadence)
         schedule = schedule_for(policy, problem, k, x1)
-        full = run_policy(policy, problem, schedule, x1, k, 5)
-        kept = run_policy(policy, problem, schedule, x1, k, 5, ts)
+        full = run_one(policy, problem, schedule, x1, k, 5)
+        kept = run_one(policy, problem, schedule, x1, k, 5, ts)
         assert sorted(full.ops) == list(range(k + 1))
         assert set(kept.ops) == {s for t in ts[1:] for s in (t - 1, t)}
         for t, F in kept.ops.items():
@@ -594,11 +625,29 @@ class TestSuites:
         assert (tmp_path / "glm" / "ramp_R2" / "agg_SOE-1.csv").exists()
 
 
-    @pytest.mark.parametrize("link, n", [("hinge", 0), ("nosuch", 10)])
-    def test_glm_suite_bad_input_leaves_no_directory(self, tmp_path, link, n):
+    @pytest.mark.parametrize("link, kwargs", [
+        ("hinge", dict(n=0)), ("nosuch", dict(n=10)), ("hinge", dict(k=0)),
+        ("hinge", dict(seeds=(1, 1))), ("ramp", dict(seeds=(1, 1))), ("ramp", dict(seeds=())),
+    ], ids=["hinge-0", "nosuch-10", "hinge-k0", "hinge-repeated-seeds", "ramp-repeated-seeds",
+            "ramp-no-seeds"])
+    def test_glm_suite_bad_input_leaves_no_directory(self, tmp_path, link, kwargs):
         out = tmp_path / "glm"
         with pytest.raises(ConfigError):
-            suite_glm(link, n=n, k=5, output=out)
+            suite_glm(link, **{"n": 10, "k": 5, **kwargs}, output=out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(k=0), "k must be >= 1"), (dict(seeds=(1, 1)), "seeds must be distinct"),
+    ], ids=["k0", "repeated-seeds"])
+    def test_traffic_suite_bad_input_leaves_no_directory(self, tmp_path, monkeypatch,
+                                                         kwargs, match):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("instance generated for rejected input")
+
+        monkeypatch.setattr(harness, "traffic_generate", no_instance)
+        out = tmp_path / "traffic"
+        with pytest.raises(ConfigError, match=match):
+            suite_traffic(sizes=(10,), **{"seeds": (1,), "k": 5, **kwargs}, output=out)
         assert not out.exists()
 
 

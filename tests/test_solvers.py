@@ -145,8 +145,16 @@ class TestStochasticRun:
         assert np.abs(c.xs - a.xs).max() > 0
 
     def test_oracle_call_count_is_sum_of_batches(self):
+        class GrowingBatch(S.SoeDecreasingSchedule):
+            """SOE-1 whose table draws t samples at step t, the way SOE-4 draws k + 1."""
+
+            def table(self, k):
+                tab = super().table(k)
+                tab.batch[1:] = np.arange(1, k + 1)
+                return tab
+
         p = scalar_problem(noise=1.0)
-        sched = S.SoeDecreasingSchedule(1.0, 0.5)
+        sched = GrowingBatch(1.0, 0.5)
         counter = {"n": 0}
         inner = p.oracle
         import dataclasses
@@ -156,7 +164,7 @@ class TestStochasticRun:
             return inner(x, rng, m)
 
         p2 = dataclasses.replace(p, oracle=oracle)
-        traj = soe_run(p2, sched, np.zeros(1), 25, seed=1, batch=lambda t: t)
+        traj = soe_run(p2, sched, np.zeros(1), 25, seed=1)
         assert counter["n"] == sum(range(1, 26))
         assert traj.oracle_calls == counter["n"]
         assert traj.oracle_calls_through(25) == counter["n"]
@@ -369,6 +377,36 @@ class TestWeightedAverage:
         traj = _movement_trajectory([0.0, 1.0, 1.0, 1.0])
         out = weighted_average(traj, OE_MVI_AVERAGE, k=2)
         assert out[0] == pytest.approx(2.5)
+
+
+class TestMergedStep:
+    """The full step is the one-block step: both pin the same bytes."""
+
+    def test_one_block_run_is_the_full_run(self):
+        p = traffic_generate(12, 1, 0.5, seed=6)
+        c = p.constants
+        sched = S.SboeGsmviSchedule(Lbar=c.L, b=1, mu=c.mu, L=c.L)
+        x1 = analytic_center(p.set)
+        t_oe = oe_run(p, sched, x1, 150)
+        t_b = sboe_run(p, sched, x1, 150, seed=5, recursive_affine=False)
+        assert t_b.xs.tobytes() == t_oe.xs.tobytes()
+        assert t_b.movement_sq.tobytes() == t_oe.movement_sq.tobytes()
+
+    @pytest.mark.parametrize("name", ["SOE-1", "SOE-2", "SOE-3", "SOE-4", "SA"])
+    def test_oracle_policy_without_oracle_is_the_exact_run(self, name):
+        from oevi.solvers import RunConfig, run
+
+        p = traffic_generate(10, 5, 0.5, seed=2)
+        assert p.oracle is None
+        c = p.constants
+        k = 60
+        sched = S.make_schedule(name, L=c.L, mu=c.mu, sigma=1.0, V1=1.0, k=k)
+        x1 = analytic_center(p.set)
+        traj = run(p, sched, x1, RunConfig(policy=name, k=k, seed=7))
+        assert traj.xs.tobytes() == oe_run(p, sched, x1, k).xs.tobytes()
+        m = k + 1 if name == "SOE-4" else 1  # SOE-4 draws k + 1 samples per step
+        assert [traj.oracle_calls_through(t) for t in range(k + 1)] == [
+            m * t for t in range(k + 1)]
 
 
 class TestRunDispatcher:
