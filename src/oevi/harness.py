@@ -14,6 +14,10 @@ once; its rows are written under every seed, each CSV with its own ``run_id``
 and ``seed``, and the aggregates count every seed, so the bytes equal those of
 a run per seed.  With ``timing = true`` those CSVs repeat the one run's
 ``wall_time_ns``, and the policy's ``mean_step_time_ns`` comes from that run.
+``check_bounds`` groups seeds by the same rule (``_seed_groups``), but runs
+serially and lazily: each check reads its policy's (seed, trajectory) stream
+in one pass, so at most two trajectories are held (the one read and the one
+being made) whatever the seed count, and a skipped check runs nothing.
 
 Trajectory CSV schema (one file per (policy, seed)):
     run_id, policy, seed, t, gamma, lambda, theta, V_to_solution,
@@ -494,6 +498,15 @@ def ensure_reference(problem: VIProblem, tol: float = 1e-10) -> VIProblem:
     return replace(problem, known_solution=solve_reference(problem, tol))
 
 
+def _seed_groups(policy: str, problem: VIProblem, seeds) -> list[tuple[int, ...]]:
+    """The seeds each run of ``policy`` stands for, one group per run, in
+    seed order: a seed-free policy runs once, on the first seed, for every
+    seed; any other policy runs once per seed."""
+    if seed_free(policy, problem):
+        return [tuple(seeds)]
+    return [(seed,) for seed in seeds]
+
+
 def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
     """Execute every (policy, seed) pair, a seed-free policy once on the first
     seed; write one trajectory CSV per pair and one aggregate CSV per policy
@@ -514,10 +527,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
                 raise ConfigError(f"schedule validation failed:\n{report.summary()}")
             _log.warning("schedule validation failed, running anyway:\n%s",
                          report.summary())
-        if seed_free(policy.name, problem):
-            jobs.append((policy, schedule, config.seeds))
-        else:
-            jobs.extend((policy, schedule, (seed,)) for seed in config.seeds)
+        jobs.extend((policy, schedule, group)
+                    for group in _seed_groups(policy.name, problem, config.seeds))
 
     def _one(job):
         # keep only the rows: holding trajectories would add one run's
@@ -799,23 +810,19 @@ def _seed_mean(policy: PolicyRun, bound: str, vals, limit: float,
                       f"{len(vals)} seeds" if detail is None else detail)
 
 
-def _gap_skipped(policy: PolicyRun, bound: str) -> list[BoundCheck]:
-    # the gap bounds need the exact weak gap, which only bounded affine problems have
-    return [BoundCheck(policy.name, bound, math.nan, math.nan, True,
-                       "skipped: exact gap needs bounded affine")]
+# Each check below takes (policy, schedule, problem, runs, x1, k) and reads
+# ``runs``, the policy's (seed, trajectory) stream, in one pass: a
+# deterministic check reads the first pair, a skipped check reads nothing.
 
 
-# Each check below takes (policy, schedule, problem, trajs, x1, k), one
-# trajectory per seed, and picks its policy's output rule itself.
-
-
-def _check_oe_gsmvi(policy, schedule, problem, trajs, x1, k):
+def _check_oe_gsmvi(policy, schedule, problem, runs, x1, k):
     # measured is the largest ratio of V(x_{t+1}, x*) to its bound over t
     x_star = _solution(problem)
     V1 = bregman(x1, x_star)
+    _, traj = next(runs)
     worst, ok = 0.0, True
     for t in range(1, k + 1):
-        lhs = bregman(trajs[0].xs[t + 1], x_star)
+        lhs = bregman(traj.xs[t + 1], x_star)
         rhs = bound_gsmvi_linear(schedule.L, schedule.mu, V1, t) + 1e-9
         worst = max(worst, lhs / rhs)
         ok = ok and lhs <= rhs
@@ -823,9 +830,9 @@ def _check_oe_gsmvi(policy, schedule, problem, trajs, x1, k):
                        "pointwise over all k")]
 
 
-def _check_oe_gmvi(policy, schedule, problem, trajs, x1, k):
-    traj = trajs[0]
+def _check_oe_gmvi(policy, schedule, problem, runs, x1, k):
     V1 = bregman(x1, _solution(problem))
+    _, traj = next(runs)
     total = float(traj.movement_sq[1:].sum())
     total_lim = bound_gmvi_movement(V1) + 1e-9
     R, _ = select_best_movement(traj)
@@ -835,86 +842,76 @@ def _check_oe_gmvi(policy, schedule, problem, trajs, x1, k):
             BoundCheck(policy.name, "residual certificate", cert, cert_lim, cert <= cert_lim)]
 
 
-def _check_oe_mvi(policy, schedule, problem, trajs, x1, k):
-    bound = "averaged-iterate gap"
-    if not _weak_gap_available(problem):
-        return _gap_skipped(policy, bound)
-    inner_tol = 1e-8
-    gap = weak_gap_exact_affine(problem, weighted_average(trajs[0], OE_MVI_AVERAGE), inner_tol)
-    lim = bound_mvi_gap(schedule.L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
-    return [BoundCheck(policy.name, bound, gap, lim, gap <= lim)]
-
-
-def _check_soe_1(policy, schedule, problem, trajs, x1, k):
-    x_star = _solution(problem)
-    limit = bound_soe_decreasing(schedule.L, schedule.mu,
-                                 _sigma(policy, problem, policy.batch or 1),
-                                 bregman(x1, x_star), k)
-    return [_seed_mean(policy, "expected distance",
-                       [bregman(tr.final, x_star) for tr in trajs], limit)]
-
-
-def _check_soe_2(policy, schedule, problem, trajs, x1, k):
-    x_star = _solution(problem)
-    limit = bound_soe_constant(schedule.L, schedule.mu,
-                               _sigma(policy, problem, policy.batch or 1),
-                               bregman(x1, x_star), k, schedule.q)
-    return [_seed_mean(policy, "expected distance",
-                       [bregman(tr.final, x_star) for tr in trajs], limit)]
-
-
-def _check_soe_3(policy, schedule, problem, trajs, x1, k):
+def _check_last_distance(policy, schedule, problem, runs, x1, k):
+    # SOE-1, SOE-2 and SBOE-GSMVI bound the expected distance of the last iterate
     x_star = _solution(problem)
     V1 = bregman(x1, x_star)
+    sigma = _sigma(policy, problem, policy.batch or 1)
+    if policy.name == "SOE-1":
+        limit = bound_soe_decreasing(schedule.L, schedule.mu, sigma, V1, k)
+    elif policy.name == "SOE-2":
+        limit = bound_soe_constant(schedule.L, schedule.mu, sigma, V1, k, schedule.q)
+    else:  # SBOE-GSMVI
+        F1 = problem.operator(x1)
+        limit = bound_sboe_linear(schedule.Lbar, schedule.b, schedule.mu, V1,
+                                  float(F1 @ (x1 - x_star)), k)
+    return [_seed_mean(policy, "expected distance",
+                       [bregman(traj.final, x_star) for _, traj in runs], limit)]
+
+
+def _check_soe_3(policy, schedule, problem, runs, x1, k):
     ends = [K for K in schedule.epoch_ends(8) if K <= k]
     if not ends:
         return [BoundCheck(policy.name, "epoch halving", math.nan, math.nan, True,
                            f"skipped: k = {k} ends before the first epoch end "
                            f"K_1 = {schedule.epoch_length(1)}")]
-    return [_seed_mean(policy, f"epoch {s} halving",
-                       [bregman(tr.xs[K + 1], x_star) for tr in trajs],
-                       bound_soe_restart(V1, s), detail="")
-            for s, K in enumerate(ends, start=1)]
+    x_star = _solution(problem)
+    V1 = bregman(x1, x_star)
+    # one row per run: its distance at each epoch end
+    dists = [[bregman(traj.xs[K + 1], x_star) for K in ends] for _, traj in runs]
+    return [_seed_mean(policy, f"epoch {s} halving", vals, bound_soe_restart(V1, s),
+                       detail="")
+            for s, vals in enumerate(zip(*dists), start=1)]
 
 
-def _check_soe_4(policy, schedule, problem, trajs, x1, k):
+def _check_soe_4(policy, schedule, problem, runs, x1, k):
     V1 = bregman(x1, _solution(problem))
     vals = []
-    for tr in trajs:
-        R, _ = select_uniform_R(tr, output_rng(tr.seed))
-        vals.append(residual_certificate(tr, R, problem.operator(tr.xs[R + 1])) ** 2)
+    for seed, traj in runs:
+        # R is drawn from the seed the run stands for, not the seed it ran on
+        R, _ = select_uniform_R(traj, output_rng(seed))
+        vals.append(residual_certificate(traj, R, problem.operator(traj.xs[R + 1])) ** 2)
     limit = bound_soe_gmvi_residual_sq(schedule.L, problem.constants.L_omega,
                                        _sigma(policy, problem), V1, k)
     return [_seed_mean(policy, "expected squared residual", vals, limit)]
 
 
-def _check_soe_mvi(policy, schedule, problem, trajs, x1, k):
-    bound = "expected tail-average gap"
+# the bound label and averaging rule of each averaged-gap guarantee
+_GAP_BOUNDS = {
+    "OE-MVI": ("averaged-iterate gap", OE_MVI_AVERAGE),
+    "SOE-MVI": ("expected tail-average gap", SOE_MVI_TAIL_AVERAGE),
+    "SBOE-MVI": ("expected weighted-average gap", SBOE_MVI_AVERAGE),
+}
+
+
+def _check_averaged_gap(policy, schedule, problem, runs, x1, k):
+    bound, mode = _GAP_BOUNDS[policy.name]
     if not _weak_gap_available(problem):
-        return _gap_skipped(policy, bound)
-    gaps = [weak_gap_exact_affine(problem, weighted_average(tr, SOE_MVI_TAIL_AVERAGE))
-            for tr in trajs]
-    limit = bound_soe_mvi_gap(schedule.L, _sigma(policy, problem, policy.batch or 1),
-                              problem.set.bregman_diameter(), k)
-    return [_seed_mean(policy, bound, gaps, limit)]
-
-
-def _check_sboe_gsmvi(policy, schedule, problem, trajs, x1, k):
-    x_star = _solution(problem)
-    F1 = problem.operator(x1)
-    limit = bound_sboe_linear(schedule.Lbar, schedule.b, schedule.mu, bregman(x1, x_star),
-                              float(F1 @ (x1 - x_star)), k)
-    return [_seed_mean(policy, "expected distance",
-                       [bregman(tr.final, x_star) for tr in trajs], limit)]
-
-
-def _check_sboe_mvi(policy, schedule, problem, trajs, x1, k):
-    bound = "expected weighted-average gap"
-    if not _weak_gap_available(problem):
-        return _gap_skipped(policy, bound)
-    gaps = [weak_gap_exact_affine(problem, weighted_average(tr, SBOE_MVI_AVERAGE))
-            for tr in trajs]
-    limit = bound_sboe_gap(problem, schedule.Lbar, schedule.b, x1, k)
+        # the gap bounds need the exact weak gap, which only bounded affine problems have
+        return [BoundCheck(policy.name, bound, math.nan, math.nan, True,
+                           "skipped: exact gap needs bounded affine")]
+    if policy.name == "OE-MVI":  # deterministic: a bound on its one run
+        inner_tol = 1e-8
+        _, traj = next(runs)
+        gap = weak_gap_exact_affine(problem, weighted_average(traj, mode), inner_tol)
+        lim = bound_mvi_gap(schedule.L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
+        return [BoundCheck(policy.name, bound, gap, lim, gap <= lim)]
+    if policy.name == "SOE-MVI":
+        limit = bound_soe_mvi_gap(schedule.L, _sigma(policy, problem, policy.batch or 1),
+                                  problem.set.bregman_diameter(), k)
+    else:
+        limit = bound_sboe_gap(problem, schedule.Lbar, schedule.b, x1, k)
+    gaps = [weak_gap_exact_affine(problem, weighted_average(traj, mode)) for _, traj in runs]
     return [_seed_mean(policy, bound, gaps, limit)]
 
 
@@ -922,31 +919,33 @@ def _check_sboe_mvi(policy, schedule, problem, trajs, x1, k):
 BOUND_CHECKS = {
     "OE-GSMVI": _check_oe_gsmvi,
     "OE-GMVI": _check_oe_gmvi,
-    "OE-MVI": _check_oe_mvi,
-    "SOE-1": _check_soe_1,
-    "SOE-2": _check_soe_2,
+    "OE-MVI": _check_averaged_gap,
+    "SOE-1": _check_last_distance,
+    "SOE-2": _check_last_distance,
     "SOE-3": _check_soe_3,
     "SOE-4": _check_soe_4,
-    "SOE-MVI": _check_soe_mvi,
-    "SBOE-GSMVI": _check_sboe_gsmvi,
-    "SBOE-MVI": _check_sboe_mvi,
+    "SOE-MVI": _check_averaged_gap,
+    "SBOE-GSMVI": _check_last_distance,
+    "SBOE-MVI": _check_averaged_gap,
 }
 
 
-def _bound_checks_for(policy: PolicyRun, schedule: Schedule, problem: VIProblem,
-                      trajs: list, x1: np.ndarray, k: int) -> list[BoundCheck]:
-    check = BOUND_CHECKS.get(policy.name)
-    if check is None:
-        return [BoundCheck(policy.name, "none", math.nan, math.nan, True,
-                           "no bound attached to this policy")]
-    return check(policy, schedule, problem, trajs, x1, k)
+def _runs(policy: PolicyRun, schedule: Schedule, problem: VIProblem, x1, k: int, seeds):
+    """(seed, trajectory) for each seed in order, each run made when the stream
+    reaches it; a seed-free run is made once and paired with every seed."""
+    for group in _seed_groups(policy.name, problem, seeds):
+        traj = run(problem, schedule, x1, RunConfig(policy.name, k, group[0], policy.batch),
+                   recursive_affine=policy.recursive_affine)
+        for seed in group:
+            yield seed, traj
 
 
 def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
     """Run each configured policy and compare against its convergence bound.
 
     Policies whose schedule fails validation get a FAIL record and no bound
-    check (the guarantee's preconditions do not hold).
+    check (the guarantee's preconditions do not hold), and a policy without a
+    guarantee a record saying so; neither runs.
     """
     problem = ensure_reference(config.problem)
     x1 = analytic_center(problem.set)
@@ -964,14 +963,13 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
             checks.append(BoundCheck(policy.name, "schedule validation", math.nan,
                                      math.nan, False, report.summary()))
             continue
-        seeds = config.seeds[:1] if seed_free(policy.name, problem) else config.seeds
-        trajs = [run(problem, schedule, x1, RunConfig(policy.name, config.k, seed, policy.batch),
-                     recursive_affine=policy.recursive_affine) for seed in seeds]
-        if len(trajs) < len(config.seeds):
-            # the seed-free run stands for every seed; each copy carries its
-            # own seed for the seed-keyed output draws (SOE-4's R)
-            trajs = [replace(trajs[0], seed=seed) for seed in config.seeds]
-        checks.extend(_bound_checks_for(policy, schedule, problem, trajs, x1, config.k))
+        check = BOUND_CHECKS.get(policy.name)
+        if check is None:
+            checks.append(BoundCheck(policy.name, "none", math.nan, math.nan, True,
+                                     "no bound attached to this policy"))
+            continue
+        runs = _runs(policy, schedule, problem, x1, config.k, config.seeds)
+        checks.extend(check(policy, schedule, problem, runs, x1, config.k))
     return checks
 
 

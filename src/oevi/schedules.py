@@ -137,11 +137,6 @@ class OEGsmviSchedule(Schedule):
     def __init__(self, L: float, mu: float):
         self._set_constants(L=L, mu=mu, mu_le_L=True)
 
-    def triple(self, t):
-        # r**t is exact for small integer ratios, where exp(t log r) is not
-        r = self.mu / self.L + 1.0
-        return 1.0 / (2.0 * self.L), 1.0 / r, r**t
-
     def table(self, k):
         return _const_table(k, 1.0 / (2.0 * self.L), self.L / (self.mu + self.L),
                             math.log1p(self.mu / self.L))

@@ -167,11 +167,13 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     ``batch``; a problem without an oracle is the zero-noise case, whose
     estimate is F itself.  ``"block"`` evaluates F, or for an affine problem
     with ``recursive_affine`` adds G[:, block] (x_{t+1} - x_t)[block] to the
-    current value.  A step whose squared movement is not finite stops the run
-    with ``ValueError``.  The operator values kept in ``ops`` are the arrays the
-    steps used, at every t or, given ``checkpoints``, at the indices the
-    residual certificate reads there (see ``RunConfig``).
+    current value.  A batch below 1, or a step whose squared movement is not
+    finite, raises ``ValueError``.  The operator values kept in ``ops`` are the
+    arrays the steps used, at every t or, given ``checkpoints``, at the indices
+    the residual certificate reads there (see ``RunConfig``).
     """
+    if batch is not None and batch < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch}")
     x = np.asarray(x1, dtype=float)
     if not problem.set.contains(x):
         raise ValueError("start point x1 is not feasible")

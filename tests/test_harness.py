@@ -19,7 +19,6 @@ from oevi.harness import (
     ConfigError,
     ExperimentConfig,
     PolicyRun,
-    _bound_checks_for,
     aggregate_rows,
     check_bounds,
     checkpoints,
@@ -280,16 +279,47 @@ class TestSeedFreeRuns:
     def test_check_bounds_matches_per_seed_runs(self, monkeypatch):
         problem = ensure_reference(tiny_problem())
         assert problem.oracle is None
-        policy = PolicyRun("SOE-4")
-        cfg = ExperimentConfig(problem=problem, policies=[policy], k=40, seeds=(1, 2, 3, 4))
-        x1 = analytic_center(problem.set)
-        schedule = schedule_for(policy, problem, 40, x1)
-        trajs = [run_one(policy, problem, schedule, x1, 40, seed) for seed in cfg.seeds]
-        expected = _bound_checks_for(policy, schedule, problem, trajs, x1, 40)
+        cfg = ExperimentConfig(problem=problem, policies=[PolicyRun("SOE-4")], k=40,
+                               seeds=(1, 2, 3, 4))
         seeds = count_engine_calls(monkeypatch)
-        assert check_bounds(cfg) == expected
+        checks = check_bounds(cfg)
         assert seeds == [1]
-        assert expected[0].detail == "4 seeds"
+        assert checks[0].detail == "4 seeds"
+        # the same checks from one run per seed
+        seeds.clear()
+        monkeypatch.setattr(harness, "seed_free", lambda policy, problem: False)
+        assert check_bounds(cfg) == checks
+        assert seeds == [1, 2, 3, 4]
+
+    def test_unchecked_policies_run_nothing(self, monkeypatch):
+        # SOE-3 ends before its first epoch, SA-RM has no bound, and the GLM
+        # problem has no exact gap for SOE-MVI
+        cfg = ExperimentConfig(problem=glm_generate(10, "hinge", 100.0, 1.0, seed=3),
+                               policies=[PolicyRun("SOE-3"), PolicyRun("SA-RM"),
+                                         PolicyRun("SOE-MVI")], k=50, seeds=(1, 2))
+        seeds = count_engine_calls(monkeypatch)
+        checks = check_bounds(cfg)
+        assert [c.detail.split(":")[0] for c in checks] == [
+            "skipped", "no bound attached to this policy", "skipped"]
+        assert seeds == []
+
+    def test_check_memory_flat_in_seed_count(self):
+        # check_bounds holds no trajectory beyond the run it reads and the
+        # one being made, whatever the seed count
+        problem = ensure_reference(glm_generate(20, "hinge", 100.0, 1.0, seed=3))
+
+        def peak(n_seeds):
+            cfg = ExperimentConfig(problem=problem, policies=[PolicyRun("SOE-1")], k=1000,
+                                   seeds=tuple(range(1, n_seeds + 1)))
+            tracemalloc.start()
+            try:
+                check_bounds(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        two, twelve = peak(2), peak(12)
+        assert twelve <= 1.5 * two, (two, twelve)
 
     def test_gap_bounds_skipped_without_exact_gap(self):
         # an affine problem on the whole space has no exact weak gap

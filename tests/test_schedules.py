@@ -19,7 +19,7 @@ class TestLinearRatePolicy:
 
     def test_values_at_L1_mu1_t3(self):
         g, lam, th = S.OEGsmviSchedule(1.0, 1.0).triple(3)
-        assert (g, lam, th) == (0.5, 0.5, 8.0)
+        assert (g, lam, th) == pytest.approx((0.5, 0.5, 8.0), rel=1e-15)
 
     def test_small_mu_limit(self):
         g, lam, th = S.OEGsmviSchedule(1.0, 1e-12).triple(5)

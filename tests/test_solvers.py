@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 
 from oevi.geometry import FullSpace, analytic_center, bregman
-from oevi.problems import AffineSpec, affine_problem, traffic_generate
+from oevi.problems import AffineSpec, affine_problem, glm_generate, traffic_generate
 from oevi import schedules as S
 from oevi.solvers import (
     OE_MVI_AVERAGE,
     SBOE_MVI_AVERAGE,
     SOE_MVI_TAIL_AVERAGE,
+    RunConfig,
     Trajectory,
     _iteration_streams,
     iteration_rng,
     oe_run,
     output_rng,
+    run,
     sa_run,
     sboe_run,
     select_best_movement,
@@ -394,8 +396,6 @@ class TestMergedStep:
 
     @pytest.mark.parametrize("name", ["SOE-1", "SOE-2", "SOE-3", "SOE-4", "SA"])
     def test_oracle_policy_without_oracle_is_the_exact_run(self, name):
-        from oevi.solvers import RunConfig, run
-
         p = traffic_generate(10, 5, 0.5, seed=2)
         assert p.oracle is None
         c = p.constants
@@ -412,8 +412,6 @@ class TestMergedStep:
 class TestRunDispatcher:
     @pytest.mark.parametrize("name", S.POLICY_NAMES)
     def test_dispatch_by_schedule_family(self, name):
-        from oevi.solvers import RunConfig, run
-
         p = traffic_generate(10, 5, 0.5, seed=31)
         import dataclasses
 
@@ -432,9 +430,23 @@ class TestRunDispatcher:
             S.POLICIES[name].source
         ]
 
-    def test_config_invariants(self):
-        from oevi.solvers import RunConfig
+    @pytest.mark.parametrize("make,name,call", [
+        (lambda: scalar_problem(noise=1.0), "SOE-1",  # noisy affine
+         lambda *args: soe_run(*args, 10, 1, batch=0)),
+        (lambda: traffic_generate(10, 5, 0.5, seed=2), "SOE-1",  # no oracle
+         lambda *args: run(*args, RunConfig("SOE-1", 10, 1, batch=0))),
+        (lambda: glm_generate(5, "hinge", 2.0, 0.1, seed=3), "SA",
+         lambda *args: sa_run(*args, 10, 1, batch=0)),
+    ])
+    def test_batch_below_one_rejected(self, make, name, call):
+        problem, calls = counting_problem(make())
+        c = problem.constants
+        schedule = S.make_schedule(name, L=c.L, mu=c.mu, sigma=1.0, k=10)
+        with pytest.raises(ValueError, match="batch size must be >= 1, got 0"):
+            call(problem, schedule, analytic_center(problem.set))
+        assert calls["n"] == 0
 
+    def test_config_invariants(self):
         with pytest.raises(ValueError):
             RunConfig(policy="x", k=0)
         for ts in ([0, 11], [-1, 4]):
