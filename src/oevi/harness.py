@@ -17,7 +17,12 @@ a run per seed.  With ``timing = true`` those CSVs repeat the one run's
 ``check_bounds`` groups seeds by the same rule (``_seed_groups``), but runs
 serially and lazily: each check reads its policy's (seed, trajectory) stream
 in one pass, so at most two trajectories are held (the one read and the one
-being made) whatever the seed count, and a skipped check runs nothing.
+being made) whatever the seed count, and a skipped check runs nothing.  Only
+the residual-certificate checks (OE-GMVI, SOE-4) keep operator values.
+
+A canned suite is a list of studies (output subdirectory, problem, policy
+names, batch, k).  Every study is built, and so checked, before one loop
+makes the output directory and runs each study through ``run_experiment``.
 
 Trajectory CSV schema (one file per (policy, seed)):
     run_id, policy, seed, t, gamma, lambda, theta, V_to_solution,
@@ -600,6 +605,22 @@ class SuiteReport:
 TIMING_MIN_SIZE = 500  # below this, per-iteration cost is overhead-dominated
 
 
+def _run_studies(output: Path, seeds, studies) -> list[dict[str, AggregateResult]]:
+    """Run a suite's studies in order and return each one's aggregates.
+
+    A study is (output subdirectory, problem, policy names, batch, k).  Every
+    study's config is built, and so checked, before the output directory is
+    made or any run starts; a suite with no study raises ``ConfigError``.
+    """
+    configs = [ExperimentConfig(problem=problem, k=k, seeds=tuple(seeds), output=output / sub,
+                                policies=[PolicyRun(name, batch=batch) for name in names])
+               for sub, problem, names, batch, k in studies]
+    if not configs:
+        raise ConfigError("the suite has no study")
+    output.mkdir(parents=True, exist_ok=True)
+    return [run_experiment(config) for config in configs]
+
+
 def suite_traffic(
     sizes=(200, 500, 1000),
     d_minus: float = 0.005,
@@ -617,64 +638,48 @@ def suite_traffic(
     is cheaper per iteration at the largest size (skipped below n = 500 where
     interpreter overhead dominates) and that the deterministic run reaches
     the contraction implied by its linear-rate guarantee.  An empty size
-    list, a size that is not a positive multiple of ``blocks``, ``k < 1`` or
-    seeds that are repeated or empty raise ``ConfigError`` before any work.
+    list, ``blocks < 1``, a size that is not a positive multiple of
+    ``blocks``, ``k < 1`` or seeds that are repeated or empty raise
+    ``ConfigError`` before any instance is generated; a bad ``d_minus``
+    raises ``ValueError`` before any output is written.
     """
-    if not sizes or any(n <= 0 or n % blocks for n in sizes):
+    if blocks < 1 or not sizes or any(n <= 0 or n % blocks for n in sizes):
         raise ConfigError(f"traffic sizes must be a nonempty list of positive multiples "
                           f"of the block count {blocks}, got {tuple(sizes)}")
     _check_budget(1 if k is None else k, tuple(seeds))
-    report = SuiteReport("traffic")
     output = Path(output)
-    output.mkdir(parents=True, exist_ok=True)
-    timing_rows = []
-    for n in sizes:
-        problem = ensure_reference(traffic_generate(n, blocks, d_minus, seed=10_000 + n))
+    problems = [traffic_generate(n, blocks, d_minus, seed=10_000 + n) for n in sizes]
+    # iteration count at which the linear-rate bound certifies a 1e-6
+    # relative error: (L/mu) (L/(L+mu))^(k-1) <= 1e-6
+    k_stars = [math.ceil(math.log(1e6 * (c.L / c.mu)) / math.log1p(c.mu / c.L)) + 1
+               for c in (problem.constants for problem in problems)]
+    ks = k_stars if k is None else [k] * len(sizes)
+    results = _run_studies(output, seeds, [
+        (f"n{n}", problem, ("OE-GSMVI", "SBOE-GSMVI"), None, k_n)
+        for n, problem, k_n in zip(sizes, problems, ks)])
+    report = SuiteReport("traffic")
+    for n, problem, k_star, k_n, aggs in zip(sizes, problems, k_stars, ks, results):
+        if n != max(sizes):
+            continue
         c = problem.constants
         cond = c.L / c.mu
-        # iteration count at which the linear-rate bound certifies a 1e-6
-        # relative error: (L/mu) (L/(L+mu))^(k-1) <= 1e-6
-        k_star = math.ceil(math.log(1e6 * cond) / math.log1p(c.mu / c.L)) + 1
-        k_n = k if k is not None else k_star
-        cfg = ExperimentConfig(
-            problem=problem,
-            policies=[PolicyRun("OE-GSMVI"), PolicyRun("SBOE-GSMVI")],
-            k=k_n,
-            seeds=tuple(seeds),
-            output=output / f"n{n}",
-            compute_reference=False,
-        )
-        aggs = run_experiment(cfg)
-        timing_rows.append(
-            (n, aggs["OE-GSMVI"].mean_step_time_ns, aggs["SBOE-GSMVI"].mean_step_time_ns)
-        )
-        if n == max(sizes):
-            report.record(f"n={n}: mu > 0", c.mu > 0, f"mu={c.mu:.4g}")
-            if n >= 1000:
-                # ill-conditioning shows up at benchmark scale with the
-                # default perturbation level
-                report.record(f"n={n}: L/mu > 100", cond > 100, f"L/mu={cond:.4g}")
-            if k_n >= k_star:
-                oe = aggs["OE-GSMVI"]
-                v_final = oe.mean["V_to_solution"][-1]
-                v_init = oe.mean["V_to_solution"][0]
-                ok = v_final <= 1e-6 * v_init
-                report.record(
-                    f"n={n}: OE error below 1e-6 x initial at k={k_n}",
-                    ok,
-                    f"ratio={v_final / v_init:.3e}",
-                )
-    lines = ["n,oe_ns_per_iter,sboe_ns_per_iter"]
-    for n, oe_ns, sboe_ns in timing_rows:
-        lines.append(f"{n},{_fmt(oe_ns)},{_fmt(sboe_ns)}")
-    _write_lines(output / "timing.csv", lines)
+        report.record(f"n={n}: mu > 0", c.mu > 0, f"mu={c.mu:.4g}")
+        if n >= 1000:
+            # ill-conditioning shows up at benchmark scale with the
+            # default perturbation level
+            report.record(f"n={n}: L/mu > 100", cond > 100, f"L/mu={cond:.4g}")
+        if k_n >= k_star:
+            v = aggs["OE-GSMVI"].mean["V_to_solution"]
+            report.record(f"n={n}: OE error below 1e-6 x initial at k={k_n}",
+                          v[-1] <= 1e-6 * v[0], f"ratio={v[-1] / v[0]:.3e}")
+    timing_rows = [(n, aggs["OE-GSMVI"].mean_step_time_ns, aggs["SBOE-GSMVI"].mean_step_time_ns)
+                   for n, aggs in zip(sizes, results)]
+    _write_lines(output / "timing.csv", ["n,oe_ns_per_iter,sboe_ns_per_iter"] + [
+        f"{n},{_fmt(oe_ns)},{_fmt(sboe_ns)}" for n, oe_ns, sboe_ns in timing_rows])
     n_big, oe_ns, sboe_ns = timing_rows[-1]
     if n_big >= TIMING_MIN_SIZE:
-        report.record(
-            f"n={n_big}: block iteration cheaper than full iteration",
-            sboe_ns < oe_ns,
-            f"sboe={sboe_ns:.0f}ns oe={oe_ns:.0f}ns",
-        )
+        report.record(f"n={n_big}: block iteration cheaper than full iteration",
+                      sboe_ns < oe_ns, f"sboe={sboe_ns:.0f}ns oe={oe_ns:.0f}ns")
     return report
 
 
@@ -703,77 +708,45 @@ def suite_glm(
     iterations.  The assertion is calibrated for the default budget (the
     classic baseline eventually recovers, so very large k closes the gap).
     An unknown link, ``n < 1``, ``k < 1`` or seeds that are repeated or empty
-    raise ``ConfigError`` before any work.
+    raise ``ConfigError`` before any instance is generated; ``restart_k < 1``,
+    an empty grid or a bad grid value raise before any output is written.
     """
     if link not in ("hinge", "ramp"):
         raise ConfigError(f"unknown link {link!r}")
     if n < 1:
         raise ConfigError("n must be >= 1")
     _check_budget(k, tuple(seeds))
-    report = SuiteReport(f"glm-{link}")
     output = Path(output)
-    output.mkdir(parents=True, exist_ok=True)
-    if link == "hinge":
-        final_errors: dict[tuple[float, str], float] = {}
-        for d_minus in d_minus_grid:
-            problem = glm_generate(n, "hinge", R=100.0, sigma_y=1.0,
-                                   seed=20_000 + int(-math.log10(d_minus)), d_minus=d_minus)
-            cfg = ExperimentConfig(
-                problem=problem,
-                policies=[PolicyRun("SA", batch=100), PolicyRun("SA-RM", batch=100),
-                          PolicyRun("SOE-1", batch=100), PolicyRun("SOE-2", batch=100),
-                          PolicyRun("SOE-3", batch=100), PolicyRun("SOE-4", batch=100)],
-                k=k,
-                seeds=tuple(seeds),
-                output=output / f"hinge_dminus{d_minus:g}",
-                compute_reference=False,
-            )
-            aggs = run_experiment(cfg)
-            for name, agg in aggs.items():
-                final_errors[(d_minus, name)] = agg.mean["V_to_solution"][-1]
-        d_hard = min(d_minus_grid)
-        soe1 = final_errors[(d_hard, "SOE-1")]
-        sa = final_errors[(d_hard, "SA-RM")]
-        report.record(
-            f"d_minus={d_hard:g}: SOE-1 final error below classic SA",
-            soe1 < sa,
-            f"soe1={soe1:.3e} sa-rm={sa:.3e}",
-        )
-        # restart study: smaller noise, bigger batches, shorter horizon
-        for d_minus in d_minus_grid:
-            problem = glm_generate(n, "hinge", R=100.0, sigma_y=0.1,
-                                   seed=21_000 + int(-math.log10(d_minus)), d_minus=d_minus)
-            cfg = ExperimentConfig(
-                problem=problem,
-                policies=[PolicyRun("SA", batch=1000), PolicyRun("SOE-1", batch=1000),
-                          PolicyRun("SOE-3", batch=1000)],
-                k=restart_k,
-                seeds=tuple(seeds),
-                output=output / f"hinge_restart_dminus{d_minus:g}",
-                compute_reference=False,
-            )
-            run_experiment(cfg)
-    else:
-        mus = []
-        for R in radius_grid:
-            problem = glm_generate(n, "ramp", R=R, sigma_y=0.1, seed=22_000 + int(R))
-            mus.append(problem.constants.mu)
-            cfg = ExperimentConfig(
-                problem=problem,
-                policies=[PolicyRun("SA", batch=1000), PolicyRun("SOE-1", batch=1000),
-                          PolicyRun("SOE-2", batch=1000), PolicyRun("SOE-3", batch=1000),
-                          PolicyRun("SOE-4", batch=1000)],
-                k=k,
-                seeds=tuple(seeds),
-                output=output / f"ramp_R{R:g}",
-                compute_reference=False,
-            )
-            run_experiment(cfg)
-        report.record(
-            "mu positive and decreasing in R",
-            all(m > 0 for m in mus) and all(a > b for a, b in zip(mus, mus[1:])),
-            f"mus={['%.3e' % m for m in mus]}",
-        )
+    report = SuiteReport(f"glm-{link}")
+    if link == "ramp":
+        studies = [(f"ramp_R{R:g}", glm_generate(n, "ramp", R=R, sigma_y=0.1,
+                                                 seed=22_000 + int(R)),
+                    ("SA", "SOE-1", "SOE-2", "SOE-3", "SOE-4"), 1000, k) for R in radius_grid]
+        _run_studies(output, seeds, studies)
+        mus = [problem.constants.mu for _, problem, *_ in studies]
+        report.record("mu positive and decreasing in R",
+                      all(m > 0 for m in mus) and all(a > b for a, b in zip(mus, mus[1:])),
+                      f"mus={['%.3e' % m for m in mus]}")
+        return report
+    # the conditioning study, then the restart study: smaller noise, bigger
+    # batches, shorter horizon
+    studies = [(f"hinge_dminus{d:g}",
+                glm_generate(n, "hinge", R=100.0, sigma_y=1.0,
+                             seed=20_000 + int(-math.log10(d)), d_minus=d),
+                ("SA", "SA-RM", "SOE-1", "SOE-2", "SOE-3", "SOE-4"), 100, k)
+               for d in d_minus_grid]
+    studies += [(f"hinge_restart_dminus{d:g}",
+                 glm_generate(n, "hinge", R=100.0, sigma_y=0.1,
+                              seed=21_000 + int(-math.log10(d)), d_minus=d),
+                 ("SA", "SOE-1", "SOE-3"), 1000, restart_k)
+                for d in d_minus_grid]
+    results = _run_studies(output, seeds, studies)
+    d_hard = min(d_minus_grid)
+    hard = results[list(d_minus_grid).index(d_hard)]
+    soe1 = hard["SOE-1"].mean["V_to_solution"][-1]
+    sa = hard["SA-RM"].mean["V_to_solution"][-1]
+    report.record(f"d_minus={d_hard:g}: SOE-1 final error below classic SA",
+                  soe1 < sa, f"soe1={soe1:.3e} sa-rm={sa:.3e}")
     return report
 
 
@@ -930,11 +903,14 @@ BOUND_CHECKS = {
 }
 
 
-def _runs(policy: PolicyRun, schedule: Schedule, problem: VIProblem, x1, k: int, seeds):
+def _runs(policy: PolicyRun, schedule: Schedule, problem: VIProblem, x1, k: int, seeds,
+          checkpoints):
     """(seed, trajectory) for each seed in order, each run made when the stream
-    reaches it; a seed-free run is made once and paired with every seed."""
+    reaches it; a seed-free run is made once and paired with every seed.  The
+    runs keep the operator values ``RunConfig`` keeps for ``checkpoints``."""
     for group in _seed_groups(policy.name, problem, seeds):
-        traj = run(problem, schedule, x1, RunConfig(policy.name, k, group[0], policy.batch),
+        traj = run(problem, schedule, x1,
+                   RunConfig(policy.name, k, group[0], policy.batch, checkpoints=checkpoints),
                    recursive_affine=policy.recursive_affine)
         for seed in group:
             yield seed, traj
@@ -968,7 +944,10 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
             checks.append(BoundCheck(policy.name, "none", math.nan, math.nan, True,
                                      "no bound attached to this policy"))
             continue
-        runs = _runs(policy, schedule, problem, x1, config.k, config.seeds)
+        # only the residual-certificate checks read operator values, at an R
+        # known after the run; the other runs keep none
+        keep = None if check in (_check_oe_gmvi, _check_soe_4) else []
+        runs = _runs(policy, schedule, problem, x1, config.k, config.seeds, keep)
         checks.extend(check(policy, schedule, problem, runs, x1, config.k))
     return checks
 

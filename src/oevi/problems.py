@@ -5,6 +5,8 @@ demand simplices (the traffic-assignment family) and signal-estimation
 operators from generalized linear models over a centered ball (hinge and
 ramp-sigmoid links).  Each instance exposes an exact operator, a stochastic
 oracle where one exists, and analytic Lipschitz / monotonicity constants.
+Generators reject a size below 1 before any draw, and the JSON reader a
+document missing a key, with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class VIProblem:
     block_partition: Optional[tuple[int, ...]] = None
     affine: Optional["AffineSpec"] = None
     glm: Optional["GLMSpec"] = None
-    label: str = ""
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -149,7 +150,6 @@ def affine_problem(
     noise_sigma: float = 0.0,
     known_solution=None,
     block_partition=None,
-    label: str = "affine",
     seed: int | None = None,
 ) -> VIProblem:
     """Wrap affine data as a VIProblem.
@@ -180,7 +180,6 @@ def affine_problem(
         known_solution=sol,
         block_partition=None if block_partition is None else tuple(block_partition),
         affine=spec,
-        label=label,
         seed=seed,
     )
 
@@ -200,8 +199,13 @@ def traffic_generate(
     offset is b = 5 * ones.  Arcs are split into ``num_od`` equal blocks with
     unit demands unless ``demands`` is given.  The construction is strongly
     monotone for d_minus >= 1e-3; instances that come out non-monotone are
-    rejected.
+    rejected, and ``n < 1`` or ``num_od < 1`` raise ``ValueError`` before any
+    draw.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if num_od < 1:
+        raise ValueError(f"the block count num_od must be >= 1, got {num_od}")
     if not (0 < d_minus <= 1):
         raise ValueError("d_minus must lie in (0, 1]")
     if n % num_od != 0:
@@ -218,9 +222,7 @@ def traffic_generate(
         demands = (1.0,) * num_od
     fs = SimplexProduct(block_sizes, demands)
 
-    problem = affine_problem(
-        spec, fs, block_partition=block_sizes, label=f"traffic-n{n}", seed=seed
-    )
+    problem = affine_problem(spec, fs, block_partition=block_sizes, seed=seed)
     if problem.constants.mu <= 0:
         raise ValueError(
             f"traffic instance came out non-monotone (mu = {problem.constants.mu}); "
@@ -427,7 +429,6 @@ def glm_problem(spec: GLMSpec, *, seed: int | None = None) -> VIProblem:
         oracle=lambda x, rng, m=1, _s=spec: glm_oracle(_s, x, rng, m),
         known_solution=spec.x_star.copy(),
         glm=spec,
-        label=f"glm-{spec.link}-n{spec.dim}",
         seed=seed,
     )
 
@@ -508,6 +509,13 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
 PROBLEM_JSON_FORMAT = 1
 
 
+class _Doc(dict):
+    """A JSON object whose missing keys raise ``ValueError``, not ``KeyError``."""
+
+    def __missing__(self, key):
+        raise ValueError(f"problem JSON lacks the key {key!r}")
+
+
 def problem_to_json(problem: VIProblem) -> str:
     """Serialize a problem to the documented JSON form (matrices row-major).
 
@@ -556,9 +564,10 @@ def problem_from_json(text: str) -> VIProblem:
     """Rebuild a problem from its JSON form (inverse of problem_to_json).
 
     A document of another format version raises ``ValueError``; one without
-    "format" predates the key and reads as format 1.
+    "format" predates the key and reads as format 1.  A document that lacks
+    a key its kind or set needs raises ``ValueError`` naming the key.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, object_hook=_Doc)
     fmt = doc.get("format", PROBLEM_JSON_FORMAT)
     if fmt != PROBLEM_JSON_FORMAT or isinstance(fmt, bool):
         raise ValueError(f"unsupported problem JSON format {fmt!r} "

@@ -60,6 +60,12 @@ class ScheduleTable:
     batch: np.ndarray
     epoch_start: np.ndarray
 
+    def theta(self, t: int) -> float:
+        """theta_t = exp(log theta_t), or inf once log theta_t exceeds 700
+        (exp overflows a double just below 710)."""
+        lt = float(self.log_theta[t])
+        return math.inf if lt > 700.0 else math.exp(lt)
+
 
 class Schedule:
     """Base class: a named policy with scalar and vectorized evaluation."""
@@ -79,7 +85,7 @@ class Schedule:
     def triple(self, t: int) -> tuple[float, float, float]:
         """(gamma_t, lambda_t, theta_t) for a single iteration t >= 1."""
         tab = self.table(t)
-        return float(tab.gamma[t]), float(tab.lam[t]), float(math.exp(tab.log_theta[t]))
+        return float(tab.gamma[t]), float(tab.lam[t]), tab.theta(t)
 
     def table(self, k: int) -> ScheduleTable:
         raise NotImplementedError

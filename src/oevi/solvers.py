@@ -142,11 +142,6 @@ class Trajectory:
         return int(self.batch_sizes[: t + 1].sum())
 
 
-def _table_theta(tab, t: int) -> float:
-    lt = float(tab.log_theta[t])
-    return math.inf if lt > 700.0 else math.exp(lt)
-
-
 def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | None,
              source: str, *, batch: int | None = None, recursive_affine: bool = True,
              checkpoints: Sequence[int] | None = None) -> Trajectory:
@@ -192,7 +187,7 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     traj = Trajectory(
         policy=schedule.name, xs=np.empty((k + 2, n)), ops={}, movement_sq=np.zeros(k + 1),
         gammas=np.r_[np.nan, tab.gamma[1:]], lams=np.r_[np.nan, tab.lam[1:]],
-        thetas=np.array([np.nan] + [_table_theta(tab, t) for t in range(1, k + 1)]),
+        thetas=np.array([np.nan] + [tab.theta(t) for t in range(1, k + 1)]),
         batch_sizes=batch_sizes, step_time_ns=np.zeros(k + 1, dtype=np.int64),
         oracle_calls=int(batch_sizes.sum()), block_index=np.r_[-1, drawn] if blocks else None,
         num_blocks=len(slices), seed=None if source == "exact" else seed,

@@ -2,6 +2,7 @@
 determinism, aggregation consistency, bound checks, and the CLI surface."""
 
 import dataclasses
+import json
 import logging
 import math
 import struct
@@ -624,6 +625,26 @@ class TestCheckBounds:
         assert all(c.passed for c in checks)
 
 
+class TestCheckRunMemory:
+    def test_only_certificate_checks_keep_operator_values(self, monkeypatch):
+        trajs = {}
+        engine = harness.run
+
+        def recorded(problem, schedule, x1, config, **kwargs):
+            traj = engine(problem, schedule, x1, config, **kwargs)
+            trajs[config.policy] = traj
+            return traj
+
+        monkeypatch.setattr(harness, "run", recorded)
+        cfg = ExperimentConfig(problem=ensure_reference(tiny_problem()), k=40, seeds=(1,),
+                               policies=[PolicyRun("OE-GSMVI"), PolicyRun("OE-GMVI"),
+                                         PolicyRun("SOE-1")])
+        checks = check_bounds(cfg)
+        assert [c.policy for c in checks] == ["OE-GSMVI", "OE-GMVI", "OE-GMVI", "SOE-1"]
+        assert trajs["OE-GSMVI"].ops == {} and trajs["SOE-1"].ops == {}
+        assert sorted(trajs["OE-GMVI"].ops) == list(range(41))
+
+
 class TestSuites:
     def test_traffic_suite_tiny(self, tmp_path):
         report = suite_traffic(sizes=(20, 40), d_minus=0.5, seeds=(1, 2), k=60,
@@ -666,9 +687,26 @@ class TestSuites:
             suite_glm(link, **{"n": 10, "k": 5, **kwargs}, output=out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite, kwargs, match", [
+        (suite_glm, dict(link="hinge", n=10, restart_k=0), "k must be >= 1"),
+        (suite_glm, dict(link="hinge", n=10, d_minus_grid=()), "the suite has no study"),
+        (suite_glm, dict(link="ramp", n=10, radius_grid=()), "the suite has no study"),
+        (suite_traffic, dict(sizes=(10,), d_minus=2), "d_minus must lie in"),
+    ], ids=["hinge-restart-k0", "hinge-no-grid", "ramp-no-grid", "traffic-d-minus-2"])
+    def test_bad_study_raises_before_any_work(self, tmp_path, monkeypatch, suite, kwargs,
+                                              match):
+        # every study is built, and so checked, before a directory or a run
+        seeds = count_engine_calls(monkeypatch)
+        out = tmp_path / "suite"
+        with pytest.raises(ValueError, match=match):
+            suite(**kwargs, seeds=(1,), k=5, output=out)
+        assert not out.exists()
+        assert seeds == []
+
     @pytest.mark.parametrize("kwargs, match", [
         (dict(k=0), "k must be >= 1"), (dict(seeds=(1, 1)), "seeds must be distinct"),
-    ], ids=["k0", "repeated-seeds"])
+        (dict(blocks=0), "block count 0"),
+    ], ids=["k0", "repeated-seeds", "blocks0"])
     def test_traffic_suite_bad_input_leaves_no_directory(self, tmp_path, monkeypatch,
                                                          kwargs, match):
         def no_instance(*args, **kwargs):
@@ -745,6 +783,34 @@ class TestCli:
         captured = capsys.readouterr()
         assert "error: n must be >= 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "affine", "G": [[1.0]]}, "b"),
+        ({"kind": "glm", "A": [[1.0]], "x_star": [1.0], "R": 1.0, "link": "hinge"},
+         "sigma_y"),
+        ({"kind": "affine", "G": [[1.0]], "b": [0.0], "set": "ball", "center": [0.0]},
+         "radius"),
+    ], ids=["affine-no-b", "glm-no-sigma_y", "ball-no-radius"])
+    def test_json_problem_missing_key(self, tmp_path, capsys, doc, key):
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n\n"
+                        "[run]\nk = 5\n\n[policy:OE-GSMVI]\n")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: problem JSON lacks the key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, bad, message", [
+        ("blocks = 5", "blocks = 0", "the block count num_od must be >= 1, got 0"),
+        ("n = 10", "n = -5", "n must be >= 1, got -5"),
+    ], ids=["blocks0", "n-negative"])
+    def test_traffic_sizes_checked(self, tmp_path, capsys, line, bad, message):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace(line, bad))
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"

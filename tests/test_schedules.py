@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from oevi import schedules as S
+from oevi.geometry import analytic_center
+from oevi.problems import traffic_generate
+from oevi.solvers import oe_run
 
 
 class TestLinearRatePolicy:
@@ -20,6 +23,15 @@ class TestLinearRatePolicy:
     def test_values_at_L1_mu1_t3(self):
         g, lam, th = S.OEGsmviSchedule(1.0, 1.0).triple(3)
         assert (g, lam, th) == pytest.approx((0.5, 0.5, 8.0), rel=1e-15)
+
+    @pytest.mark.parametrize("t", [500, 1100])  # log theta_t = t log 2: 347, 762
+    def test_theta_matches_run(self, t):
+        # triple and a run read theta through one rule: inf once log theta > 700
+        schedule = S.OEGsmviSchedule(1.0, 1.0)
+        problem = traffic_generate(10, 5, 0.5, seed=1)
+        traj = oe_run(problem, schedule, analytic_center(problem.set), t)
+        assert schedule.triple(t)[2] == traj.thetas[t]
+        assert math.isfinite(traj.thetas[t]) == (t == 500)
 
     def test_small_mu_limit(self):
         g, lam, th = S.OEGsmviSchedule(1.0, 1e-12).triple(5)
