@@ -18,6 +18,11 @@ difference, so byte identity between two checkouts is:
     python3 scripts/golden_csvs.py /tmp/golden-a --src ../other/src > a.txt
     python3 scripts/golden_csvs.py /tmp/golden-b --compare a.txt
 
+With ``--against OLD_OUTDIR`` as well (the directory that wrote MANIFEST),
+each changed entry is followed by its drift: for a CSV, the largest relative
+change |new - old| / |old| of every column that moved; for any other file,
+the lines that differ.
+
 The whole set took 109-155 s over two runs on a 2-core host with
 OPENBLAS_NUM_THREADS=1.
 """
@@ -25,7 +30,10 @@ OPENBLAS_NUM_THREADS=1.
 from __future__ import annotations
 
 import argparse
+import csv
+import difflib
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -94,6 +102,48 @@ def compare(lines: list[str], reference: list[str]) -> list[str]:
     return diffs
 
 
+def _relative_change(new: str, old: str) -> float | None:
+    """|new - old| / |old| of two CSV cells, 0 for equal text, None when
+    either cell is not a number."""
+    if new == old:
+        return 0.0
+    try:
+        a, b = float(new), float(old)
+    except ValueError:
+        return None
+    if a == b:
+        return 0.0
+    return abs(a - b) / abs(b) if b else math.inf
+
+
+def csv_drift(new_path: Path, old_path: Path) -> list[str]:
+    """One line per CSV column that moved: its largest relative change, or
+    how many of its cells changed text when a changed cell is not a number."""
+    with open(new_path, newline="") as f:
+        new = list(csv.reader(f))
+    with open(old_path, newline="") as f:
+        old = list(csv.reader(f))
+    if not new or not old or new[0] != old[0] or len(new) != len(old):
+        return [f"header or row count differs ({len(new)} vs {len(old)} rows)"]
+    lines = []
+    for col, name in enumerate(new[0]):
+        changes = [_relative_change(a[col], b[col]) for a, b in zip(new[1:], old[1:])]
+        if any(c is None for c in changes):
+            lines.append(f"{name}: {sum(c != 0.0 for c in changes)} cells changed text")
+        elif max(changes, default=0.0) > 0.0:
+            lines.append(f"{name}: largest relative change {max(changes):.3g}")
+    return lines
+
+
+def drift(new_path: Path, old_path: Path) -> list[str]:
+    """How one changed entry differs from its old version."""
+    if new_path.suffix == ".csv":
+        return csv_drift(new_path, old_path)
+    diff = difflib.unified_diff(old_path.read_text().splitlines(),
+                                new_path.read_text().splitlines(), lineterm="", n=0)
+    return [line for line in diff if line[:3] not in ("---", "+++") and line[:2] != "@@"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("outdir", type=Path)
@@ -101,7 +151,12 @@ def main(argv=None) -> int:
                         help="directory holding the oevi package (default: this checkout's src)")
     parser.add_argument("--compare", type=Path, metavar="MANIFEST",
                         help="print the differences from MANIFEST; exit 1 if there are any")
+    parser.add_argument("--against", type=Path, metavar="OLD_OUTDIR",
+                        help="with --compare: the output directory MANIFEST was written "
+                             "from; print each changed entry's drift")
     args = parser.parse_args(argv)
+    if args.against is not None and args.compare is None:
+        parser.error("--against needs --compare")
     reference = args.compare.read_text().splitlines() if args.compare else None
     outdir, src = args.outdir.resolve(), args.src.resolve()
     outdir.mkdir(parents=True, exist_ok=True)
@@ -121,6 +176,10 @@ def main(argv=None) -> int:
     diffs = compare(lines, reference)
     for line in diffs:
         print(line)
+        status, path = line.split(maxsplit=1)
+        if args.against is not None and status == "changed":
+            for detail in drift(outdir / path, args.against / path):
+                print(f"    {detail}")
     print(f"{len(diffs)} entries differ from {args.compare} ({len(lines)} written)")
     return 1 if diffs else 0
 

@@ -610,13 +610,20 @@ def _run_studies(output: Path, seeds, studies) -> list[dict[str, AggregateResult
 
     A study is (output subdirectory, problem, policy names, batch, k).  Every
     study's config is built, and so checked, before the output directory is
-    made or any run starts; a suite with no study raises ``ConfigError``.
+    made or any run starts; a suite with no study, or two studies sharing a
+    subdirectory (a repeated grid value, or two that print alike), raises
+    ``ConfigError``.
     """
     configs = [ExperimentConfig(problem=problem, k=k, seeds=tuple(seeds), output=output / sub,
                                 policies=[PolicyRun(name, batch=batch) for name in names])
                for sub, problem, names, batch, k in studies]
     if not configs:
         raise ConfigError("the suite has no study")
+    subs = [sub for sub, *_ in studies]
+    for sub in subs:
+        if subs.count(sub) > 1:
+            raise ConfigError(f"two studies share the output subdirectory {sub!r}: "
+                              "a grid value is repeated or prints like another")
     output.mkdir(parents=True, exist_ok=True)
     return [run_experiment(config) for config in configs]
 
@@ -638,14 +645,15 @@ def suite_traffic(
     is cheaper per iteration at the largest size (skipped below n = 500 where
     interpreter overhead dominates) and that the deterministic run reaches
     the contraction implied by its linear-rate guarantee.  An empty size
-    list, ``blocks < 1``, a size that is not a positive multiple of
-    ``blocks``, ``k < 1`` or seeds that are repeated or empty raise
-    ``ConfigError`` before any instance is generated; a bad ``d_minus``
+    list, a repeated size, ``blocks < 1``, a size that is not a positive
+    multiple of ``blocks``, ``k < 1`` or seeds that are repeated or empty
+    raise ``ConfigError`` before any instance is generated; a bad ``d_minus``
     raises ``ValueError`` before any output is written.
     """
-    if blocks < 1 or not sizes or any(n <= 0 or n % blocks for n in sizes):
+    if (blocks < 1 or not sizes or len(set(sizes)) < len(sizes)
+            or any(n <= 0 or n % blocks for n in sizes)):
         raise ConfigError(f"traffic sizes must be a nonempty list of positive multiples "
-                          f"of the block count {blocks}, got {tuple(sizes)}")
+                          f"of the block count {blocks} without repeats, got {tuple(sizes)}")
     _check_budget(1 if k is None else k, tuple(seeds))
     output = Path(output)
     problems = [traffic_generate(n, blocks, d_minus, seed=10_000 + n) for n in sizes]

@@ -6,7 +6,7 @@ operators from generalized linear models over a centered ball (hinge and
 ramp-sigmoid links).  Each instance exposes an exact operator, a stochastic
 oracle where one exists, and analytic Lipschitz / monotonicity constants.
 Generators reject a size below 1 before any draw, and the JSON reader a
-document missing a key, with ``ValueError``.
+document that is not an object or misses a key, with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -121,13 +121,45 @@ def affine_eval(spec: AffineSpec, y) -> np.ndarray:
     return spec.G @ yv + spec.b
 
 
+# rows per panel of a Gram matrix: one full-size product leaves a larger BLAS
+# buffer resident for the rest of the process
+_GRAM_PANEL = 100
+
+
+def _sigma_max(M: np.ndarray) -> float:
+    """Largest singular value of M, the square root of the largest eigenvalue
+    of the smaller Gram matrix (M M^T or M^T M) by ``eigvalsh``.
+
+    Only the Gram's lower triangle, the part ``eigvalsh`` reads, is formed, in
+    row panels of ``_GRAM_PANEL`` rows.  An M whose largest entry lies outside
+    [2^-400, 2^400] is first rescaled by a power of two, exactly, so that the
+    Gram neither overflows nor underflows.  The dense eigensolve is accurate
+    to round-off on either side; power or Lanczos iteration would be cheaper
+    but approaches sigma_max from below, which is unsafe for stepsizes built
+    as 1/L.
+    """
+    if M.shape[0] > M.shape[1]:
+        M = M.T
+    amax = max(float(M.max()), -float(M.min()))
+    shift = 0 if 2.0**-400 < amax < 2.0**400 else math.frexp(amax)[1]
+    if shift:
+        M = np.ldexp(M, -shift)
+    m = M.shape[0]
+    gram = np.zeros((m, m))
+    for i in range(0, m, _GRAM_PANEL):
+        j = min(i + _GRAM_PANEL, m)
+        np.matmul(M[i:j], M[:j].T, out=gram[i:j, :j])
+    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), shift)
+
+
 def affine_constants(spec: AffineSpec) -> tuple[float, float]:
     """(L, mu) for an affine operator: L = sigma_max(G), mu = lambda_min(G + G^T)/2.
 
-    mu is clamped at 0 (with a warning) when G + G^T has a negative eigenvalue,
-    i.e. the instance is not monotone.
+    L comes from the largest eigenvalue of G G^T (``_sigma_max``), which costs
+    about half of a full SVD; mu is clamped at 0 (with a warning) when
+    G + G^T has a negative eigenvalue, i.e. the instance is not monotone.
     """
-    L = float(np.linalg.norm(spec.G, 2))
+    L = _sigma_max(spec.G)
     mu_raw = 0.5 * spec.spectrum[0]
     if mu_raw < 0:
         warnings.warn(
@@ -138,9 +170,10 @@ def affine_constants(spec: AffineSpec) -> tuple[float, float]:
 
 
 def block_lipschitz(spec: AffineSpec, block_partition) -> float:
-    """Largest per-block Lipschitz constant: max_i sigma_max of the block rows of G."""
-    return max(float(np.linalg.norm(spec.G[sl, :], 2))
-               for sl in partition_slices(block_partition, spec.dim))
+    """Largest per-block Lipschitz constant: max_i sigma_max of the block rows
+    of G, each from the eigenvalues of its b_i x b_i Gram G_i G_i^T
+    (``_sigma_max``), not from an SVD or power iteration."""
+    return max(_sigma_max(spec.G[sl, :]) for sl in partition_slices(block_partition, spec.dim))
 
 
 def affine_problem(
@@ -565,9 +598,12 @@ def problem_from_json(text: str) -> VIProblem:
 
     A document of another format version raises ``ValueError``; one without
     "format" predates the key and reads as format 1.  A document that lacks
-    a key its kind or set needs raises ``ValueError`` naming the key.
+    a key its kind or set needs, or that is not a JSON object, raises
+    ``ValueError``.
     """
     doc = json.loads(text, object_hook=_Doc)
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem JSON must be an object, got {type(doc).__name__}")
     fmt = doc.get("format", PROBLEM_JSON_FORMAT)
     if fmt != PROBLEM_JSON_FORMAT or isinstance(fmt, bool):
         raise ValueError(f"unsupported problem JSON format {fmt!r} "

@@ -458,23 +458,33 @@ class TestMetricInputs:
         assert all(row["gap_surrogate"] is not None for row in rows)
 
     def test_spectrum_computed_once(self, tmp_path, monkeypatch):
+        # L and Lbar come from eigensolves of Gram matrices too, so only the
+        # solves of G + G^T count as spectrum computations
         eigvalsh = np.linalg.eigvalsh
-        calls = []
+        solved = []
 
         def counted(a, *args, **kwargs):
-            calls.append(a.shape)
+            solved.append(np.array(a))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         problem = tiny_problem()
-        assert len(calls) == 1  # at construction, for mu
+        G = problem.affine.G
+
+        def spectrum_solves():
+            return sum(np.array_equal(a, G + G.T) for a in solved)
+
+        assert spectrum_solves() == 1  # at construction, for mu
+        built = len(solved)
         cfg = ExperimentConfig(
             problem=problem, policies=[PolicyRun("OE-MVI"), PolicyRun("SBOE-MVI")],
             k=10, seeds=(1, 2), output=tmp_path / "out", weak_gap=True,
         )
         aggs = run_experiment(cfg)
         assert aggs["OE-MVI"].mean["weak_gap_exact"][-1] is not None
-        assert len(calls) == 1
+        assert spectrum_solves() == 1
+        # the run may solve block Grams (2 x 2 here), never an n x n matrix
+        assert all(a.shape != G.shape for a in solved[built:])
 
 
 class TestConfigFile:
@@ -679,13 +689,18 @@ class TestSuites:
     @pytest.mark.parametrize("link, kwargs", [
         ("hinge", dict(n=0)), ("nosuch", dict(n=10)), ("hinge", dict(k=0)),
         ("hinge", dict(seeds=(1, 1))), ("ramp", dict(seeds=(1, 1))), ("ramp", dict(seeds=())),
+        ("hinge", dict(d_minus_grid=(0.1, 0.01, 0.1))), ("ramp", dict(radius_grid=(2.0, 2.0))),
+        ("ramp", dict(radius_grid=(2.0, 2.0000001))),
     ], ids=["hinge-0", "nosuch-10", "hinge-k0", "hinge-repeated-seeds", "ramp-repeated-seeds",
-            "ramp-no-seeds"])
-    def test_glm_suite_bad_input_leaves_no_directory(self, tmp_path, link, kwargs):
+            "ramp-no-seeds", "hinge-repeated-d-minus", "ramp-repeated-radius",
+            "ramp-radii-print-alike"])
+    def test_glm_suite_bad_input_leaves_no_directory(self, tmp_path, monkeypatch, link, kwargs):
+        seeds = count_engine_calls(monkeypatch)
         out = tmp_path / "glm"
         with pytest.raises(ConfigError):
             suite_glm(link, **{"n": 10, "k": 5, **kwargs}, output=out)
         assert not out.exists()
+        assert seeds == []
 
     @pytest.mark.parametrize("suite, kwargs, match", [
         (suite_glm, dict(link="hinge", n=10, restart_k=0), "k must be >= 1"),
@@ -705,8 +720,8 @@ class TestSuites:
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(k=0), "k must be >= 1"), (dict(seeds=(1, 1)), "seeds must be distinct"),
-        (dict(blocks=0), "block count 0"),
-    ], ids=["k0", "repeated-seeds", "blocks0"])
+        (dict(blocks=0), "block count 0"), (dict(sizes=(10, 20, 10)), "without repeats"),
+    ], ids=["k0", "repeated-seeds", "blocks0", "repeated-size"])
     def test_traffic_suite_bad_input_leaves_no_directory(self, tmp_path, monkeypatch,
                                                          kwargs, match):
         def no_instance(*args, **kwargs):
@@ -715,7 +730,7 @@ class TestSuites:
         monkeypatch.setattr(harness, "traffic_generate", no_instance)
         out = tmp_path / "traffic"
         with pytest.raises(ConfigError, match=match):
-            suite_traffic(sizes=(10,), **{"seeds": (1,), "k": 5, **kwargs}, output=out)
+            suite_traffic(**{"sizes": (10,), "seeds": (1,), "k": 5, **kwargs}, output=out)
         assert not out.exists()
 
 
@@ -746,8 +761,9 @@ class TestCli:
         assert "config error: k must be >= 1" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("sizes", [",", "200,0", "200,-5", "200,203"],
-                             ids=["empty", "zero", "negative", "not-a-block-multiple"])
+    @pytest.mark.parametrize("sizes", [",", "200,0", "200,-5", "200,203", "200,200"],
+                             ids=["empty", "zero", "negative", "not-a-block-multiple",
+                                  "repeated"])
     def test_suite_traffic_rejects_bad_sizes(self, tmp_path, capsys, sizes):
         out = tmp_path / "traffic"
         rc = cli.main(["suite", "traffic", "--sizes", sizes, "--output", str(out)])
@@ -799,6 +815,18 @@ class TestCli:
         assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: problem JSON lacks the key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, kind", [([1, 2], "list"), ("affine", "str"), (3, "int")],
+                             ids=["array", "string", "number"])
+    def test_json_problem_not_an_object(self, tmp_path, capsys, doc, kind):
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n\n"
+                        "[run]\nk = 5\n\n[policy:OE-GSMVI]\n")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: problem JSON must be an object, got {kind}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, bad, message", [

@@ -23,6 +23,7 @@ from oevi.geometry import (
 )
 from oevi.problems import (
     AffineSpec,
+    _sigma_max,
     GLMSpec,
     affine_constants,
     affine_eval,
@@ -138,6 +139,37 @@ class TestAffine:
         L = float(np.linalg.norm(G, 2))
         assert lbar <= L + 1e-12
         assert L <= math.sqrt(3) * lbar + 1e-12
+
+
+@st.composite
+def _matrices(draw):
+    """Tall, wide and square matrices: dense, rank-one or zero, with entries
+    scaled by 2^e for e across nearly the whole exponent range."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["dense", "rank-one", "zero"]))
+    entries = st.floats(-10.0, 10.0)
+    if kind == "dense":
+        M = draw(hnp.arrays(np.float64, (rows, cols), elements=entries))
+    elif kind == "rank-one":
+        M = np.outer(draw(hnp.arrays(np.float64, rows, elements=entries)),
+                     draw(hnp.arrays(np.float64, cols, elements=entries)))
+    else:
+        M = np.zeros((rows, cols))
+    return np.ldexp(M, draw(st.integers(-1000, 1000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_sigma_max_matches_svd(M):
+    assert _sigma_max(M) == pytest.approx(float(np.linalg.norm(M, 2)), rel=1e-12, abs=0.0)
+
+
+def test_traffic_constants_match_svd():
+    p = traffic_generate(100, 5, 0.05, seed=41)
+    G = p.affine.G
+    assert affine_constants(p.affine)[0] == pytest.approx(float(np.linalg.norm(G, 2)), rel=1e-12)
+    lbar = max(float(np.linalg.norm(G[sl, :], 2)) for sl in p.block_slices())
+    assert block_lipschitz(p.affine, p.block_partition) == pytest.approx(lbar, rel=1e-12)
 
 
 class TestTraffic:
