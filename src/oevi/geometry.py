@@ -56,7 +56,9 @@ class FeasibleSet:
     """Base class for constraint geometries: a set kind is one subclass.
 
     A kind implements ``contains`` (tolerant membership), ``project`` (exact
-    Euclidean projection) and, as far as its shape allows: ``support_min(c)``
+    Euclidean projection) and, as far as its shape allows: the projection
+    ``project_weighted(z, w)`` in the diagonal metric sum_i w_i (x_i - z_i)^2
+    (if ``has_weighted_projection``), ``support_min(c)``
     = argmin <c, x>, the start point ``analytic_center()``, the maxima
     ``bregman_diameter()`` and ``max_convex_quadratic(x1, alpha, l)`` =
     max alpha ||x - x1||^2 / 2 + <l, x> (by ``_max_quadratic``), whose
@@ -69,11 +71,15 @@ class FeasibleSet:
     dim: int
     bounded = True
     has_exact_residual = False
+    has_weighted_projection = False
 
     def contains(self, x) -> bool:
         raise NotImplementedError
 
     def project(self, z) -> np.ndarray:
+        raise NotImplementedError
+
+    def project_weighted(self, z, w) -> np.ndarray:
         raise NotImplementedError
 
     def support_min(self, c) -> np.ndarray:
@@ -221,6 +227,7 @@ class Box(FeasibleSet):
     """Axis-aligned box {x : lower <= x <= upper} (componentwise)."""
 
     kind = "box"
+    has_weighted_projection = True
 
     def __init__(self, lower, upper):
         self.lower = _vector(lower, name="lower")
@@ -238,6 +245,11 @@ class Box(FeasibleSet):
 
     def project(self, z) -> np.ndarray:
         return np.clip(_vector(z, self.dim, "z"), self.lower, self.upper)
+
+    def project_weighted(self, z, w) -> np.ndarray:
+        # separable: each coordinate clips whatever its weight
+        _vector(w, self.dim, "w")
+        return self.project(z)
 
     def support_min(self, c) -> np.ndarray:
         v = _vector(c, self.dim, "c")
@@ -271,6 +283,7 @@ class SimplexProduct(FeasibleSet):
     """Product of scaled simplices: block w satisfies sum(x_w) = d_w, x_w >= 0."""
 
     kind = "simplex"
+    has_weighted_projection = True
 
     def __init__(self, block_sizes, demands):
         self.block_sizes = tuple(int(s) for s in block_sizes)
@@ -301,6 +314,15 @@ class SimplexProduct(FeasibleSet):
         rows = np.full(self._row_mask.shape, -np.inf)
         rows[self._row_mask] = v
         return _project_rows(rows, self._demand_array)[self._row_mask]
+
+    def project_weighted(self, z, w) -> np.ndarray:
+        v = _vector(z, self.dim, "z")
+        wv = _vector(w, self.dim, "w")
+        rows = np.full(self._row_mask.shape, -np.inf)
+        rows[self._row_mask] = v
+        weights = np.ones(self._row_mask.shape)
+        weights[self._row_mask] = wv
+        return _project_rows_weighted(rows, weights, self._demand_array)[self._row_mask]
 
     def support_min(self, c) -> np.ndarray:
         v = _vector(c, self.dim, "c")
@@ -373,15 +395,46 @@ def _project_rows(rows: np.ndarray, demands: np.ndarray) -> np.ndarray:
     u = np.sort(rows, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
     css -= demands[:, None]
-    qualifies = u > css / np.arange(1, width + 1)
-    # rho is the largest index with u_j > (cumsum_j - d) / j.  With d > 0,
-    # j = 1 qualifies; a row where none does (d = 0) takes rho = 0, and
-    # marking j = 1 in every row gives that without moving any other rho.
-    qualifies[:, 0] = True
-    rho = width - 1 - np.argmax(qualifies[:, ::-1], axis=1)
+    rho = _support_size(u, css, np.arange(1, width + 1))
     tau = css[np.arange(num), rho] / (rho + 1.0)
     out = rows - tau[:, None]
     return np.maximum(out, 0.0, out=out)
+
+
+def _project_rows_weighted(rows: np.ndarray, weights: np.ndarray,
+                           demands: np.ndarray) -> np.ndarray:
+    """Project each row of ``rows`` onto its simplex in the metric
+    sum_i w_i (x_i - z_i)^2, for positive ``weights`` of the same shape.
+
+    The solution is x_i = max(0, z_i - tau / w_i), with tau the root of
+    sum_i x_i = d.  Sorting the breakpoints w_i z_i in decreasing order
+    picks the support as in ``_project_rows``, which is the case w = 1.
+    Padding is -inf in ``rows``, with any positive weight.
+    """
+    num, width = rows.shape
+    keys = weights * rows
+    order = np.argsort(keys, axis=1)[:, ::-1]
+    inv_w = np.take_along_axis(1.0 / weights, order, axis=1)
+    css = np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1)
+    css -= demands[:, None]
+    scale = np.cumsum(inv_w, axis=1)
+    rho = _support_size(np.take_along_axis(keys, order, axis=1), css, scale)
+    tau = css[np.arange(num), rho] / scale[np.arange(num), rho]
+    out = rows - tau[:, None] / weights
+    return np.maximum(out, 0.0, out=out)
+
+
+def _support_size(keys: np.ndarray, css: np.ndarray, scale) -> np.ndarray:
+    """Per row, rho: the largest index j with keys_j > css_j / scale_j, for
+    keys in decreasing order.
+
+    With d > 0, j = 1 qualifies; a row where none does (d = 0) takes
+    rho = 0, and marking j = 1 in every row gives that without moving any
+    other rho.
+    """
+    qualifies = keys > css / scale
+    qualifies[:, 0] = True
+    return keys.shape[1] - 1 - np.argmax(qualifies[:, ::-1], axis=1)
 
 
 def bregman(x, y) -> float:

@@ -90,15 +90,28 @@ def weak_gap_exact_affine(
     """Exact weak gap max_{x in X} <F(x), x_bar - x> for affine monotone F.
 
     The inner problem is a concave quadratic maximization, solved by FISTA
-    (Beck & Teboulle 2009) from x_bar with stepsize 1/lambda_max(G + G^T)
-    and the gradient adaptive restart of O'Donoghue & Candes (2015): the
-    momentum restarts whenever the projected gradient step x_new - y points
-    against the move x_new - x_prev.  It stops once the gradient-mapping
+    (Beck & Teboulle 2009) from x_bar with the gradient adaptive restart of
+    O'Donoghue & Candes (2015): the momentum restarts whenever the projected
+    gradient step x_new - y points against the move x_new - x_prev.  Each
+    step majorizes S = G + G^T by lambda_max(S) I (the Euclidean step
+    1/lambda_max(S)) or, on sets with ``has_weighted_projection`` (boxes,
+    simplex products) when ``AffineSpec.diag_metric`` picks it, by L_w W:
+    W = diag(S) floored at a fixed fraction of lambda_max(S), L_w the
+    Gershgorin bound on lambda_max(W^-1/2 S W^-1/2).  x_new is then the
+    W-projection of y + W^-1 grad phi(y) / L_w, and the restart test takes
+    the W inner product.  A constant diagonal keeps the Euclidean step, as
+    do balls.  Jacobi scaling is within a factor of the best diagonal
+    scaling (van der Sluis 1969); on traffic instances (n = 1000, d_minus =
+    0.005) it takes the condition number of S from about 200 to about 1.15.
+
+    In either metric the solve stops once the Euclidean gradient-mapping
     norm at the extrapolated point y, ||y - P_X(y + step grad phi(y))|| /
-    step, drops below ``inner_tol``, and returns the projected point as the
-    maximizer.  ``max_inner`` caps the number of FISTA steps (one projection
-    each); ``RuntimeError`` if they do not get there.  When the quadratic
-    part vanishes numerically (skew G), the inner problem is linear and is
+    step with step = 1/lambda_max(S), drops below ``inner_tol``, and
+    returns that projected point as the maximizer.  ``max_inner`` caps the
+    number of FISTA steps (one Euclidean projection each, and in the
+    diagonal metric one weighted projection per step that does not stop);
+    ``RuntimeError`` if they do not get there.  When the quadratic part
+    vanishes numerically (skew G), the inner problem is linear and is
     solved exactly through the support oracle.
     """
     spec = problem.affine
@@ -108,25 +121,34 @@ def weak_gap_exact_affine(
         raise ValueError("weak gap requires a bounded set")
     if not spec.monotone:
         raise ValueError("G + G^T is indefinite; the inner problem is not concave")
-    G, b = spec.G, spec.b
+    G, b, fs = spec.G, spec.b, problem.set
     xb = np.asarray(x_bar, dtype=float)
     lam_min, lam_max = spec.spectrum
 
     # objective phi(x) = <G x + b, x_bar - x>, gradient G^T x_bar - S x - b
     c = G.T @ xb - b
     if lam_max <= 1e-12 * max(abs(lam_min), abs(lam_max), 1.0):
-        x_opt = problem.set.support_min(-c)
+        x_opt = fs.support_min(-c)
     else:
         S = G + G.T
         step = 1.0 / lam_max
+        metric = spec.diag_metric if fs.has_weighted_projection else None
+        if metric is None:
+            w = 1.0
+        else:
+            w, L_w = metric
+            scale = 1.0 / (L_w * w)
         x = y = xb.copy()
         t = 1.0
         for _ in range(max_inner):
-            x_new = problem.set.project(y + step * (c - S @ y))
+            grad = c - S @ y
+            x_new = fs.project(y + step * grad)
             if float(np.linalg.norm(y - x_new)) / step <= inner_tol:
                 x = x_new
                 break
-            if float((x_new - y) @ (x_new - x)) < 0.0:
+            if metric is not None:
+                x_new = fs.project_weighted(y + scale * grad, w)
+            if float((w * (x_new - y)) @ (x_new - x)) < 0.0:
                 t = 1.0  # restart: the next y is x_new
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             y = x_new + ((t - 1.0) / t_next) * (x_new - x)

@@ -29,6 +29,9 @@ from .geometry import (
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# floor of the diagonal metric ``AffineSpec.diag_metric``, as a fraction of
+# lambda_max(G + G^T)
+_METRIC_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,31 @@ class AffineSpec:
         """(lambda_min, lambda_max) of G + G^T, computed on first use."""
         eigs = np.linalg.eigvalsh(self.G + self.G.T)
         return float(eigs[0]), float(eigs[-1])
+
+    @cached_property
+    def diag_metric(self) -> Optional[tuple[np.ndarray, float]]:
+        """(w, L_w), computed on first use: w is the diagonal of G + G^T
+        floored at ``_METRIC_FLOOR`` lambda_max(G + G^T), and L_w, the largest
+        row sum of |W^-1/2 (G + G^T) W^-1/2| for W = diag(w), bounds that
+        matrix's largest eigenvalue (Gershgorin).  The row sums are formed in
+        panels of ``_GRAM_PANEL`` rows, never as a whole n x n matrix.
+
+        Both L_w W and lambda_max I majorize G + G^T.  None unless L_w W has
+        the smaller determinant (L_w times the geometric mean of w below
+        lambda_max), so a constant w, or any w for which the other valid
+        bound lambda_max / min(w) is the smaller one (then L_w W >=
+        lambda_max I on every coordinate), gives None.
+        """
+        lam_max = self.spectrum[1]
+        w = np.maximum(2.0 * np.diagonal(self.G), _METRIC_FLOOR * lam_max)
+        r = 1.0 / np.sqrt(w)
+        rows = np.empty(self.dim)
+        for i in range(0, self.dim, _GRAM_PANEL):
+            j = min(i + _GRAM_PANEL, self.dim)
+            panel = self.G[i:j] + self.G[:, i:j].T
+            rows[i:j] = np.abs(panel, out=panel) @ r
+        L_w = float((rows * r).max())
+        return (w, L_w) if L_w * math.exp(float(np.log(w).mean())) < lam_max else None
 
     @property
     def monotone(self) -> bool:
@@ -244,9 +272,10 @@ def traffic_generate(
     if n % num_od != 0:
         raise ValueError("n must be divisible by num_od (equal block sizes)")
     rng = np.random.default_rng(seed)
-    g = np.linspace(d_minus, 1.0, n)
-    Ghat = rng.uniform(0.0, 1.0, size=(n, n))
-    G = np.diag(g) + d_minus * 1e-2 * Ghat
+    # G is built in place, so generation holds one n x n array
+    G = rng.uniform(0.0, 1.0, size=(n, n))
+    G *= d_minus * 1e-2
+    G.flat[:: n + 1] += np.linspace(d_minus, 1.0, n)
     b = 5.0 * np.ones(n)
     spec = AffineSpec(G=G, b=b)
 

@@ -68,7 +68,7 @@ class ScheduleTable:
 
 
 class Schedule:
-    """Base class: a named policy with scalar and vectorized evaluation."""
+    """Base class: a named policy, evaluated for t = 0..k by ``table(k)``."""
 
     name: str = ""
     conditions: tuple[str, ...] = ()
@@ -81,11 +81,6 @@ class Schedule:
     V1: float = math.nan
     b: int = 1
     Lbar: float = math.nan
-
-    def triple(self, t: int) -> tuple[float, float, float]:
-        """(gamma_t, lambda_t, theta_t) for a single iteration t >= 1."""
-        tab = self.table(t)
-        return float(tab.gamma[t]), float(tab.lam[t]), tab.theta(t)
 
     def table(self, k: int) -> ScheduleTable:
         raise NotImplementedError

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oevi
 from oevi.geometry import (
@@ -276,6 +279,74 @@ class TestSimplexProductProjection:
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out[3:], [0.0, 0.0])
         assert fs.contains(out)
+
+
+def weighted_threshold(z, w, d):
+    """Independent oracle: the tau with sum_i max(0, z_i - tau / w_i) = d,
+    by bisection between a tau where every term is at least d and one
+    where every term is 0 (with d = 0, the least such tau)."""
+    lo, hi = float((w * (z - d)).min()), float((w * z).max())
+    for _ in range(2000):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.maximum(z - mid / w, 0.0).sum() > d:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@st.composite
+def _weighted_projection_cases(draw):
+    """A ragged simplex product (size-1 blocks and zero demands included) or a
+    box, a point z, and positive weights w: constant, or spread over 10^+-1.5."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        cuts = draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set()
+        edges = [0, *sorted(cuts), n]
+        sizes = [hi - lo for lo, hi in zip(edges, edges[1:])]
+        demand = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+        fs = SimplexProduct(sizes, draw(st.lists(demand, min_size=len(sizes),
+                                                 max_size=len(sizes))))
+    else:
+        lower = draw(hnp.arrays(np.float64, n, elements=st.floats(-2.0, 0.0)))
+        fs = Box(lower, lower + draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 2.0))))
+    z = draw(hnp.arrays(np.float64, n, elements=st.floats(-5.0, 5.0)))
+    if draw(st.booleans()):
+        w = np.full(n, 10.0 ** draw(st.floats(-1.5, 1.5)))
+    else:
+        w = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-1.5, 1.5)))
+    return fs, z, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_projection_cases())
+def test_weighted_projection(case):
+    # argmin sum_i w_i (x_i - z_i)^2 over the set: feasible, of the KKT form
+    # x_i = max(0, z_i - tau_b / w_i) per simplex block (clipping on a box),
+    # and the Euclidean projection when w is constant
+    fs, z, w = case
+    x = fs.project_weighted(z, w)
+    assert fs.contains(x)
+    if type(fs) is Box:
+        assert x.tobytes() == np.clip(z, fs.lower, fs.upper).tobytes()
+    else:
+        for sl, d in zip(partition_slices(fs.block_sizes), fs.demands):
+            tau = weighted_threshold(z[sl], w[sl], d)
+            np.testing.assert_allclose(x[sl], np.maximum(z[sl] - tau / w[sl], 0.0),
+                                       rtol=0.0, atol=1e-10)
+    if np.all(w == w[0]):
+        np.testing.assert_allclose(x, fs.project(z), rtol=0.0, atol=1e-12)
+
+
+def test_weighted_projection_kinds():
+    # boxes and simplex products project in a diagonal metric; a ball does not
+    assert Box([0.0], [1.0]).has_weighted_projection
+    assert SimplexProduct([2], [1.0]).has_weighted_projection
+    assert not Ball([0.0], 1.0).has_weighted_projection
+    with pytest.raises(ValueError):
+        SimplexProduct([2], [1.0]).project_weighted([0.5, 0.5], [1.0])
 
 
 class TestLinearMinimize:

@@ -230,13 +230,42 @@ class TestWeakGapExact:
             weak_gap_exact_affine(p, x_bar, inner_tol=1e-12, max_inner=3)
 
     def test_inner_steps_on_skewed_point(self, monkeypatch):
-        # restarted FISTA needs about 200 projections here; 400 leaves twice that
+        # in the diagonal metric restarted FISTA takes 12 steps here (one
+        # Euclidean projection each), where the Euclidean metric took 208;
+        # 24 leaves twice that
         p, x_bar = skewed_traffic_point()
+        assert p.affine.diag_metric is not None
         calls = []
         project = p.set.project
         monkeypatch.setattr(p.set, "project", lambda z: calls.append(1) or project(z))
         assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) > 0.0
-        assert 0 < len(calls) <= 400
+        assert 0 < len(calls) <= 24
+
+    def test_constant_diagonal_takes_the_euclidean_steps(self, monkeypatch):
+        # diag(G + G^T) constant: the diagonal metric is not chosen, and were
+        # it forced, W L_w = lambda_max I makes its steps the Euclidean ones
+        rng = np.random.default_rng(0)
+        A = rng.normal(size=(50, 5))
+        M = A @ A.T
+        M /= np.sqrt(np.outer(np.diag(M), np.diag(M)))
+        np.fill_diagonal(M, 1.0)
+        B = rng.normal(size=(50, 50))
+        fs = SimplexProduct([10] * 5, [1.0] * 5)
+        G = 0.5 * M + 1e-3 * np.eye(50) + 0.3 * (B - B.T)
+        p = affine_problem(AffineSpec(G, rng.uniform(0.0, 1.0, 50)), fs)
+        x_bar = fs.project(3.0 * rng.normal(size=50))
+        assert p.affine.diag_metric is None
+        calls = []
+        project = fs.project
+        monkeypatch.setattr(fs, "project", lambda z: calls.append(1) or project(z))
+        euclidean = weak_gap_exact_affine(p, x_bar, inner_tol=1e-12)
+        steps = len(calls)
+        w0 = 2.0 * G[0, 0]
+        metric = (np.full(50, w0), p.affine.spectrum[1] / w0)
+        monkeypatch.setitem(vars(p.affine), "diag_metric", metric)
+        assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) == pytest.approx(euclidean,
+                                                                                 abs=1e-12)
+        assert steps == len(calls) - steps > 100  # 320 with OpenBLAS 0.3.31
 
     def test_nonaffine_rejected(self):
         import dataclasses

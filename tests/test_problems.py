@@ -4,6 +4,7 @@ mini-batching, reference solutions, and JSON round-trips."""
 import dataclasses
 import json
 import math
+import tracemalloc
 from contextlib import nullcontext as _nullcontext
 
 import numpy as np
@@ -131,6 +132,29 @@ class TestAffine:
             L, mu = affine_constants(AffineSpec(G, np.zeros(2)))
         assert mu == 0.0
 
+    @pytest.mark.parametrize("n", [3, 40, 250])
+    def test_diag_metric_bounds_the_scaled_spectrum(self, n):
+        # L_w >= lambda_max(W^-1/2 (G + G^T) W^-1/2), across row panels, and
+        # the metric is picked only when L_w W has the smaller determinant
+        rng = np.random.default_rng(n)
+        for scale in (0.0, 2.0, 6.0):
+            A = rng.normal(size=(n, n)) * np.exp(rng.uniform(-scale, scale, n))[:, None]
+            B = rng.normal(size=(n, n))
+            spec = AffineSpec(A @ A.T + B - B.T, np.zeros(n))
+            S = spec.G + spec.G.T
+            lam_max = spec.spectrum[1]
+            if spec.diag_metric is None:
+                w = np.maximum(np.diag(S), 1e-3 * lam_max)
+                assert float(np.abs(S / np.sqrt(np.outer(w, w))).sum(axis=1).max()) * \
+                    math.exp(float(np.log(w).mean())) >= lam_max
+                continue
+            w, L_w = spec.diag_metric
+            np.testing.assert_array_equal(w, np.maximum(np.diag(S), 1e-3 * lam_max))
+            scaled = S / np.sqrt(np.outer(w, w))
+            assert L_w >= float(np.linalg.eigvalsh(scaled)[-1]) * (1.0 - 1e-12)
+            assert L_w == pytest.approx(float(np.abs(scaled).sum(axis=1).max()), rel=1e-12)
+            assert L_w * math.exp(float(np.log(w).mean())) < lam_max
+
     def test_block_lipschitz_dominated_by_full(self):
         rng = np.random.default_rng(9)
         G = rng.normal(size=(12, 12))
@@ -195,6 +219,26 @@ class TestTraffic:
         p = traffic_generate(10, 5, 0.3, seed=2)
         np.testing.assert_array_equal(p.affine.b, 5.0 * np.ones(10))
         assert np.all(p.affine.G >= 0)
+
+    @pytest.mark.parametrize("n, d_minus", [(1, 1.0), (7, 0.001), (60, 0.005)])
+    def test_matrix_matches_formula(self, n, d_minus):
+        # the documented G = diag(g) + d_minus * 1e-2 * Ghat, bit for bit
+        ghat = np.random.default_rng(3).uniform(0.0, 1.0, size=(n, n))
+        expect = np.diag(np.linspace(d_minus, 1.0, n)) + d_minus * 1e-2 * ghat
+        p = traffic_generate(n, 1, d_minus, seed=3)
+        assert p.affine.G.tobytes() == expect.tobytes()
+
+    def test_peak_memory(self):
+        # G is built in place: the peak is G plus the eigensolve's G + G^T,
+        # where building it from Ghat and diag(g) held three n x n arrays
+        traffic_generate(300, 5, 0.005, seed=1)
+        tracemalloc.start()
+        try:
+            p = traffic_generate(300, 5, 0.005, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * p.affine.G.nbytes
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):

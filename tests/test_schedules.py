@@ -13,28 +13,34 @@ from oevi.problems import traffic_generate
 from oevi.solvers import oe_run
 
 
+def _step(sched, t):
+    """(gamma_t, lambda_t, theta_t) of one iteration, read from ``table(t)``."""
+    tab = sched.table(t)
+    return float(tab.gamma[t]), float(tab.lam[t]), tab.theta(t)
+
+
 class TestLinearRatePolicy:
     def test_values_at_L2_mu1(self):
-        g, lam, th = S.OEGsmviSchedule(2.0, 1.0).triple(1)
+        g, lam, th = _step(S.OEGsmviSchedule(2.0, 1.0), 1)
         assert g == pytest.approx(0.25)
         assert lam == pytest.approx(2.0 / 3.0)
         assert th == pytest.approx(1.5)
 
     def test_values_at_L1_mu1_t3(self):
-        g, lam, th = S.OEGsmviSchedule(1.0, 1.0).triple(3)
+        g, lam, th = _step(S.OEGsmviSchedule(1.0, 1.0), 3)
         assert (g, lam, th) == pytest.approx((0.5, 0.5, 8.0), rel=1e-15)
 
     @pytest.mark.parametrize("t", [500, 1100])  # log theta_t = t log 2: 347, 762
     def test_theta_matches_run(self, t):
-        # triple and a run read theta through one rule: inf once log theta > 700
+        # a table and a run read theta through one rule: inf once log theta > 700
         schedule = S.OEGsmviSchedule(1.0, 1.0)
         problem = traffic_generate(10, 5, 0.5, seed=1)
         traj = oe_run(problem, schedule, analytic_center(problem.set), t)
-        assert schedule.triple(t)[2] == traj.thetas[t]
+        assert _step(schedule, t)[2] == traj.thetas[t]
         assert math.isfinite(traj.thetas[t]) == (t == 500)
 
     def test_small_mu_limit(self):
-        g, lam, th = S.OEGsmviSchedule(1.0, 1e-12).triple(5)
+        g, lam, th = _step(S.OEGsmviSchedule(1.0, 1e-12), 5)
         assert lam == pytest.approx(1.0)
         assert th == pytest.approx(1.0)
 
@@ -45,22 +51,22 @@ class TestLinearRatePolicy:
 
 class TestPlainMonotonePolicies:
     def test_gmvi_values(self):
-        assert S.OEGmviSchedule(3.0).triple(1)[0] == pytest.approx(1.0 / 9.0)
-        assert S.OEGmviSchedule(1.0 / 3.0).triple(10)[0] == pytest.approx(1.0)
+        assert _step(S.OEGmviSchedule(3.0), 1)[0] == pytest.approx(1.0 / 9.0)
+        assert _step(S.OEGmviSchedule(1.0 / 3.0), 10)[0] == pytest.approx(1.0)
         for t in (1, 7, 100):
-            g, lam, th = S.OEGmviSchedule(2.0).triple(t)
+            g, lam, th = _step(S.OEGmviSchedule(2.0), t)
             assert (lam, th) == (1.0, 1.0)
 
     def test_mvi_values(self):
-        assert S.OEMviSchedule(2.0).triple(4)[0] == pytest.approx(0.25)
-        assert S.OEMviSchedule(0.5).triple(1)[0] == pytest.approx(1.0)
+        assert _step(S.OEMviSchedule(2.0), 4)[0] == pytest.approx(0.25)
+        assert _step(S.OEMviSchedule(0.5), 1)[0] == pytest.approx(1.0)
         for t in (1, 5, 50):
-            assert S.OEMviSchedule(1.0).triple(t)[1:] == (1.0, 1.0)
+            assert _step(S.OEMviSchedule(1.0), t)[1:] == (1.0, 1.0)
 
 
 class TestDecreasingPolicy:
     def test_values_at_L4_mu1(self):
-        g, lam, th = S.SoeDecreasingSchedule(4.0, 1.0).triple(1)
+        g, lam, th = _step(S.SoeDecreasingSchedule(4.0, 1.0), 1)
         assert g == pytest.approx(1.0 / 16.0)
         assert th == pytest.approx(306.0)
         # lambda_1 = theta_0 gamma_0 / (theta_1 gamma_1) with t0 = 16:
@@ -71,7 +77,7 @@ class TestDecreasingPolicy:
     def test_asymptotic_stepsize(self):
         sched = S.SoeDecreasingSchedule(4.0, 1.0)
         for t in (10**5, 10**6):
-            g, _, _ = sched.triple(t)
+            g, _, _ = _step(sched, t)
             assert g * 1.0 * t == pytest.approx(1.0, rel=1e-3)
 
     def test_coupling_identity_exact(self):
@@ -99,7 +105,7 @@ class TestConstantPolicy:
 
     def test_lambda_theta_relation(self):
         sched = S.SoeConstantSchedule(L=2.0, mu=0.5, sigma=1.0, V1=4.0, k=500)
-        g, lam, th = sched.triple(1)
+        g, lam, th = _step(sched, 1)
         assert lam * (2.0 * 0.5 * g + 1.0) == pytest.approx(1.0)
 
     def test_q_clamped_when_noise_dominates(self):
@@ -130,9 +136,9 @@ class TestRestartPolicy:
         sched = S.SoeRestartSchedule(4.0, 1.0, 1.0, 1.0)
         k1 = sched.epoch_length(1)
         for t in (1, k1 + 1):
-            g, lam, th = sched.triple(t)
+            g, lam, th = _step(sched, t)
             assert lam == 0.0
-        g, lam, th = sched.triple(2)
+        g, lam, th = _step(sched, 2)
         assert lam > 0
 
     def test_local_index_within_epoch(self):
@@ -155,7 +161,7 @@ class TestRestartPolicy:
         sched = S.SoeRestartSchedule(4.0, 1.0, 1.0, 1.0)
         tab = sched.table(300)
         for t in (1, 2, 127, 128, 129, 200, 300):
-            g, lam, th = sched.triple(t)
+            g, lam, th = _step(sched, t)
             assert tab.gamma[t] == pytest.approx(g, rel=1e-14)
             assert tab.lam[t] == pytest.approx(lam, rel=1e-14)
             assert math.exp(tab.log_theta[t]) == pytest.approx(th, rel=1e-12)
@@ -167,14 +173,14 @@ class TestRestartPolicy:
 
 class TestStochasticMonotonePolicies:
     def test_soe_gmvi_values(self):
-        g, lam, th = S.SoeGmviSchedule(1.0, 99).triple(1)
+        g, lam, th = _step(S.SoeGmviSchedule(1.0, 99), 1)
         m = S.SoeGmviSchedule(1.0, 99).table(1).batch[1]
         assert (g, lam, th, m) == (0.25, 1.0, 1.0, 100)
         m2 = S.SoeGmviSchedule(1.0, 198).table(1).batch[1]
         assert m2 - 1 == 2 * (m - 1)
 
     def test_soe_mvi_values(self):
-        g, lam, th = S.SoeMviSchedule(1.0).triple(4)
+        g, lam, th = _step(S.SoeMviSchedule(1.0), 4)
         assert g == pytest.approx(0.5)
         assert th == 1.0
         # coupling gamma_{t-1} = gamma_t lambda_t forces lambda_4 = sqrt(4/3)
@@ -182,28 +188,28 @@ class TestStochasticMonotonePolicies:
 
     def test_soe_mvi_gamma_decreasing_lambda_to_one(self):
         sched = S.SoeMviSchedule(2.0)
-        gs = [sched.triple(t)[0] for t in range(1, 50)]
+        gs = [_step(sched, t)[0] for t in range(1, 50)]
         assert all(a > b for a, b in zip(gs, gs[1:]))
-        assert sched.triple(10**6)[1] == pytest.approx(1.0, abs=1e-5)
+        assert _step(sched, 10**6)[1] == pytest.approx(1.0, abs=1e-5)
 
     def test_soe_mvi_coupling(self):
         sched = S.SoeMviSchedule(1.5)
         for t in range(2, 100):
-            g_prev = sched.triple(t - 1)[0]
-            g, lam, _ = sched.triple(t)
+            g_prev = _step(sched, t - 1)[0]
+            g, lam, _ = _step(sched, t)
             assert g * lam == pytest.approx(g_prev, rel=1e-12)
 
 
 class TestBlockPolicies:
     def test_single_block_reduces_to_linear_rate(self):
-        g, lam, th = S.SboeGsmviSchedule(1.0, 1, 0.5).triple(3)
-        g2, lam2, th2 = S.OEGsmviSchedule(1.0, 0.5).triple(3)
+        g, lam, th = _step(S.SboeGsmviSchedule(1.0, 1, 0.5), 3)
+        g2, lam2, th2 = _step(S.OEGsmviSchedule(1.0, 0.5), 3)
         assert g == pytest.approx(g2)
         assert lam == pytest.approx(lam2)
         assert th == pytest.approx(th2)
 
     def test_values_b5(self):
-        g, lam, th = S.SboeGsmviSchedule(1.0, 5, 0.1).triple(1)
+        g, lam, th = _step(S.SboeGsmviSchedule(1.0, 5, 0.1), 1)
         assert g == pytest.approx(0.1)
         assert lam == pytest.approx((5.0 + 0.08) / 1.02)
 
@@ -216,23 +222,23 @@ class TestBlockPolicies:
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_sboe_mvi_values(self):
-        g, lam, th = S.SboeMviSchedule(1.0, 5).triple(1)
+        g, lam, th = _step(S.SboeMviSchedule(1.0, 5), 1)
         assert (g, lam, th) == (0.05, 5.0, 1.0)
-        g1, lam1, _ = S.SboeMviSchedule(1.0, 1).triple(1)
+        g1, lam1, _ = _step(S.SboeMviSchedule(1.0, 1), 1)
         assert (g1, lam1) == (0.25, 1.0)
         for t in (1, 10, 100):
-            assert S.SboeMviSchedule(2.0, 3).triple(t)[2] == 1.0
+            assert _step(S.SboeMviSchedule(2.0, 3), t)[2] == 1.0
 
 
 class TestBaselinePolicy:
     def test_values(self):
-        assert S.SaSchedule(4.0, 1.0).triple(1)[0] == pytest.approx(1.0 / 17.0)
+        assert _step(S.SaSchedule(4.0, 1.0), 1)[0] == pytest.approx(1.0 / 17.0)
 
     def test_asymptotics_and_monotonicity(self):
         sched = S.SaSchedule(4.0, 1.0)
-        gs = [sched.triple(t)[0] for t in range(1, 200)]
+        gs = [_step(sched, t)[0] for t in range(1, 200)]
         assert all(a > b for a, b in zip(gs, gs[1:]))
-        assert sched.triple(10**6)[0] * 10**6 == pytest.approx(1.0, rel=1e-2)
+        assert _step(sched, 10**6)[0] * 10**6 == pytest.approx(1.0, rel=1e-2)
 
 
 def _edited(sched, edit):
@@ -377,7 +383,7 @@ class TestValidator:
         assert np.all(tab.lam[1:] >= 0)
         assert np.all(np.isfinite(tab.log_theta[1:]))  # theta_t > 0
         for t in (1, 2, 50, 200):
-            g, lam, th = sched.triple(t)
+            g, lam, th = _step(sched, t)
             assert g > 0 and lam >= 0 and th > 0
 
     @pytest.mark.parametrize("name", S.POLICY_NAMES)
@@ -386,5 +392,5 @@ class TestValidator:
         sched = S.make_schedule(name, L=2.0, mu=0.1, sigma=1.0, V1=1.0, k=200, b=4)
         before = copy.deepcopy(vars(sched))
         sched.table(5000)
-        sched.triple(300)
+        sched.table(300).theta(300)
         assert vars(sched) == before
