@@ -55,10 +55,10 @@ def partition_slices(sizes, dim: int | None = None) -> list[slice]:
 class FeasibleSet:
     """Base class for constraint geometries: a set kind is one subclass.
 
-    A kind implements ``contains`` (tolerant membership), ``project`` (exact
-    Euclidean projection) and, as far as its shape allows: the projection
-    ``project_weighted(z, w)`` in the diagonal metric sum_i w_i (x_i - z_i)^2
-    (if ``has_weighted_projection``), ``support_min(c)``
+    A kind implements ``contains`` (tolerant membership), ``project(z, w)``
+    (exact projection in the diagonal metric sum_i w_i (x_i - z_i)^2, the
+    Euclidean one for w None; a kind takes a w if ``has_weighted_projection``)
+    and, as far as its shape allows: ``support_min(c)``
     = argmin <c, x>, the start point ``analytic_center()``, the maxima
     ``bregman_diameter()`` and ``max_convex_quadratic(x1, alpha, l)`` =
     max alpha ||x - x1||^2 / 2 + <l, x> (by ``_max_quadratic``), whose
@@ -76,10 +76,7 @@ class FeasibleSet:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def project(self, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def project_weighted(self, z, w) -> np.ndarray:
+    def project(self, z, w=None) -> np.ndarray:
         raise NotImplementedError
 
     def support_min(self, c) -> np.ndarray:
@@ -127,7 +124,7 @@ class FullSpace(FeasibleSet):
         _vector(x, self.dim)
         return True
 
-    def project(self, z) -> np.ndarray:
+    def project(self, z, w=None) -> np.ndarray:
         return _vector(z, self.dim, "z").copy()
 
     def support_min(self, c) -> np.ndarray:
@@ -167,7 +164,9 @@ class Ball(FeasibleSet):
         v = _vector(x, self.dim)
         return float(np.linalg.norm(v - self.center)) <= self.radius + MEMBERSHIP_TOL
 
-    def project(self, z) -> np.ndarray:
+    def project(self, z, w=None) -> np.ndarray:
+        if w is not None:
+            raise ValueError("a ball has no weighted projection")
         v = _vector(z, self.dim, "z")
         d = v - self.center
         nrm = float(np.linalg.norm(d))
@@ -243,13 +242,11 @@ class Box(FeasibleSet):
             and np.all(v <= self.upper + MEMBERSHIP_TOL)
         )
 
-    def project(self, z) -> np.ndarray:
-        return np.clip(_vector(z, self.dim, "z"), self.lower, self.upper)
-
-    def project_weighted(self, z, w) -> np.ndarray:
+    def project(self, z, w=None) -> np.ndarray:
         # separable: each coordinate clips whatever its weight
-        _vector(w, self.dim, "w")
-        return self.project(z)
+        if w is not None:
+            _vector(w, self.dim, "w")
+        return np.clip(_vector(z, self.dim, "z"), self.lower, self.upper)
 
     def support_min(self, c) -> np.ndarray:
         v = _vector(c, self.dim, "c")
@@ -309,19 +306,13 @@ class SimplexProduct(FeasibleSet):
                 return False
         return True
 
-    def project(self, z) -> np.ndarray:
-        v = _vector(z, self.dim, "z")
+    def project(self, z, w=None) -> np.ndarray:
         rows = np.full(self._row_mask.shape, -np.inf)
-        rows[self._row_mask] = v
-        return _project_rows(rows, self._demand_array)[self._row_mask]
-
-    def project_weighted(self, z, w) -> np.ndarray:
-        v = _vector(z, self.dim, "z")
-        wv = _vector(w, self.dim, "w")
-        rows = np.full(self._row_mask.shape, -np.inf)
-        rows[self._row_mask] = v
+        rows[self._row_mask] = _vector(z, self.dim, "z")
+        if w is None:
+            return _project_rows(rows, self._demand_array)[self._row_mask]
         weights = np.ones(self._row_mask.shape)
-        weights[self._row_mask] = wv
+        weights[self._row_mask] = _vector(w, self.dim, "w")
         return _project_rows_weighted(rows, weights, self._demand_array)[self._row_mask]
 
     def support_min(self, c) -> np.ndarray:

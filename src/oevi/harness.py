@@ -140,7 +140,7 @@ class ExperimentConfig:
     problem: VIProblem
     policies: list[PolicyRun]
     k: int
-    seeds: tuple[int, ...]
+    seeds: tuple[int, ...] = (0,)
     cadence: int | None = None
     output: Path | None = None
     timing: bool = False
@@ -225,8 +225,42 @@ def checkpoints(k: int, cadence: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+# the keys of [problem] besides ``kind``, per kind; ``build_problem`` holds their defaults
+PROBLEM_KEYS = {"traffic": ("n", "blocks", "d_minus", "seed"),
+                "glm-hinge": ("n", "R", "sigma_y", "seed", "d_minus"),
+                "glm-ramp": ("n", "R", "sigma_y", "seed"), "json": ("path",)}
+# key -> (dataclass field, configparser getter) for [run] (``ExperimentConfig``)
+# and [policy:NAME] (``PolicyRun``); a key the file leaves out keeps its default
+RUN_KEYS = {"k": ("k", "getint"), "seeds": ("seeds", "getints"),
+            "cadence": ("cadence", "getint"), "output": ("output", "getpath"),
+            "timing": ("timing", "getboolean"), "weak_gap": ("weak_gap", "getboolean"),
+            "workers": ("workers", "getint"), "validate": ("validate_policies", "get"),
+            "reference": ("compute_reference", "getboolean")}
+POLICY_KEYS = {"L": ("L", "getfloat"), "mu": ("mu", "getfloat"), "sigma": ("sigma", "getfloat"),
+               "V1": ("V1", "getfloat"), "m": ("batch", "getint"),
+               "noise_ratio": ("noise_ratio", "getfloat"),
+               "recursive_affine": ("recursive_affine", "getboolean")}
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """Integers separated by commas or whitespace, e.g. '1, 2, 3'."""
+    return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+def _check_keys(section: str, keys, known) -> None:
+    """``ConfigError`` for a key not in ``known``, in any case (configparser lower-cases keys)."""
+    unknown = [key for key in keys if key.lower() not in {k.lower() for k in known}]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; "
+                          f"known keys: {', '.join(known)}")
+
+
 def build_problem(kind: str, params: dict) -> VIProblem:
+    """The problem of ``kind`` from some of its ``PROBLEM_KEYS``, as text or numbers."""
     kind = kind.strip().lower()
+    if kind not in PROBLEM_KEYS:
+        raise ConfigError(f"unknown problem kind {kind!r}; known: {', '.join(PROBLEM_KEYS)}")
+    _check_keys("problem", params, PROBLEM_KEYS[kind])
     if kind == "traffic":
         return traffic_generate(
             n=int(params.get("n", 200)),
@@ -244,12 +278,10 @@ def build_problem(kind: str, params: dict) -> VIProblem:
             seed=int(params.get("seed", 0)),
             d_minus=float(params["d_minus"]) if "d_minus" in params else None,
         )
-    if kind == "json":
-        path = params.get("path")
-        if not path:
-            raise ConfigError("problem kind json needs a path")
-        return problem_from_json(Path(path).read_text())
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    path = params.get("path")
+    if not path:
+        raise ConfigError("problem kind json needs a path")
+    return problem_from_json(Path(path).read_text())
 
 
 def load_config(path) -> ExperimentConfig:
@@ -260,70 +292,38 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
 
+def _fields(section, table: dict) -> dict:
+    """The dataclass fields that ``section`` sets, each read by its getter in ``table``."""
+    _check_keys(section.name, section, table)
+    try:
+        return {name: getattr(section, getter)(key)
+                for key, (name, getter) in table.items() if key in section}
+    except ValueError as exc:
+        raise ConfigError(f"bad [{section.name}] value: {exc}") from exc
+
+
 def _parse_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    # with no default section, [DEFAULT] is an unknown section like any other;
+    # the converters add the getters getints and getpath
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";",), default_section="",
+        converters={"ints": parse_int_list, "path": lambda text: Path(text) if text else None})
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
+    for section in parser.sections():
+        if section not in ("problem", "run") and not section.startswith("policy:"):
+            raise ConfigError(f"unknown section [{section}]; "
+                              "known: [problem], [run], [policy:NAME]")
     if "problem" not in parser or "run" not in parser:
         raise ConfigError("config needs [problem] and [run] sections")
-
-    prob_sec = dict(parser["problem"])
-    kind = prob_sec.pop("kind", None)
-    if kind is None:
-        raise ConfigError("[problem] needs a kind")
-    problem = build_problem(kind, prob_sec)
-
-    run = parser["run"]
-    try:
-        k = run.getint("k")
-        seeds = tuple(int(s) for s in run.get("seeds", "0").replace(",", " ").split())
-        cadence = run.getint("cadence", fallback=None)
-        timing = run.getboolean("timing", fallback=False)
-        weak_gap = run.getboolean("weak_gap", fallback=False)
-        workers = run.getint("workers", fallback=None)
-        output = run.get("output", fallback=None)
-        validate_mode = run.get("validate", fallback="fail")
-        reference = run.getboolean("reference", fallback=True)
-    except ValueError as exc:
-        raise ConfigError(f"bad [run] value: {exc}") from exc
-    if k is None:
+    run = _fields(parser["run"], RUN_KEYS)
+    if "k" not in run:
         raise ConfigError("[run] needs k")
-
-    policies = []
-    for section in parser.sections():
-        if not section.startswith("policy:"):
-            continue
-        name = section.split(":", 1)[1].strip()
-        sec = parser[section]
-        policies.append(
-            PolicyRun(
-                name=name,
-                L=sec.getfloat("L", fallback=None),
-                mu=sec.getfloat("mu", fallback=None),
-                sigma=sec.getfloat("sigma", fallback=None),
-                V1=sec.getfloat("V1", fallback=None),
-                batch=sec.getint("m", fallback=None),
-                noise_ratio=sec.getfloat("noise_ratio", fallback=None),
-                recursive_affine=sec.getboolean("recursive_affine", fallback=True),
-            )
-        )
-    if not policies:
-        raise ConfigError("config needs at least one [policy:NAME] section")
-
-    return ExperimentConfig(
-        problem=problem,
-        policies=policies,
-        k=k,
-        seeds=seeds,
-        cadence=cadence,
-        output=Path(output) if output else None,
-        timing=timing,
-        weak_gap=weak_gap,
-        workers=workers,
-        compute_reference=reference,
-        validate_policies=validate_mode,
-    )
+    policies = [PolicyRun(name.split(":", 1)[1].strip(), **_fields(parser[name], POLICY_KEYS))
+                for name in parser.sections() if name.startswith("policy:")]
+    params = dict(parser["problem"])
+    return ExperimentConfig(problem=build_problem(params.pop("kind", ""), params),
+                            policies=policies, **run)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def weak_gap_exact_affine(
                 x = x_new
                 break
             if metric is not None:
-                x_new = fs.project_weighted(y + scale * grad, w)
+                x_new = fs.project(y + scale * grad, w)
             if float((w * (x_new - y)) @ (x_new - x)) < 0.0:
                 t = 1.0  # restart: the next y is x_new
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))

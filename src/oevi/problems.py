@@ -315,7 +315,8 @@ class GLMSpec:
 
     The signal x* lies on the sphere of radius R; the feasible set is the
     centered ball of that radius.  ``sigma_y`` is the label noise standard
-    deviation.  ``A_x_star`` = A x* is computed once, at construction.
+    deviation.  ``A_x_star`` = A x* is computed once, at construction, as is
+    whether A = I, which the ramp closed form needs.
     """
 
     link: str
@@ -346,6 +347,7 @@ class GLMSpec:
         if self.sigma_y < 0:
             raise ValueError("sigma_y must be nonnegative")
         object.__setattr__(self, "A_x_star", A @ x_star)
+        object.__setattr__(self, "_A_is_identity", bool(np.allclose(A, np.eye(n))))
 
     @property
     def dim(self) -> int:
@@ -389,7 +391,7 @@ def glm_exact_ramp(spec: GLMSpec, x) -> np.ndarray:
     """Exact operator for the ramp-sigmoid link with A = I."""
     if spec.link != RAMP:
         raise ValueError("exact ramp operator requires the ramp link")
-    if not np.allclose(spec.A, np.eye(spec.dim)):
+    if not spec._A_is_identity:
         raise ValueError("the ramp closed form is available only for A = I")
     xv = np.asarray(x, dtype=float)
     return _ramp_mean_map(xv) - _ramp_mean_map(spec.x_star)

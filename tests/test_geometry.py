@@ -327,7 +327,7 @@ def test_weighted_projection(case):
     # x_i = max(0, z_i - tau_b / w_i) per simplex block (clipping on a box),
     # and the Euclidean projection when w is constant
     fs, z, w = case
-    x = fs.project_weighted(z, w)
+    x = fs.project(z, w)
     assert fs.contains(x)
     if type(fs) is Box:
         assert x.tobytes() == np.clip(z, fs.lower, fs.upper).tobytes()
@@ -346,7 +346,9 @@ def test_weighted_projection_kinds():
     assert SimplexProduct([2], [1.0]).has_weighted_projection
     assert not Ball([0.0], 1.0).has_weighted_projection
     with pytest.raises(ValueError):
-        SimplexProduct([2], [1.0]).project_weighted([0.5, 0.5], [1.0])
+        SimplexProduct([2], [1.0]).project([0.5, 0.5], [1.0])
+    with pytest.raises(ValueError, match="a ball has no weighted projection"):
+        Ball([0.0], 1.0).project([2.0], [1.0])
 
 
 class TestLinearMinimize:

@@ -5,8 +5,10 @@ import dataclasses
 import json
 import logging
 import math
+import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,6 +533,109 @@ class TestConfigFile:
         path.write_text(text)
         with pytest.raises(ConfigError, match="malformed config file"):
             load_config(path)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def readme_config_text() -> str:
+    """The README's ``ini`` block, verbatim."""
+    return re.search(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
+
+
+# ExperimentConfig's defaults, and each pinned config's problem and other fields
+CONFIG_DEFAULTS = dict(seeds=(0,), cadence=None, output=None, timing=False, weak_gap=False,
+                       workers=None, compute_reference=True, validate_policies="fail")
+PINNED_CONFIGS = {
+    "golden_traffic.ini": (lambda: traffic_generate(100, 5, 0.005, seed=7), dict(
+        k=400, seeds=(1, 2), cadence=5, weak_gap=True,
+        policies=[PolicyRun("OE-GMVI"), PolicyRun("OE-MVI"), PolicyRun("SOE-MVI"),
+                  PolicyRun("SBOE-MVI"), PolicyRun("SA"),
+                  PolicyRun("SBOE-GSMVI", recursive_affine=False)])),
+    "golden_glm.ini": (lambda: glm_generate(20, "hinge", 100.0, 1.0, seed=3), dict(
+        k=600, seeds=(1, 2, 3),
+        policies=[PolicyRun("SOE-MVI", batch=4), PolicyRun("SOE-1"), PolicyRun("SOE-2"),
+                  PolicyRun("SOE-3"), PolicyRun("SOE-4"), PolicyRun("SA-RM", batch=2),
+                  PolicyRun("OE-GMVI"), PolicyRun("OE-GSMVI")])),
+    "golden_glm_sparse.ini": (lambda: glm_generate(20, "hinge", 100.0, 1.0, seed=3), dict(
+        k=600, seeds=(1, 2, 3), cadence=7,
+        policies=[PolicyRun("SOE-MVI", batch=4), PolicyRun("SOE-4")])),
+    "README.md": (lambda: traffic_generate(200, 5, 0.01, seed=7), dict(
+        k=2000, seeds=(1, 2, 3), cadence=10, output=Path("out/demo"),
+        policies=[PolicyRun("OE-GSMVI"), PolicyRun("SOE-1", L=0.5, batch=100)])),
+}
+
+GLM_RAMP_TEXT = "[problem]\nkind = glm-ramp\nn = 5\nseed = 1\n\n[run]\nk = 5\n\n[policy:SA]\n"
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("name", list(PINNED_CONFIGS))
+    def test_parsed_config_pinned(self, tmp_path, name):
+        path = REPO / "scripts" / name
+        if name == "README.md":
+            path = tmp_path / "readme.ini"
+            path.write_text(readme_config_text())
+        make, fields = PINNED_CONFIGS[name]
+        cfg = load_config(path)
+        assert problem_to_json(cfg.problem) == problem_to_json(make())
+        assert {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)
+                if f.name != "problem"} == {**CONFIG_DEFAULTS, **fields}
+
+    def test_readme_example_runs(self, tmp_path, capsys):
+        # its inline ; comments are comments, not part of the values
+        path = tmp_path / "readme.ini"
+        path.write_text(readme_config_text())
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--k", "3", "--output", str(out)]) == 0
+        assert (out / "agg_SOE-1.csv").exists()
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("cadence = 1", "cadence = 2\noutput =\ntiming = yes\n"
+                                            "weak_gap = on\nworkers = 2\nvalidate = warn\n"
+                                            "reference = false")
+                        .replace("m = 2", "m = 2\nL = 3\nmu = 0.5\nsigma = 2\nV1 = 4\n"
+                                 "noise_ratio = 0.1\nrecursive_affine = no"))
+        cfg = load_config(path)
+        assert (cfg.cadence, cfg.output, cfg.timing, cfg.weak_gap, cfg.workers,
+                cfg.validate_policies, cfg.compute_reference) == (2, None, True, True, 2,
+                                                                  "warn", False)
+        assert cfg.policies[1] == PolicyRun("SOE-1", L=3.0, mu=0.5, sigma=2.0, V1=4.0, batch=2,
+                                            noise_ratio=0.1, recursive_affine=False)
+
+    @pytest.mark.parametrize("argv, text, name", [
+        (["run"], CONFIG_TEXT.replace("m = 2", "batch = 50"), "'batch' in [policy:SOE-1]"),
+        (["run"], CONFIG_TEXT.replace("cadence = 1", "weakgap = true"), "'weakgap' in [run]"),
+        (["run"], CONFIG_TEXT.replace("seed = 42", "seed = 42\nnum_blocks = 9"),
+         "'num_blocks' in [problem]"),
+        (["run"], CONFIG_TEXT + "\n[polciy:SA]\n", "unknown section [polciy:SA]"),
+        (["run"], "[DEFAULT]\nk = 7\n" + CONFIG_TEXT, "unknown section [DEFAULT]"),
+        (["run"], GLM_RAMP_TEXT.replace("n = 5", "n = 5\nd_minus = 0.1"),
+         "'d_minus' in [problem]"),
+        (["run", "--seeds", ""], CONFIG_TEXT, "at least one seed"),
+        (["suite", "glm-ramp", "--k", "5", "--sizes", "7,7", "--d-minus", "9"], None,
+         "suite glm-ramp takes no --d-minus, --sizes"),
+        (["suite", "traffic", "--k", "5", "--sizes", "10", "--n", "999"], None,
+         "suite traffic takes no --n"),
+    ], ids=["policy-key", "run-key", "problem-key", "section", "default-section",
+            "ramp-d_minus", "empty-seeds", "glm-suite-flags", "traffic-suite-flag"])
+    def test_unknown_input_is_a_config_error(self, tmp_path, capsys, argv, text, name):
+        # each of these was once ignored and the run went ahead
+        out = tmp_path / "out"
+        if text is not None:
+            (tmp_path / "exp.ini").write_text(text)
+            argv = [argv[0], str(tmp_path / "exp.ini"), *argv[1:]]
+        assert cli.main([*argv, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "check", "suite"])
+    def test_malformed_seeds_exit_1(self, tmp_path, capsys, command):
+        (tmp_path / "exp.ini").write_text(CONFIG_TEXT)
+        target = "traffic" if command == "suite" else str(tmp_path / "exp.ini")
+        assert cli.main([command, target, "--seeds", "1,x"]) == 1
+        assert "invalid literal for int()" in capsys.readouterr().err
 
 
 class TestCheckBounds:

@@ -237,7 +237,9 @@ class TestWeakGapExact:
         assert p.affine.diag_metric is not None
         calls = []
         project = p.set.project
-        monkeypatch.setattr(p.set, "project", lambda z: calls.append(1) or project(z))
+        # count the Euclidean projections, not the weighted ones
+        monkeypatch.setattr(p.set, "project",
+                            lambda z, w=None: (w is None and calls.append(1)) or project(z, w))
         assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) > 0.0
         assert 0 < len(calls) <= 24
 
@@ -257,7 +259,9 @@ class TestWeakGapExact:
         assert p.affine.diag_metric is None
         calls = []
         project = fs.project
-        monkeypatch.setattr(fs, "project", lambda z: calls.append(1) or project(z))
+        # count the Euclidean projections, not the weighted ones
+        monkeypatch.setattr(fs, "project",
+                            lambda z, w=None: (w is None and calls.append(1)) or project(z, w))
         euclidean = weak_gap_exact_affine(p, x_bar, inner_tol=1e-12)
         steps = len(calls)
         w0 = 2.0 * G[0, 0]

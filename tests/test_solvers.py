@@ -3,17 +3,21 @@ call accounting, output selection, and weighted averages."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oevi.geometry import FullSpace, analytic_center, bregman
+from oevi.geometry import Ball, Box, FullSpace, SimplexProduct, analytic_center, bregman
 from oevi.problems import AffineSpec, affine_problem, glm_generate, traffic_generate
 from oevi import schedules as S
 from oevi.solvers import (
     OE_MVI_AVERAGE,
     SBOE_MVI_AVERAGE,
     SOE_MVI_TAIL_AVERAGE,
+    _PURPOSE_BLOCK,
     RunConfig,
     Trajectory,
     _iteration_streams,
+    _philox,
     iteration_rng,
     oe_run,
     output_rng,
@@ -407,6 +411,72 @@ class TestMergedStep:
         m = k + 1 if name == "SOE-4" else 1  # SOE-4 draws k + 1 samples per step
         assert [traj.oracle_calls_through(t) for t in range(k + 1)] == [
             m * t for t in range(k + 1)]
+
+
+@st.composite
+def _loop_cases(draw):
+    """A strongly monotone affine problem on a set of each kind, with or without
+    a noisy oracle, split into blocks the set splits along; a policy of any
+    operator source, a batch, k and a seed."""
+    n, kind = draw(st.integers(1, 8)), draw(st.sampled_from(["full", "ball", "box", "simplex"]))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, n])]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ball":
+        sizes, fs = [n], Ball(rng.normal(size=n), rng.uniform(0.5, 2.0))
+    elif kind == "box":
+        lower = rng.uniform(-2.0, 0.0, n)
+        fs = Box(lower, lower + rng.uniform(0.1, 2.0, n))
+    elif kind == "simplex":
+        fs = SimplexProduct(sizes, rng.uniform(0.1, 2.0, len(sizes)))
+    else:
+        fs = FullSpace(n)
+    B = rng.normal(size=(n, n))
+    spec = AffineSpec(0.3 * (B - B.T) + np.diag(rng.uniform(0.5, 2.0, n)), rng.normal(size=n))
+    problem = affine_problem(spec, fs, noise_sigma=draw(st.sampled_from([0.0, 0.5])),
+                             block_partition=sizes)
+    k, c = draw(st.integers(2, 30)), problem.constants
+    schedule = S.make_schedule(draw(st.sampled_from(S.POLICY_NAMES)), L=c.L, mu=c.mu,
+                               sigma=1.0, V1=1.0, k=k, b=len(sizes))
+    return problem, schedule, k, draw(st.integers(0, 2**63)), draw(st.sampled_from([None, 1, 3]))
+
+
+def _transcribed_run(problem, schedule, k, seed, batch):
+    """The paper's updates written out: F_t from the policy's source, then
+    x_{t+1} = P(x_t - gamma_t (F_t + lambda_t (F_t - F_{t-1}))) on block i_t."""
+    source, tab = S.POLICIES[schedule.name].source, schedule.table(k)
+    m = tab.batch if batch is None else [batch] * (k + 1)
+
+    def F(t, x):  # the operator value at x = x_{t+1}, from a fresh stream for (seed, t)
+        if source == "oracle" and problem.oracle is not None:
+            return problem.oracle(x, iteration_rng(seed, t), m[t + 1])
+        return problem.operator(x)
+
+    slices, parts, order = [slice(None)], [problem.set], [0] * k
+    if source == "block":
+        slices, parts = problem.block_slices(), problem.set.split(problem.block_partition)
+        order = _philox(seed, _PURPOSE_BLOCK).integers(0, len(slices), size=k)
+    G = np.asfortranarray(problem.affine.G)  # as the engine's block updates read it
+    xs = [analytic_center(problem.set)] * 2
+    F_prev = F_cur = F(0, xs[1])
+    for t in range(1, k + 1):
+        sl, x = slices[order[t - 1]], xs[t].copy()
+        g = F_cur[sl] + tab.lam[t] * (F_cur[sl] - F_prev[sl])
+        x[sl] = parts[order[t - 1]].project(xs[t][sl] - tab.gamma[t] * g)
+        xs.append(x)
+        if t < k:
+            F_prev, F_cur = F_cur, (F_cur + G[:, sl] @ (x - xs[t])[sl] if source == "block"
+                                    else F(t, x))
+    return np.array(xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_loop_cases())
+def test_loop_is_the_transcribed_updates(case):
+    problem, schedule, k, seed, batch = case
+    traj = run(problem, schedule, analytic_center(problem.set),
+               RunConfig(schedule.name, k, seed, batch))
+    assert traj.xs.tobytes() == _transcribed_run(problem, schedule, k, seed, batch).tobytes()
 
 
 class TestRunDispatcher:
