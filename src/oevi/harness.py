@@ -452,12 +452,16 @@ def aggregate_rows(policy: str, per_seed_rows: list[list[dict]],
     for rows in per_seed_rows[1:]:
         if [row["t"] for row in rows] != ts:
             raise ValueError("checkpoint grids differ across seeds")
-    n = len(per_seed_rows)
+    # rows equal for every seed (a seed-free run stands for each) aggregate
+    # as that one run: mean = its value and se = 0, exactly
+    first = per_seed_rows[0]
+    runs = [first] if all(rows == first for rows in per_seed_rows) else per_seed_rows
+    n = len(runs)
     mean: dict[str, list] = {m: [] for m in METRIC_COLUMNS}
     se: dict[str, list] = {m: [] for m in METRIC_COLUMNS}
     for i in range(len(ts)):
         for m in METRIC_COLUMNS:
-            vals = [rows[i][m] for rows in per_seed_rows]
+            vals = [rows[i][m] for rows in runs]
             if any(v is None for v in vals):
                 mean[m].append(None)
                 se[m].append(None)
@@ -467,8 +471,8 @@ def aggregate_rows(policy: str, per_seed_rows: list[list[dict]],
                 se[m].append(
                     float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
                 )
-    calls = [int(per_seed_rows[0][i]["oracle_calls"]) for i in range(len(ts))]
-    return AggregateResult(policy, ts, n, mean, se, calls, mean_step_time_ns)
+    calls = [int(row["oracle_calls"]) for row in first]
+    return AggregateResult(policy, ts, len(per_seed_rows), mean, se, calls, mean_step_time_ns)
 
 
 def write_aggregate_csv(path: Path, agg: AggregateResult, *, timing: bool = False):

@@ -17,6 +17,7 @@ from oevi import cli, harness
 from oevi.geometry import analytic_center
 from oevi.harness import (
     BOUND_CHECKS,
+    METRIC_COLUMNS,
     ROW_FIELDS,
     TRAJECTORY_HEADER,
     ConfigError,
@@ -199,6 +200,21 @@ class TestRunExperiment:
         agg = aggs["OE-GSMVI"]
         assert agg.n_seeds == 2
         assert all(se == 0.0 for se in agg.se["V_to_solution"])
+
+    def test_seed_free_run_aggregates_to_its_own_values(self):
+        # numpy's mean of three copies of this value is one ulp above it, and
+        # their sample deviation is 3.07e-19 * sqrt(3), not 0
+        v = 0.0037023757711315665
+        row = {**dict.fromkeys(METRIC_COLUMNS), "t": 78, "V_to_solution": v,
+               "oracle_calls": 79}
+        agg = aggregate_rows("OE-GSMVI", [[row]] * 3)
+        assert agg.n_seeds == 3
+        assert agg.mean["V_to_solution"] == [v]
+        assert agg.se["V_to_solution"] == [0.0]
+        # a seeded policy's runs still average, also where they agree
+        agg = aggregate_rows("SOE-1", [[row], [row], [{**row, "V_to_solution": 2 * v}]])
+        assert agg.mean["V_to_solution"] == [pytest.approx(4 * v / 3, rel=1e-15)]
+        assert agg.se["V_to_solution"][0] > 0.0
 
     def test_workers_parallel_same_results(self, tmp_path):
         cfg1 = tiny_config(tmp_path, output=tmp_path / "w1", seeds=(1, 2, 3, 4))

@@ -155,6 +155,24 @@ class TestAffine:
             assert L_w == pytest.approx(float(np.abs(scaled).sum(axis=1).max()), rel=1e-12)
             assert L_w * math.exp(float(np.log(w).mean())) < lam_max
 
+    @pytest.mark.parametrize("n", [3, 40, 250])
+    def test_operator_metric_bounds_the_scaled_norm(self, n):
+        # L_D >= ||W^-1/2 G W^-1/2||_2, skew part included, across row panels
+        rng = np.random.default_rng(n)
+        for scale in (0.0, 2.0, 6.0):
+            A = rng.normal(size=(n, n)) * np.exp(rng.uniform(-scale, scale, n))[:, None]
+            B = rng.normal(size=(n, n))
+            spec = AffineSpec(A @ A.T + 5.0 * (B - B.T), np.zeros(n))
+            w, L_D = spec.operator_metric
+            assert w is spec.jacobi_weights
+            if spec.diag_metric is not None:
+                assert spec.diag_metric[0] is w
+            scaled = spec.G / np.sqrt(np.outer(w, w))
+            assert L_D >= float(np.linalg.norm(scaled, 2)) * (1 - 1e-12)
+            absolute = np.abs(scaled)
+            assert L_D == pytest.approx(
+                math.sqrt(absolute.sum(axis=0).max() * absolute.sum(axis=1).max()), rel=1e-12)
+
     def test_block_lipschitz_dominated_by_full(self):
         rng = np.random.default_rng(9)
         G = rng.normal(size=(12, 12))
@@ -663,12 +681,18 @@ def _natural_residual(problem, x):
 @st.composite
 def _strongly_monotone_problems(draw):
     """G = mu0 I + s A A^T + K (B - B^T): strongly monotone with modulus at
-    least mu0, with a skew part up to ten times the symmetric one."""
+    least mu0, with a skew part up to ten times the symmetric one; or, half
+    the time, that G spread to D^1/2 G D^1/2 by D = diag(e^U[-4, 4]), with
+    modulus at least mu0 min(D) and the uneven diagonal that the reference
+    solve's Jacobi metric targets."""
     n = draw(st.integers(2, 8))
     unit = hnp.arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0))
     A, B = draw(unit), draw(unit)
     G = (draw(st.floats(0.2, 1.0)) * np.eye(n) + draw(st.floats(0.0, 1.0)) * A @ A.T
          + draw(st.sampled_from([0.0, 1.0, 10.0])) * (B - B.T))
+    if draw(st.booleans()):
+        root = np.exp(0.5 * draw(_vectors(n, -4.0, 4.0)))
+        G = root[:, None] * G * root
     kind = draw(st.sampled_from(["full", "ball", "box", "simplex"]))
     if kind == "full":
         fs = FullSpace(n)
@@ -710,5 +734,30 @@ def test_reference_operator_calls():
 
     x = solve_reference(dataclasses.replace(p, operator=counted), tol=1e-10)
     assert _natural_residual(p, x) <= 1e-10
-    # Anderson acceleration takes 263 calls; plain projected steps take 2,653
-    assert calls <= 400
+    # Anderson acceleration takes 5 calls in the Jacobi metric, 263 in the
+    # Euclidean one; plain projected steps take 2,653
+    assert calls <= 8
+
+
+@pytest.mark.parametrize("seed", [111, 133, 206, 337, 560, 599, 784])
+def test_reference_converges_on_spread_skew_simplex(seed):
+    # instances on which Anderson steps stalled or cycled past 3,000 steps
+    # with the Euclidean step (133, 206), or in the Jacobi metric with the
+    # natural residual as restart measure or with Euclidean least squares
+    # (111, 337, 560, 599, 784)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    A, B = rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, n))
+    G = (rng.uniform(0.2, 1) * np.eye(n) + rng.choice([0, 0.05, 1.0]) * A @ A.T
+         + rng.choice([0, 1.0, 10.0]) * (B - B.T))
+    root = np.exp(0.5 * rng.uniform(-4, 4, n))
+    G = root[:, None] * G * root
+    if rng.uniform() < 0.5:
+        lower = rng.uniform(-1, 1, n)
+        fs = Box(lower, lower + rng.uniform(0, 2, n))
+    else:
+        fs = SimplexProduct([n], [rng.uniform(0.5, 5)])
+    p = affine_problem(AffineSpec(G, rng.uniform(-10, 10, n)), fs)
+    x = solve_reference(p, 1e-10, max_iter=300)
+    assert p.set.contains(x)
+    assert _natural_residual(p, x) <= 1e-10
