@@ -245,7 +245,7 @@ class Box(FeasibleSet):
     def project(self, z, w=None) -> np.ndarray:
         # separable: each coordinate clips whatever its weight
         if w is not None:
-            _vector(w, self.dim, "w")
+            _weights(w, self.dim)
         return np.clip(_vector(z, self.dim, "z"), self.lower, self.upper)
 
     def support_min(self, c) -> np.ndarray:
@@ -291,11 +291,19 @@ class SimplexProduct(FeasibleSet):
         if any(d < 0 for d in self.demands):
             raise ValueError("demands must be nonnegative")
         self.dim = sum(self.block_sizes)
-        # blocks as rows of a (num_blocks, max_size) array, padded on the
-        # right; the mask picks out the real entries
         self._demand_array = np.array(self.demands)
-        width = max(self.block_sizes, default=0)
-        self._row_mask = np.arange(width) < np.array(self.block_sizes)[:, None]
+        # the blocks as rows (see project): the row shape, each row's demand
+        # and flat offset, and for ragged blocks the mask of real entries
+        num, width = len(self.block_sizes), max(self.block_sizes, default=0)
+        self._divisors = np.arange(1.0, width + 1.0)
+        self._row_mask = None
+        if num == 1:
+            self._row_shape, self._row_demands, self._row_starts = None, self.demands[0], 0
+        else:
+            self._row_shape, self._row_demands = (num, width), self._demand_array[:, None]
+            self._row_starts = np.arange(num)[:, None] * width
+            if len(set(self.block_sizes)) > 1:
+                self._row_mask = np.arange(width) < np.array(self.block_sizes)[:, None]
 
     def contains(self, x) -> bool:
         v = _vector(x, self.dim)
@@ -307,13 +315,25 @@ class SimplexProduct(FeasibleSet):
         return True
 
     def project(self, z, w=None) -> np.ndarray:
-        rows = np.full(self._row_mask.shape, -np.inf)
-        rows[self._row_mask] = _vector(z, self.dim, "z")
+        """Sort and threshold every block at once, on rows built one of three
+        ways: a one-block set thresholds z itself with a scalar tau, equal
+        blocks reshape z to (blocks, size), and ragged blocks pad to the
+        widest block with -inf (weight 1).  All three give the bytes of
+        projecting each block on its own."""
+        rows = self._rows(_vector(z, self.dim, "z"), -np.inf)
         if w is None:
-            return _project_rows(rows, self._demand_array)[self._row_mask]
-        weights = np.ones(self._row_mask.shape)
-        weights[self._row_mask] = _vector(w, self.dim, "w")
-        return _project_rows_weighted(rows, weights, self._demand_array)[self._row_mask]
+            out = _project_rows(rows, self._row_demands, self._divisors, self._row_starts)
+        else:
+            out = _project_rows_weighted(rows, self._rows(_weights(w, self.dim), 1.0),
+                                         self._row_demands, self._row_starts)
+        return out.ravel() if self._row_mask is None else out[self._row_mask]
+
+    def _rows(self, v: np.ndarray, pad: float) -> np.ndarray:
+        if self._row_mask is None:
+            return v if self._row_shape is None else v.reshape(self._row_shape)
+        rows = np.full(self._row_shape, pad)
+        rows[self._row_mask] = v
+        return rows
 
     def support_min(self, c) -> np.ndarray:
         v = _vector(c, self.dim, "c")
@@ -372,60 +392,78 @@ def set_from_doc(doc: dict, dim: int) -> FeasibleSet:
 def project_simplex(v, d: float) -> np.ndarray:
     """Euclidean projection of v onto {x : sum(x) = d, x >= 0}: the one-block
     simplex product, by sort and threshold in O(n log n)."""
-    return SimplexProduct((np.size(v),), (d,)).project(v)
+    z = _vector(v, name="v")
+    if z.shape[0] == 0 or d < 0:
+        raise ValueError("need a nonempty v and a nonnegative d")
+    return _project_rows(z, float(d), np.arange(1.0, z.shape[0] + 1.0), 0)
 
 
-def _project_rows(rows: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    """Project each row of ``rows`` onto its simplex {sum(x) = d, x >= 0}.
+def _weights(w, dim: int) -> np.ndarray:
+    """The vector w of a weighted projection; ``ValueError`` unless every
+    w_i is finite and positive."""
+    v = _vector(w, dim, "w")
+    if not ((v > 0.0) & (v < np.inf)).all():
+        raise ValueError("projection weights must be finite and positive")
+    return v
 
-    One sort and one cumulative sum for all rows.  Entries of -inf are
-    padding: they sort last and never qualify, so a padded row projects
-    exactly as its real entries would alone.
+
+def _project_rows(rows: np.ndarray, demands, scale: np.ndarray, starts) -> np.ndarray:
+    """Project each row of ``rows`` onto its simplex {sum(x) = d, x >= 0};
+    a 1-d ``rows`` is one row.
+
+    One sort and one cumulative sum for all rows.  ``demands`` is d per row
+    as a column (a scalar for one row), ``scale`` is 1, 2, ..., width, and
+    ``starts`` the flat offset of each row as a column (0 for one row).
+    Entries of -inf are padding: they sort last and never qualify, so a
+    padded row projects exactly as its real entries would alone.  The
+    ndarray methods run the loops of their np.* forms without the function
+    dispatch, which at a few hundred entries costs more than the arithmetic.
     """
-    num, width = rows.shape
-    u = np.sort(rows, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    css -= demands[:, None]
-    rho = _support_size(u, css, np.arange(1, width + 1))
-    tau = css[np.arange(num), rho] / (rho + 1.0)
-    out = rows - tau[:, None]
+    u = rows.copy()
+    u.sort()
+    u = u[..., ::-1]
+    css = u.cumsum(-1)
+    css -= demands
+    rho = _support_size(u, css, scale)
+    tau = css.take(starts + rho) / (rho + 1.0)
+    out = rows - tau
     return np.maximum(out, 0.0, out=out)
 
 
 def _project_rows_weighted(rows: np.ndarray, weights: np.ndarray,
-                           demands: np.ndarray) -> np.ndarray:
+                           demands, starts) -> np.ndarray:
     """Project each row of ``rows`` onto its simplex in the metric
     sum_i w_i (x_i - z_i)^2, for positive ``weights`` of the same shape.
 
     The solution is x_i = max(0, z_i - tau / w_i), with tau the root of
     sum_i x_i = d.  Sorting the breakpoints w_i z_i in decreasing order
-    picks the support as in ``_project_rows``, which is the case w = 1.
-    Padding is -inf in ``rows``, with any positive weight.
+    picks the support as in ``_project_rows``, which is the case w = 1 and
+    takes ``demands`` and ``starts`` alike.  Padding is -inf in ``rows``,
+    with any positive weight.
     """
-    num, width = rows.shape
     keys = weights * rows
-    order = np.argsort(keys, axis=1)[:, ::-1]
-    inv_w = np.take_along_axis(1.0 / weights, order, axis=1)
-    css = np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1)
-    css -= demands[:, None]
-    scale = np.cumsum(inv_w, axis=1)
-    rho = _support_size(np.take_along_axis(keys, order, axis=1), css, scale)
-    tau = css[np.arange(num), rho] / scale[np.arange(num), rho]
-    out = rows - tau[:, None] / weights
+    order = starts + keys.argsort()[..., ::-1]  # flat positions, keys decreasing
+    css = rows.take(order).cumsum(-1)
+    css -= demands
+    scale = (1.0 / weights).take(order).cumsum(-1)
+    rho = _support_size(keys.take(order), css, scale)
+    at = starts + rho
+    tau = css.take(at) / scale.take(at)
+    out = rows - tau / weights
     return np.maximum(out, 0.0, out=out)
 
 
 def _support_size(keys: np.ndarray, css: np.ndarray, scale) -> np.ndarray:
     """Per row, rho: the largest index j with keys_j > css_j / scale_j, for
-    keys in decreasing order.
+    keys in decreasing order; a column for 2-d rows, a scalar for one row.
 
     With d > 0, j = 1 qualifies; a row where none does (d = 0) takes
     rho = 0, and marking j = 1 in every row gives that without moving any
     other rho.
     """
     qualifies = keys > css / scale
-    qualifies[:, 0] = True
-    return keys.shape[1] - 1 - np.argmax(qualifies[:, ::-1], axis=1)
+    qualifies[..., 0] = True
+    return keys.shape[-1] - 1 - qualifies[..., ::-1].argmax(-1, keepdims=keys.ndim > 1)
 
 
 def bregman(x, y) -> float:

@@ -210,6 +210,10 @@ class TestProjectSimplex:
         with pytest.raises(ValueError):
             project_simplex([1.0, 2.0], -1.0)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            project_simplex([], 1.0)
+
     def test_zero_demand(self):
         np.testing.assert_allclose(project_simplex([1.0, 2.0], 0.0), [0.0, 0.0])
 
@@ -279,6 +283,98 @@ class TestSimplexProductProjection:
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out[3:], [0.0, 0.0])
         assert fs.contains(out)
+
+
+def padded_projection(fs, z, w=None):
+    """Reference: every block a row of a (blocks, widest block) array,
+    padded on the right with -inf (weight 1), projected by one row-wise sort
+    and threshold and read back through the mask of real entries; the
+    projection as written before one-block and equal-block sets were
+    projected unpadded."""
+    sizes = np.array(fs.block_sizes)
+    num, width = sizes.shape[0], int(sizes.max())
+    mask = np.arange(width) < sizes[:, None]
+    demands = np.array(fs.demands)
+    rows = np.full(mask.shape, -np.inf)
+    rows[mask] = z
+    if w is None:
+        u = np.sort(rows, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1)
+        css -= demands[:, None]
+        rho = _padded_support_size(u, css, np.arange(1, width + 1))
+        tau = css[np.arange(num), rho] / (rho + 1.0)
+        out = rows - tau[:, None]
+        return np.maximum(out, 0.0, out=out)[mask]
+    weights = np.ones(mask.shape)
+    weights[mask] = w
+    keys = weights * rows
+    order = np.argsort(keys, axis=1)[:, ::-1]
+    inv_w = np.take_along_axis(1.0 / weights, order, axis=1)
+    css = np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1)
+    css -= demands[:, None]
+    scale = np.cumsum(inv_w, axis=1)
+    rho = _padded_support_size(np.take_along_axis(keys, order, axis=1), css, scale)
+    tau = css[np.arange(num), rho] / scale[np.arange(num), rho]
+    out = rows - tau[:, None] / weights
+    return np.maximum(out, 0.0, out=out)[mask]
+
+
+def _padded_support_size(keys, css, scale):
+    qualifies = keys > css / scale
+    qualifies[:, 0] = True
+    return keys.shape[1] - 1 - np.argmax(qualifies[:, ::-1], axis=1)
+
+
+@st.composite
+def _partition_cases(draw):
+    """A simplex product of one block, of equal blocks, or of ragged blocks
+    with a size-1 block; demands 0 or spread over 10^+-3; a point z with
+    ties and exact zeros, spread over 10^+-3; positive weights spread over
+    10^+-3."""
+    route = draw(st.sampled_from(["one", "equal", "ragged"]))
+    if route == "one":
+        sizes = [draw(st.integers(1, 40))]
+    elif route == "equal":
+        sizes = [draw(st.integers(1, 12))] * draw(st.integers(2, 6))
+    else:
+        sizes = draw(st.permutations([1, draw(st.integers(2, 12)),
+                                      *draw(st.lists(st.integers(1, 12), max_size=4))]))
+    demand = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+    fs = SimplexProduct(sizes, draw(st.lists(demand, min_size=len(sizes), max_size=len(sizes))))
+    tied = st.builds(lambda m, e: m * 10.0 ** e, st.sampled_from([-1.5, -1.0, 0.0, 0.5, 1.0]),
+                     st.integers(-3, 3))
+    z = draw(hnp.arrays(np.float64, fs.dim, elements=st.one_of(tied, st.floats(-1e3, 1e3))))
+    w = 10.0 ** draw(hnp.arrays(np.float64, fs.dim, elements=st.floats(-3.0, 3.0)))
+    return fs, z, w
+
+
+@settings(max_examples=400, deadline=None)
+@given(_partition_cases())
+def test_projection_routes_agree_bytewise(case):
+    # one-block, equal-block and padded ragged rows all give the bytes of
+    # the padded projection, and of projecting each block on its own
+    fs, z, w = case
+    parts = list(zip(partition_slices(fs.block_sizes), fs.split(fs.block_sizes)))
+    for weights in (None, w):
+        x = fs.project(z, weights)
+        assert x.tobytes() == padded_projection(fs, z, weights).tobytes()
+        blockwise = [part.project(z[sl], None if weights is None else weights[sl])
+                     for sl, part in parts]
+        assert x.tobytes() == np.concatenate(blockwise).tobytes()
+    if len(fs.block_sizes) == 1:
+        assert project_simplex(z, fs.demands[0]).tobytes() == fs.project(z).tobytes()
+
+
+@pytest.mark.parametrize("fs", [SimplexProduct((3, 2), (1.0, 2.0)),
+                                Box(np.zeros(5), np.ones(5))], ids=["simplex", "box"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_weighted_projection_rejects_bad_weights(fs, bad):
+    # unchecked, a negative weight gives an infeasible point, a NaN one NaN,
+    # and a zero one a division by zero
+    w = np.array([1.0, bad, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="weights must be finite and positive"):
+        fs.project([0.3, 0.1, 0.9, 1.0, 0.5], w)
 
 
 def weighted_threshold(z, w, d):
