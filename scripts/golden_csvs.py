@@ -23,8 +23,9 @@ each changed entry is followed by its drift: for a CSV, the largest relative
 change |new - old| / |old| of every column that moved; for any other file,
 the lines that differ.
 
-The whole set took 109-155 s over two runs on a 2-core host with
-OPENBLAS_NUM_THREADS=1.
+The processes run two at a time, or one on a single available CPU.  With
+OPENBLAS_NUM_THREADS=1 on a 2-core host the whole set took 96-99 s over
+two runs, against 168-176 s over two runs one process at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -59,9 +61,14 @@ VALIDATIONS = (
                        "--k", "100")),
 )
 UNSTABLE = {"timing.csv"}  # wall-clock table, outside the byte-identity contract
+# oevi processes at a time: the available CPUs, at most two
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 
 
-def oevi(src: Path, args: list[str], stdout_path: Path | None = None):
+def oevi(src: Path, args: list[str], stdout_path: Path | None = None) -> str | None:
+    """Run one ``oevi`` command in a fresh process; the error report if it
+    failed, else None."""
     env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, "-m", "oevi.cli", *args]
     if stdout_path is None:
@@ -73,7 +80,21 @@ def oevi(src: Path, args: list[str], stdout_path: Path | None = None):
     # check and validate-schedule exit 2 on a failure; the output still
     # belongs in the manifest
     if proc.returncode not in (0, 2):
-        sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+        return f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}"
+    return None
+
+
+def run_all(src: Path, jobs: list[tuple[list[str], Path | None]]):
+    """Run every (arguments, stdout path) job, ``WORKERS`` at a time, and
+    exit with the first failure in job order.  Each job writes its own
+    files, so the outputs do not depend on the order the jobs finish in."""
+    with ThreadPoolExecutor(WORKERS) as pool:
+        futures = [pool.submit(oevi, src, args, stdout_path) for args, stdout_path in jobs]
+        for future in futures:
+            error = future.result()
+            if error is not None:
+                pool.shutdown(cancel_futures=True)
+                sys.exit(error)
 
 
 def manifest(outdir: Path) -> list[str]:
@@ -160,15 +181,17 @@ def main(argv=None) -> int:
     reference = args.compare.read_text().splitlines() if args.compare else None
     outdir, src = args.outdir.resolve(), args.src.resolve()
     outdir.mkdir(parents=True, exist_ok=True)
+    jobs = []
     for cfg in CONFIGS:
         stem = Path(cfg).stem
-        oevi(src, ["run", str(HERE / cfg), "--output", str(outdir / "run" / stem)])
-        oevi(src, ["check", str(HERE / cfg)], outdir / "check" / f"{stem}.txt")
+        jobs.append((["run", str(HERE / cfg), "--output", str(outdir / "run" / stem)], None))
+        jobs.append((["check", str(HERE / cfg)], outdir / "check" / f"{stem}.txt"))
     for name, *extra in SUITES:
         # the suite summaries quote wall-clock times, so only their CSVs count
-        oevi(src, ["suite", name, *extra, "--output", str(outdir / "suite" / name)])
+        jobs.append((["suite", name, *extra, "--output", str(outdir / "suite" / name)], None))
     for stem, flags in VALIDATIONS:
-        oevi(src, ["validate-schedule", *flags], outdir / "validate" / f"{stem}.txt")
+        jobs.append((["validate-schedule", *flags], outdir / "validate" / f"{stem}.txt"))
+    run_all(src, jobs)
     lines = manifest(outdir)
     if reference is None:
         print("\n".join(lines))

@@ -246,7 +246,7 @@ class Box(FeasibleSet):
         # separable: each coordinate clips whatever its weight
         if w is not None:
             _weights(w, self.dim)
-        return np.clip(_vector(z, self.dim, "z"), self.lower, self.upper)
+        return _vector(z, self.dim, "z").clip(self.lower, self.upper)
 
     def support_min(self, c) -> np.ndarray:
         v = _vector(c, self.dim, "c")

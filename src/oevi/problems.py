@@ -82,14 +82,17 @@ class AffineSpec:
 
     Traffic instances carry nonnegative data; the class itself accepts any
     square G (skew tests and monotone benchmark instances need signed
-    entries).
+    entries).  G is stored column-major (Fortran order), once, at
+    construction: a block run reads the column slab G[:, block] in place,
+    and a full evaluation G y takes the column-major matrix-vector kernel.
+    A G given column-major is kept without a copy.
     """
 
     G: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
+        G = np.asfortranarray(self.G, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError("G must be square")
@@ -144,17 +147,17 @@ class AffineSpec:
         """(w, L_D), computed on first use: w is ``jacobi_weights``, and L_D,
         the square root of the largest column sum times the largest row sum
         of |W^-1/2 G W^-1/2|, bounds that matrix's spectral norm (Schur's
-        test), skew part included.  Both sums come from one pass over row
-        panels of ``_GRAM_PANEL`` rows."""
+        test), skew part included.  Both sums come from one pass over
+        panels of ``_GRAM_PANEL`` columns, contiguous in G's layout."""
         w = self.jacobi_weights
         r = 1.0 / np.sqrt(w)
-        rows = np.empty(self.dim)
-        cols = np.zeros(self.dim)
+        rows = np.zeros(self.dim)
+        cols = np.empty(self.dim)
         for i in range(0, self.dim, _GRAM_PANEL):
             j = min(i + _GRAM_PANEL, self.dim)
-            panel = np.abs(self.G[i:j])
-            rows[i:j] = panel @ r
-            cols += r[i:j] @ panel
+            panel = np.abs(self.G[:, i:j])
+            cols[i:j] = r @ panel
+            rows += panel @ r[i:j]
         L_D = math.sqrt(float((rows * r).max()) * float((cols * r).max()))
         return w, L_D
 
@@ -180,8 +183,9 @@ def affine_eval(spec: AffineSpec, y) -> np.ndarray:
     return spec.G @ yv + spec.b
 
 
-# rows per panel of a Gram matrix: one full-size product leaves a larger BLAS
-# buffer resident for the rest of the process
+# rows or columns per panel of a pass over G (Gram matrices, metric sums,
+# generation): one full-size product leaves a larger BLAS buffer resident for
+# the rest of the process
 _GRAM_PANEL = 100
 
 
@@ -303,8 +307,12 @@ def traffic_generate(
     if n % num_od != 0:
         raise ValueError("n must be divisible by num_od (equal block sizes)")
     rng = np.random.default_rng(seed)
-    # G is built in place, so generation holds one n x n array
-    G = rng.uniform(0.0, 1.0, size=(n, n))
+    # G is built in place and column-major, the layout AffineSpec stores, so
+    # generation holds one n x n array; the draws fill it in row panels of
+    # _GRAM_PANEL rows, in the order of one row-major (n, n) draw
+    G = np.empty((n, n), order="F")
+    for i in range(0, n, _GRAM_PANEL):
+        G[i:i + _GRAM_PANEL] = rng.uniform(0.0, 1.0, size=(min(_GRAM_PANEL, n - i), n))
     G *= d_minus * 1e-2
     G.flat[:: n + 1] += np.linspace(d_minus, 1.0, n)
     b = 5.0 * np.ones(n)
@@ -336,7 +344,7 @@ def _link(link: str, s):
     if link == HINGE:
         return np.maximum(s, 0.0)
     if link == RAMP:
-        return np.clip(s, 0.0, 1.0)
+        return s.clip(0.0, 1.0)
     raise ValueError(f"unknown link {link!r}")
 
 

@@ -87,10 +87,10 @@ class Schedule:
 
     def _set_constants(self, *, mu_le_L: bool = False, **constants: float):
         """Store each named constant as a float after checking that it is
-        positive, and with ``mu_le_L`` that mu does not exceed L."""
+        positive and finite, and with ``mu_le_L`` that mu does not exceed L."""
         for name, value in constants.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
             setattr(self, name, float(value))
         if mu_le_L and self.mu > self.L:
             raise ValueError("mu cannot exceed L")
@@ -325,7 +325,7 @@ class SboeGsmviSchedule(Schedule):
             raise ValueError("b must be >= 1")
         self.b = int(b)
         # full-operator Lipschitz constant, used only by the final-step check
-        self.L = float(L) if L is not None else self.Lbar * math.sqrt(self.b)
+        self._set_constants(L=self.Lbar * math.sqrt(self.b) if L is None else L)
         self.gamma = 1.0 / (2.0 * self.Lbar * self.b)
 
     def _log_ratio(self):
@@ -349,7 +349,7 @@ class SboeMviSchedule(Schedule):
         if b < 1:
             raise ValueError("b must be >= 1")
         self.b = int(b)
-        self.L = float(L) if L is not None else self.Lbar * math.sqrt(self.b)
+        self._set_constants(L=self.Lbar * math.sqrt(self.b) if L is None else L)
 
     def table(self, k):
         return _const_table(k, 1.0 / (4.0 * self.Lbar * self.b), float(self.b), 0.0)

@@ -194,9 +194,9 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     )
     xs, ops, order = traj.xs, traj.ops, drawn.tolist()
     xs[:2] = x
-    # column-major copy so per-block column slices hit the fast matvec path
-    G = (np.asfortranarray(problem.affine.G)
-         if blocks and recursive_affine and problem.affine is not None else None)
+    # AffineSpec stores G column-major, so each block's column slab is read in
+    # place: a block run holds no second copy of G
+    G = problem.affine.G if blocks and recursive_affine and problem.affine is not None else None
     sample = problem.oracle if source == "oracle" else None
     stream = _iteration_streams(seed) if sample is not None else None
     sizes = batch_sizes.tolist()
@@ -291,7 +291,9 @@ def sboe_run(
     For affine operators with ``recursive_affine`` (default) the full
     operator vector is maintained through rank updates restricted to the
     changed block, costing O(n * n_i) per iteration instead of a full
-    evaluation; otherwise every iteration re-evaluates F.
+    evaluation; otherwise every iteration re-evaluates F.  The update reads
+    the block's columns of the stored, column-major G in place, so the run
+    holds no copy of G: its memory is the trajectory plus a few n-vectors.
     """
     return _iterate(problem, schedule, x1, k, seed, "block",
                     recursive_affine=recursive_affine)

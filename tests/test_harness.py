@@ -8,6 +8,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -881,6 +882,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert "config error: k must be >= 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["OE-GSMVI", "--L", "inf", "--mu", "0.1", "--k", "100"], "L"),
+        (["SOE-2", "--L", "1", "--mu", "0.1", "--sigma", "inf", "--V1", "1", "--k", "100"],
+         "sigma"),
+    ], ids=["L", "sigma"])
+    def test_validate_schedule_rejects_infinite_constants(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would fail the call, not print
+            rc = cli.main(["validate-schedule", *argv])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message} must be positive and finite, got inf\n"
+        assert captured.out == ""
+
+    def test_infinite_policy_override_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT + "\n[policy:SBOE-GSMVI]\nL = inf\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot build policy SBOE-GSMVI: ")
+        assert err.endswith(" must be positive and finite, got inf\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("sizes", [",", "200,0", "200,-5", "200,203", "200,200"],
                              ids=["empty", "zero", "negative", "not-a-block-multiple",

@@ -93,6 +93,16 @@ class TestAffine:
         spec = AffineSpec(np.array([[2.0, 1.0], [0.0, 2.0]]), np.zeros(2))
         np.testing.assert_allclose(affine_eval(spec, [1.0, 1.0]), [3.0, 2.0])
 
+    def test_stored_column_major(self):
+        # a row-major G is stored column-major with the same values; a
+        # column-major G is kept without a copy, as traffic_generate builds it
+        G = np.random.default_rng(4).normal(size=(5, 5))
+        spec = AffineSpec(G, np.zeros(5))
+        assert spec.G.flags.f_contiguous
+        assert spec.G.tobytes() == G.tobytes()
+        assert AffineSpec(spec.G, np.zeros(5)).G is spec.G
+        assert traffic_generate(20, 5, 0.5, seed=1).affine.G.flags.f_contiguous
+
     def test_eval_dimension_mismatch(self):
         spec = AffineSpec(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
@@ -157,7 +167,7 @@ class TestAffine:
 
     @pytest.mark.parametrize("n", [3, 40, 250])
     def test_operator_metric_bounds_the_scaled_norm(self, n):
-        # L_D >= ||W^-1/2 G W^-1/2||_2, skew part included, across row panels
+        # L_D >= ||W^-1/2 G W^-1/2||_2, skew part included, across column panels
         rng = np.random.default_rng(n)
         for scale in (0.0, 2.0, 6.0):
             A = rng.normal(size=(n, n)) * np.exp(rng.uniform(-scale, scale, n))[:, None]
@@ -535,6 +545,12 @@ class TestSerialization:
         np.testing.assert_array_equal(q.affine.b, p.affine.b)
         assert q.set.block_sizes == p.set.block_sizes
         assert q.set.demands == p.set.demands
+
+    def test_affine_round_trip_keeps_layout(self):
+        p = traffic_generate(10, 5, 0.5, seed=21)
+        q = problem_from_json(problem_to_json(p))
+        assert q.affine.G.flags.f_contiguous
+        assert q.affine.G.tobytes() == p.affine.G.tobytes()
 
     def test_glm_round_trip(self):
         p = glm_generate(6, "hinge", R=3.0, sigma_y=0.7, seed=31, d_minus=0.2)

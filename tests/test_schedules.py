@@ -49,6 +49,21 @@ class TestLinearRatePolicy:
             S.OEGsmviSchedule(1.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, build", [
+    ("L", lambda v: S.OEGsmviSchedule(v, 0.1)),
+    ("mu", lambda v: S.OEGsmviSchedule(1.0, v)),
+    ("sigma", lambda v: S.SoeConstantSchedule(1.0, 0.1, v, 1.0, 100)),
+    ("V1", lambda v: S.SoeRestartSchedule(1.0, 0.1, 1.0, v)),
+    ("Lbar", lambda v: S.SboeMviSchedule(v, 2)),
+    ("L", lambda v: S.SboeGsmviSchedule(1.0, 2, 0.1, L=v)),
+], ids=["OE-GSMVI-L", "OE-GSMVI-mu", "SOE-2-sigma", "SOE-3-V1", "SBOE-MVI-Lbar",
+        "SBOE-GSMVI-L"])
+def test_constants_must_be_finite(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+        build(value)
+
+
 class TestPlainMonotonePolicies:
     def test_gmvi_values(self):
         assert _step(S.OEGmviSchedule(3.0), 1)[0] == pytest.approx(1.0 / 9.0)

@@ -1,6 +1,8 @@
 """Solver-engine tests: hand-traced recursions, degenerate equivalences,
 call accounting, output selection, and weighted averages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,23 @@ class TestBlockRun:
         assert calls["n"] == k
         assert slow.operator_evals == k
         assert slow.block_updates == 0
+
+    def test_run_holds_no_copy_of_G(self):
+        # the block updates read G's columns in place: the run holds its
+        # k + 2 iterates, its k + 1 operator values and a few n-vectors,
+        # far less than G itself
+        n, k = 400, 20
+        p = traffic_generate(n, 5, 0.005, seed=1)
+        sched = S.SboeGsmviSchedule(Lbar=p.constants.L, b=5, mu=p.constants.mu)
+        x1 = analytic_center(p.set)
+        sboe_run(p, sched, x1, k, seed=1)
+        tracemalloc.start()
+        try:
+            sboe_run(p, sched, x1, k, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * (k + 2) + 16) * n * 8 < p.affine.G.nbytes / 6
 
     def test_partition_required(self):
         p = scalar_problem()
