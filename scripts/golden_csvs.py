@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Write a golden set of oevi outputs and print its sha256 manifest.
 
-Runs, each in a fresh process:
-  - ``oevi run`` and ``oevi check`` on the three configs next to this script
-    (golden_traffic.ini, golden_glm.ini, golden_glm_sparse.ini);
+Runs, each in a fresh process started in the repository root:
+  - ``oevi run`` and ``oevi check`` on the four configs next to this script
+    (golden_traffic.ini, golden_glm.ini, golden_glm_sparse.ini, and
+    golden_ragged.ini, whose instance is golden_ragged.json);
   - ``oevi suite traffic --sizes 200,500``, ``oevi suite glm-hinge`` and
     ``oevi suite glm-ramp``;
   - ``oevi validate-schedule`` on every policy at one setting, plus the
@@ -42,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-CONFIGS = ("golden_traffic.ini", "golden_glm.ini", "golden_glm_sparse.ini")
+CONFIGS = ("golden_traffic.ini", "golden_glm.ini", "golden_glm_sparse.ini", "golden_ragged.ini")
 SUITES = (("traffic", "--sizes", "200,500"), ("glm-hinge",), ("glm-ramp",))
 # spelled out, not imported: the script runs against any checkout's --src
 POLICY_NAMES = ("OE-GSMVI", "OE-GMVI", "OE-MVI", "SOE-1", "SOE-2", "SOE-3", "SOE-4",
@@ -76,7 +77,9 @@ def oevi(src: Path, args: list[str], stdout_path: Path | None = None) -> str | N
     else:
         stdout_path.parent.mkdir(parents=True, exist_ok=True)
     with open(stdout_path, "w") as out:
-        proc = subprocess.run(cmd, env=env, stdout=out, stderr=subprocess.PIPE, text=True)
+        # from the repository root, where golden_ragged.ini finds its instance
+        proc = subprocess.run(cmd, env=env, cwd=HERE.parent, stdout=out,
+                              stderr=subprocess.PIPE, text=True)
     # check and validate-schedule exit 2 on a failure; the output still
     # belongs in the manifest
     if proc.returncode not in (0, 2):

@@ -293,17 +293,17 @@ class SimplexProduct(FeasibleSet):
         self.dim = sum(self.block_sizes)
         self._demand_array = np.array(self.demands)
         # the blocks as rows (see project): the row shape, each row's demand
-        # and flat offset, and for ragged blocks the mask of real entries
+        # and flat offset; a ragged set keeps its one-block parts instead
         num, width = len(self.block_sizes), max(self.block_sizes, default=0)
         self._divisors = np.arange(1.0, width + 1.0)
-        self._row_mask = None
+        self._parts = None
         if num == 1:
-            self._row_shape, self._row_demands, self._row_starts = None, self.demands[0], 0
-        else:
+            self._row_shape, self._row_demands, self._row_starts = self.dim, self.demands[0], 0
+        elif len(set(self.block_sizes)) <= 1:
             self._row_shape, self._row_demands = (num, width), self._demand_array[:, None]
             self._row_starts = np.arange(num)[:, None] * width
-            if len(set(self.block_sizes)) > 1:
-                self._row_mask = np.arange(width) < np.array(self.block_sizes)[:, None]
+        else:
+            self._parts = self.split(self.block_sizes)
 
     def contains(self, x) -> bool:
         v = _vector(x, self.dim)
@@ -315,25 +315,24 @@ class SimplexProduct(FeasibleSet):
         return True
 
     def project(self, z, w=None) -> np.ndarray:
-        """Sort and threshold every block at once, on rows built one of three
-        ways: a one-block set thresholds z itself with a scalar tau, equal
-        blocks reshape z to (blocks, size), and ragged blocks pad to the
-        widest block with -inf (weight 1).  All three give the bytes of
+        """Sort and threshold every block at once, on rows: a one-block set
+        thresholds z itself with a scalar tau, and equal blocks reshape z to
+        (blocks, size).  A ragged set projects each block through its
+        one-block part and concatenates.  Every route gives the bytes of
         projecting each block on its own."""
-        rows = self._rows(_vector(z, self.dim, "z"), -np.inf)
+        v = _vector(z, self.dim, "z")
+        if w is not None:
+            w = _weights(w, self.dim)
+        if self._parts is not None:
+            return np.concatenate([part.project(v[sl], None if w is None else w[sl])
+                                   for sl, part in zip(self._slices, self._parts)])
+        rows = v.reshape(self._row_shape)
         if w is None:
             out = _project_rows(rows, self._row_demands, self._divisors, self._row_starts)
         else:
-            out = _project_rows_weighted(rows, self._rows(_weights(w, self.dim), 1.0),
+            out = _project_rows_weighted(rows, w.reshape(self._row_shape),
                                          self._row_demands, self._row_starts)
-        return out.ravel() if self._row_mask is None else out[self._row_mask]
-
-    def _rows(self, v: np.ndarray, pad: float) -> np.ndarray:
-        if self._row_mask is None:
-            return v if self._row_shape is None else v.reshape(self._row_shape)
-        rows = np.full(self._row_shape, pad)
-        rows[self._row_mask] = v
-        return rows
+        return out.ravel()
 
     def support_min(self, c) -> np.ndarray:
         v = _vector(c, self.dim, "c")
@@ -413,9 +412,7 @@ def _project_rows(rows: np.ndarray, demands, scale: np.ndarray, starts) -> np.nd
 
     One sort and one cumulative sum for all rows.  ``demands`` is d per row
     as a column (a scalar for one row), ``scale`` is 1, 2, ..., width, and
-    ``starts`` the flat offset of each row as a column (0 for one row).
-    Entries of -inf are padding: they sort last and never qualify, so a
-    padded row projects exactly as its real entries would alone.  The
+    ``starts`` the flat offset of each row as a column (0 for one row).  The
     ndarray methods run the loops of their np.* forms without the function
     dispatch, which at a few hundred entries costs more than the arithmetic.
     """
@@ -438,11 +435,11 @@ def _project_rows_weighted(rows: np.ndarray, weights: np.ndarray,
     The solution is x_i = max(0, z_i - tau / w_i), with tau the root of
     sum_i x_i = d.  Sorting the breakpoints w_i z_i in decreasing order
     picks the support as in ``_project_rows``, which is the case w = 1 and
-    takes ``demands`` and ``starts`` alike.  Padding is -inf in ``rows``,
-    with any positive weight.
+    takes ``demands`` and ``starts`` alike.  The sort is stable, so tied
+    breakpoints (exact zeros) keep one order whatever the row's length.
     """
     keys = weights * rows
-    order = starts + keys.argsort()[..., ::-1]  # flat positions, keys decreasing
+    order = starts + keys.argsort(kind="stable")[..., ::-1]  # flat positions, keys decreasing
     css = rows.take(order).cumsum(-1)
     css -= demands
     scale = (1.0 / weights).take(order).cumsum(-1)

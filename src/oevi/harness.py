@@ -164,6 +164,12 @@ class ExperimentConfig:
             if policy.batch is not None and policy.batch < 1:
                 raise ConfigError(f"policy {policy.name}: batch size m must be >= 1, "
                                   f"got {policy.batch}")
+            for key in ("L", "mu", "sigma", "V1", "noise_ratio"):
+                value, zero_ok = getattr(policy, key), key in ("mu", "sigma")
+                if value is not None and not (0 < value < math.inf or zero_ok and value == 0):
+                    raise ConfigError(f"cannot build policy {policy.name}: {key} must be "
+                                      f"{'nonnegative' if zero_ok else 'positive'} and "
+                                      f"finite, got {value}")
             if POLICIES[policy.name].source == "block":
                 _check_blocks(policy.name, self.problem)
         _check_budget(self.k, self.seeds)
@@ -544,9 +550,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
         # (k+2) x n arrays to the peak memory for every finished job
         policy, schedule, seeds = job
         # the run keeps only the operator values trajectory_rows reads on ts
-        traj = run(problem, schedule, x1,
-                   RunConfig(policy.name, config.k, seeds[0], policy.batch, checkpoints=ts),
-                   recursive_affine=policy.recursive_affine)
+        _, traj = next(_runs(policy, schedule, problem, x1, config.k, seeds, ts))
         rows = trajectory_rows(
             traj, problem, ts, weak_gap=config.weak_gap, timing=config.timing
         )
@@ -960,7 +964,15 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
         # known after the run; the other runs keep none
         keep = None if check in (_check_oe_gmvi, _check_soe_4) else []
         runs = _runs(policy, schedule, problem, x1, config.k, config.seeds, keep)
-        checks.extend(check(policy, schedule, problem, runs, x1, config.k))
+        try:
+            records = check(policy, schedule, problem, runs, x1, config.k)
+        except OverflowError as exc:
+            raise ConfigError(f"policy {policy.name}: its bound overflows a float") from exc
+        for rec in records:
+            if not (math.isnan(rec.measured) or math.isfinite(rec.limit)):
+                raise ConfigError(f"policy {policy.name}: the {rec.bound} limit is "
+                                  f"{rec.limit}, not a finite number")
+        checks.extend(records)
     return checks
 
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .geometry import FeasibleSet
-from .problems import VIProblem
+from .problems import VIProblem, _smaller_det
 from .solvers import Trajectory
 
 GAP_CLAMP = -1e-12  # gap values this close to zero are rounding, report 0
@@ -95,9 +95,10 @@ def weak_gap_exact_affine(
     gradient step x_new - y points against the move x_new - x_prev.  Each
     step majorizes S = G + G^T by lambda_max(S) I (the Euclidean step
     1/lambda_max(S)) or, on sets with ``has_weighted_projection`` (boxes,
-    simplex products) when ``AffineSpec.diag_metric`` picks it, by L_w W:
-    W = diag(S) floored at a fixed fraction of lambda_max(S), L_w the
-    Gershgorin bound on lambda_max(W^-1/2 S W^-1/2).  x_new is then the
+    simplex products), by L_w W of ``AffineSpec.jacobi_metric`` when L_w W
+    has the smaller determinant: W = diag(S) floored at a fixed fraction of
+    lambda_max(S), L_w the Gershgorin bound on lambda_max(W^-1/2 S W^-1/2).
+    Other sets never compute that metric.  x_new is then the
     W-projection of y + W^-1 grad phi(y) / L_w, and the restart test takes
     the W inner product.  A constant diagonal keeps the Euclidean step, as
     do balls.  Jacobi scaling is within a factor of the best diagonal
@@ -132,12 +133,11 @@ def weak_gap_exact_affine(
     else:
         S = G + G.T
         step = 1.0 / lam_max
-        metric = spec.diag_metric if fs.has_weighted_projection else None
-        if metric is None:
-            w = 1.0
-        else:
-            w, L_w = metric
-            scale = 1.0 / (L_w * w)
+        w, scale = 1.0, None  # the Euclidean step
+        if fs.has_weighted_projection:
+            jw, L_w, _ = spec.jacobi_metric
+            if _smaller_det(jw, L_w, lam_max):
+                w, scale = jw, 1.0 / (L_w * jw)
         x = y = xb.copy()
         t = 1.0
         for _ in range(max_inner):
@@ -146,7 +146,7 @@ def weak_gap_exact_affine(
             if float(np.linalg.norm(y - x_new)) / step <= inner_tol:
                 x = x_new
                 break
-            if metric is not None:
+            if scale is not None:
                 x_new = fs.project(y + scale * grad, w)
             if float((w * (x_new - y)) @ (x_new - x)) < 0.0:
                 t = 1.0  # restart: the next y is x_new

@@ -29,7 +29,7 @@ from .geometry import (
 )
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# floor of the diagonal metrics' weights ``AffineSpec.jacobi_weights``, as a
+# floor of the Jacobi metric's weights (``AffineSpec.jacobi_metric``), as a
 # fraction of lambda_max(G + G^T)
 _METRIC_FLOOR = 1e-3
 
@@ -112,54 +112,33 @@ class AffineSpec:
         return float(eigs[0]), float(eigs[-1])
 
     @cached_property
-    def jacobi_weights(self) -> np.ndarray:
-        """w, the diagonal of G + G^T floored at ``_METRIC_FLOOR``
-        lambda_max(G + G^T): the weights of both diagonal metrics below,
-        computed on first use."""
-        return np.maximum(2.0 * np.diagonal(self.G), _METRIC_FLOOR * self.spectrum[1])
+    def jacobi_metric(self) -> tuple[np.ndarray, float, float]:
+        """(w, L_w, L_D), computed on first use by one pass over G in panels
+        of ``_GRAM_PANEL`` rows and columns, never a whole n x n matrix.
 
-    @cached_property
-    def diag_metric(self) -> Optional[tuple[np.ndarray, float]]:
-        """(w, L_w), computed on first use: w is ``jacobi_weights``, and L_w,
-        the largest row sum of |W^-1/2 (G + G^T) W^-1/2| for W = diag(w),
-        bounds that matrix's largest eigenvalue (Gershgorin).  The row sums
-        are formed in panels of ``_GRAM_PANEL`` rows, never as a whole n x n
-        matrix.
-
-        Both L_w W and lambda_max I majorize G + G^T.  None unless L_w W has
-        the smaller determinant (``_smaller_det``), so a constant w, or any w
-        for which the other valid bound lambda_max / min(w) is the smaller
-        one (then L_w W >= lambda_max I on every coordinate), gives None.
+        w is the diagonal of G + G^T floored at ``_METRIC_FLOOR``
+        lambda_max(G + G^T), and W = diag(w).  L_w, the largest row sum of
+        |W^-1/2 (G + G^T) W^-1/2|, bounds that matrix's largest eigenvalue
+        (Gershgorin); L_D, the square root of the largest column sum times
+        the largest row sum of |W^-1/2 G W^-1/2|, bounds that matrix's
+        spectral norm (Schur's test), skew part included.  A caller steps in
+        L W only on a set with a weighted projection and when L W has the
+        smaller determinant (``_smaller_det``), so a constant w keeps the
+        Euclidean step.
         """
-        lam_max = self.spectrum[1]
-        w = self.jacobi_weights
+        w = np.maximum(2.0 * np.diagonal(self.G), _METRIC_FLOOR * self.spectrum[1])
         r = 1.0 / np.sqrt(w)
-        rows = np.empty(self.dim)
+        sym_rows, rows, cols = np.empty(self.dim), np.zeros(self.dim), np.empty(self.dim)
         for i in range(0, self.dim, _GRAM_PANEL):
             j = min(i + _GRAM_PANEL, self.dim)
             panel = self.G[i:j] + self.G[:, i:j].T
-            rows[i:j] = np.abs(panel, out=panel) @ r
-        L_w = float((rows * r).max())
-        return (w, L_w) if _smaller_det(w, L_w, lam_max) else None
-
-    @cached_property
-    def operator_metric(self) -> tuple[np.ndarray, float]:
-        """(w, L_D), computed on first use: w is ``jacobi_weights``, and L_D,
-        the square root of the largest column sum times the largest row sum
-        of |W^-1/2 G W^-1/2|, bounds that matrix's spectral norm (Schur's
-        test), skew part included.  Both sums come from one pass over
-        panels of ``_GRAM_PANEL`` columns, contiguous in G's layout."""
-        w = self.jacobi_weights
-        r = 1.0 / np.sqrt(w)
-        rows = np.zeros(self.dim)
-        cols = np.empty(self.dim)
-        for i in range(0, self.dim, _GRAM_PANEL):
-            j = min(i + _GRAM_PANEL, self.dim)
+            sym_rows[i:j] = np.abs(panel, out=panel) @ r
             panel = np.abs(self.G[:, i:j])
             cols[i:j] = r @ panel
             rows += panel @ r[i:j]
+        L_w = float((sym_rows * r).max())
         L_D = math.sqrt(float((rows * r).max()) * float((cols * r).max()))
-        return w, L_D
+        return w, L_w, L_D
 
     @property
     def monotone(self) -> bool:
@@ -280,23 +259,15 @@ def affine_problem(
     )
 
 
-def traffic_generate(
-    n: int,
-    num_od: int,
-    d_minus: float,
-    seed: int,
-    *,
-    demands=None,
-) -> VIProblem:
+def traffic_generate(n: int, num_od: int, d_minus: float, seed: int) -> VIProblem:
     """Random affine traffic-assignment instance over a product of simplices.
 
     The cost matrix is G = diag(g) + d_minus * 1e-2 * Ghat with Ghat uniform
     on [0, 1] and g equidistant on [d_minus, 1] (endpoints included); the
     offset is b = 5 * ones.  Arcs are split into ``num_od`` equal blocks with
-    unit demands unless ``demands`` is given.  The construction is strongly
-    monotone for d_minus >= 1e-3; instances that come out non-monotone are
-    rejected, and ``n < 1`` or ``num_od < 1`` raise ``ValueError`` before any
-    draw.
+    unit demands.  The construction is strongly monotone for d_minus >= 1e-3;
+    instances that come out non-monotone are rejected, and ``n < 1`` or
+    ``num_od < 1`` raise ``ValueError`` before any draw.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -319,9 +290,7 @@ def traffic_generate(
     spec = AffineSpec(G=G, b=b)
 
     block_sizes = (n // num_od,) * num_od
-    if demands is None:
-        demands = (1.0,) * num_od
-    fs = SimplexProduct(block_sizes, demands)
+    fs = SimplexProduct(block_sizes, (1.0,) * num_od)
 
     problem = affine_problem(spec, fs, block_partition=block_sizes, seed=seed)
     if problem.constants.mu <= 0:
@@ -377,14 +346,14 @@ class GLMSpec:
         n = A.shape[0]
         if x_star.shape != (n,):
             raise ValueError("x_star must match A")
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.R}")
         if abs(float(np.linalg.norm(x_star)) - self.R) > 1e-9 * self.R:
             raise ValueError("x_star must have norm R")
         if np.linalg.matrix_rank(A) < n:
             raise ValueError("A must be full rank")
-        if self.sigma_y < 0:
-            raise ValueError("sigma_y must be nonnegative")
+        if not 0 <= self.sigma_y < math.inf:
+            raise ValueError(f"sigma_y must be nonnegative and finite, got {self.sigma_y}")
         object.__setattr__(self, "A_x_star", A @ x_star)
         object.__setattr__(self, "_A_is_identity", bool(np.allclose(A, np.eye(n))))
 
@@ -521,14 +490,22 @@ def glm_generate(
 
 
 def glm_problem(spec: GLMSpec, *, seed: int | None = None) -> VIProblem:
-    """Wrap a GLMSpec as a VIProblem with exact operator and sampling oracle."""
+    """Wrap a GLMSpec as a VIProblem with exact operator and sampling oracle;
+    ``ValueError`` if its variance bound ``glm_sigma_bound`` is not finite."""
     L, mu = glm_constants(spec)
+    try:
+        variance = glm_sigma_bound(spec)
+    except OverflowError:  # a float power past the largest double
+        variance = math.inf
+    if not variance < math.inf:
+        raise ValueError(f"the oracle variance bound is not finite at R = {spec.R:g}, "
+                         f"sigma_y = {spec.sigma_y:g}")
     exact = glm_exact_hinge if spec.link == HINGE else glm_exact_ramp
     return VIProblem(
         dim=spec.dim,
         set=Ball(np.zeros(spec.dim), spec.R),
         operator=lambda x, _s=spec, _e=exact: _e(_s, x),
-        constants=Constants(L=L, mu=mu, sigma=math.sqrt(glm_sigma_bound(spec))),
+        constants=Constants(L=L, mu=mu, sigma=math.sqrt(variance)),
         oracle=lambda x, rng, m=1, _s=spec: glm_oracle(_s, x, rng, m),
         known_solution=spec.x_star.copy(),
         glm=spec,
@@ -555,7 +532,7 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
     Euclidean Anderson steps; on an affine problem they act like GMRES on
     the identified face (Walker & Ni 2011).
 
-    D is the Jacobi metric L_D W of ``AffineSpec.operator_metric`` (W the
+    D is the Jacobi metric L_D W of ``AffineSpec.jacobi_metric`` (W the
     diagonal of G + G^T, floored; L_D a bound on ||W^-1/2 G W^-1/2||) on sets
     with ``has_weighted_projection`` (boxes, simplex products) when L_D W has
     the smaller determinant (L_D times the geometric mean of W below L);
@@ -583,7 +560,7 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
     F = problem.operator
     D, weights = np.full(problem.dim, L), None  # the Euclidean step 1/L
     if problem.affine is not None and fs.has_weighted_projection:
-        w, L_D = problem.affine.operator_metric
+        w, _, L_D = problem.affine.jacobi_metric
         if _smaller_det(w, L_D, L):
             D = weights = L_D * w
     root_D = np.sqrt(D)

@@ -131,10 +131,6 @@ class Trajectory:
         return self.xs.shape[0] - 2
 
     @property
-    def dim(self) -> int:
-        return self.xs.shape[1]
-
-    @property
     def final(self) -> np.ndarray:
         return self.xs[-1]
 
@@ -347,14 +343,14 @@ SOE_MVI_TAIL_AVERAGE = "soe-mvi-tail"
 SBOE_MVI_AVERAGE = "sboe-mvi"
 
 
-def weighted_average(traj: Trajectory, mode: str, *, b: int | None = None,
-                     k: int | None = None) -> np.ndarray:
+def weighted_average(traj: Trajectory, mode: str, *, k: int | None = None) -> np.ndarray:
     """Weighted combinations of the iterates x_2..x_{k+1}.
 
     ``oe-mvi``: weights gamma_t theta_t.  ``soe-mvi-tail``: weights gamma_t
     restricted to t >= ceil(k/2).  ``sboe-mvi``: weights
     theta_t gamma_t b - theta_{t+1} gamma_{t+1} (b-1), with the final weight
-    theta_k gamma_k b.  ``k`` restricts to a prefix of the trajectory.
+    theta_k gamma_k b, for the run's b blocks.  ``k`` restricts to a prefix
+    of the trajectory.
     """
     k = traj.k if k is None else int(k)
     if not 1 <= k <= traj.k:
@@ -368,7 +364,7 @@ def weighted_average(traj: Trajectory, mode: str, *, b: int | None = None,
         kbar = math.ceil(k / 2)
         w[kbar - 1 :] = gam[kbar - 1 :]
     elif mode == SBOE_MVI_AVERAGE:
-        b = traj.num_blocks if b is None else int(b)
+        b = traj.num_blocks
         w = np.empty(k)
         w[: k - 1] = the[:-1] * gam[:-1] * b - the[1:] * gam[1:] * (b - 1)
         w[k - 1] = the[-1] * gam[-1] * b

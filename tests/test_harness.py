@@ -907,6 +907,50 @@ class TestCli:
         assert err.endswith(" must be positive and finite, got inf\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("sigma = inf", "sigma must be nonnegative and finite, got inf"),
+        ("sigma = nan", "sigma must be nonnegative and finite, got nan"),
+        ("sigma = -1", "sigma must be nonnegative and finite, got -1.0"),
+        ("mu = -0.5", "mu must be nonnegative and finite, got -0.5"),
+        ("L = 0", "L must be positive and finite, got 0.0"),
+        ("V1 = nan", "V1 must be positive and finite, got nan"),
+        ("noise_ratio = -inf", "noise_ratio must be positive and finite, got -inf"),
+    ], ids=["sigma-inf", "sigma-nan", "sigma-negative", "mu-negative", "L-zero", "V1-nan",
+            "noise_ratio-inf"])
+    def test_bad_policy_override_is_a_config_error(self, tmp_path, capsys, line, message):
+        # sigma = inf once checked as PASS with limit=inf, nan as FAIL, and -1
+        # was taken as given
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("m = 2", f"m = 2\n{line}"))
+        assert cli.main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot build policy SOE-1: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sigma, message", [
+        ("1e154", "the expected distance limit is inf, not a finite number"),
+        ("1e200", "its bound overflows a float"),
+    ], ids=["limit-inf", "overflow"])
+    def test_nonfinite_bound_is_a_config_error(self, tmp_path, capsys, sigma, message):
+        # finite overrides whose bound leaves the doubles: no PASS or FAIL line
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("m = 2", f"m = 2\nsigma = {sigma}"))
+        assert cli.main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: policy SOE-1: {message}\n"
+        assert captured.out == ""
+
+    def test_glm_infinite_variance_bound_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(GLM_RAMP_TEXT.replace("n = 5", "n = 5\nsigma_y = 1e300"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the oracle variance bound is not finite at R = 100, "
+                                "sigma_y = 1e+300\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("sizes", [",", "200,0", "200,-5", "200,203", "200,200"],
                              ids=["empty", "zero", "negative", "not-a-block-multiple",
                                   "repeated"])

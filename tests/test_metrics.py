@@ -29,8 +29,10 @@ from oevi.metrics import (
     residual_exact,
     weak_gap_exact_affine,
 )
-from oevi.problems import AffineSpec, affine_problem, solve_reference, traffic_generate
+from oevi import metrics
 from oevi import schedules as S
+from oevi.problems import (AffineSpec, _smaller_det, affine_problem, solve_reference,
+                           traffic_generate)
 from oevi.solvers import OE_MVI_AVERAGE, RunConfig, oe_run, run, weighted_average
 
 
@@ -234,7 +236,8 @@ class TestWeakGapExact:
         # Euclidean projection each), where the Euclidean metric took 208;
         # 24 leaves twice that
         p, x_bar = skewed_traffic_point()
-        assert p.affine.diag_metric is not None
+        w, L_w, _ = p.affine.jacobi_metric
+        assert _smaller_det(w, L_w, p.affine.spectrum[1])
         calls = []
         project = p.set.project
         # count the Euclidean projections, not the weighted ones
@@ -256,7 +259,8 @@ class TestWeakGapExact:
         G = 0.5 * M + 1e-3 * np.eye(50) + 0.3 * (B - B.T)
         p = affine_problem(AffineSpec(G, rng.uniform(0.0, 1.0, 50)), fs)
         x_bar = fs.project(3.0 * rng.normal(size=50))
-        assert p.affine.diag_metric is None
+        w, L_w, _ = p.affine.jacobi_metric
+        assert not _smaller_det(w, L_w, p.affine.spectrum[1])
         calls = []
         project = fs.project
         # count the Euclidean projections, not the weighted ones
@@ -265,11 +269,22 @@ class TestWeakGapExact:
         euclidean = weak_gap_exact_affine(p, x_bar, inner_tol=1e-12)
         steps = len(calls)
         w0 = 2.0 * G[0, 0]
-        metric = (np.full(50, w0), p.affine.spectrum[1] / w0)
-        monkeypatch.setitem(vars(p.affine), "diag_metric", metric)
+        metric = (np.full(50, w0), p.affine.spectrum[1] / w0, None)
+        monkeypatch.setitem(vars(p.affine), "jacobi_metric", metric)
+        monkeypatch.setattr(metrics, "_smaller_det", lambda w, L_w, lam: True)
         assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) == pytest.approx(euclidean,
                                                                                  abs=1e-12)
         assert steps == len(calls) - steps > 100  # 320 with OpenBLAS 0.3.31
+
+    def test_ball_never_computes_the_jacobi_metric(self):
+        # a ball has no weighted projection, so the weak gap steps in the
+        # Euclidean metric without the metric's pass over G
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 6))
+        p = affine_problem(AffineSpec(A @ A.T + np.diag(np.arange(1.0, 7.0)), np.ones(6)),
+                           Ball(np.zeros(6), 1.0))
+        assert weak_gap_exact_affine(p, np.full(6, 0.1)) >= 0.0
+        assert "jacobi_metric" not in vars(p.affine)
 
     def test_nonaffine_rejected(self):
         import dataclasses

@@ -25,6 +25,7 @@ from oevi.geometry import (
 from oevi.problems import (
     AffineSpec,
     _sigma_max,
+    _smaller_det,
     GLMSpec,
     affine_constants,
     affine_eval,
@@ -35,6 +36,7 @@ from oevi.problems import (
     glm_exact_ramp,
     glm_generate,
     glm_oracle,
+    glm_problem,
     problem_from_json,
     problem_to_json,
     ramp_mean_jacobian,
@@ -145,7 +147,8 @@ class TestAffine:
     @pytest.mark.parametrize("n", [3, 40, 250])
     def test_diag_metric_bounds_the_scaled_spectrum(self, n):
         # L_w >= lambda_max(W^-1/2 (G + G^T) W^-1/2), across row panels, and
-        # the metric is picked only when L_w W has the smaller determinant
+        # L_w W has the smaller determinant exactly when its dense row-sum
+        # bound times the geometric mean of w is below lambda_max
         rng = np.random.default_rng(n)
         for scale in (0.0, 2.0, 6.0):
             A = rng.normal(size=(n, n)) * np.exp(rng.uniform(-scale, scale, n))[:, None]
@@ -153,17 +156,14 @@ class TestAffine:
             spec = AffineSpec(A @ A.T + B - B.T, np.zeros(n))
             S = spec.G + spec.G.T
             lam_max = spec.spectrum[1]
-            if spec.diag_metric is None:
-                w = np.maximum(np.diag(S), 1e-3 * lam_max)
-                assert float(np.abs(S / np.sqrt(np.outer(w, w))).sum(axis=1).max()) * \
-                    math.exp(float(np.log(w).mean())) >= lam_max
-                continue
-            w, L_w = spec.diag_metric
+            w, L_w, _ = spec.jacobi_metric
             np.testing.assert_array_equal(w, np.maximum(np.diag(S), 1e-3 * lam_max))
             scaled = S / np.sqrt(np.outer(w, w))
             assert L_w >= float(np.linalg.eigvalsh(scaled)[-1]) * (1.0 - 1e-12)
-            assert L_w == pytest.approx(float(np.abs(scaled).sum(axis=1).max()), rel=1e-12)
-            assert L_w * math.exp(float(np.log(w).mean())) < lam_max
+            dense = float(np.abs(scaled).sum(axis=1).max())
+            assert L_w == pytest.approx(dense, rel=1e-12)
+            assert _smaller_det(w, L_w, lam_max) == \
+                (dense * math.exp(float(np.log(w).mean())) < lam_max)
 
     @pytest.mark.parametrize("n", [3, 40, 250])
     def test_operator_metric_bounds_the_scaled_norm(self, n):
@@ -173,10 +173,7 @@ class TestAffine:
             A = rng.normal(size=(n, n)) * np.exp(rng.uniform(-scale, scale, n))[:, None]
             B = rng.normal(size=(n, n))
             spec = AffineSpec(A @ A.T + 5.0 * (B - B.T), np.zeros(n))
-            w, L_D = spec.operator_metric
-            assert w is spec.jacobi_weights
-            if spec.diag_metric is not None:
-                assert spec.diag_metric[0] is w
+            w, _, L_D = spec.jacobi_metric
             scaled = spec.G / np.sqrt(np.outer(w, w))
             assert L_D >= float(np.linalg.norm(scaled, 2)) * (1 - 1e-12)
             absolute = np.abs(scaled)
@@ -531,6 +528,22 @@ class TestOperatorInvariants:
             GLMSpec("hinge", np.zeros((2, 2)), np.array([2.0, 0.0]), 2.0, 0.1)
         with pytest.raises(ValueError):  # negative label noise
             GLMSpec("hinge", np.eye(2), np.array([2.0, 0.0]), 2.0, -0.1)
+
+    @pytest.mark.parametrize("R, sigma_y, match", [
+        (math.inf, 0.1, "radius must be positive and finite, got inf"),
+        (math.nan, 0.1, "radius must be positive and finite, got nan"),
+        (2.0, math.inf, "sigma_y must be nonnegative and finite, got inf"),
+        (2.0, math.nan, "sigma_y must be nonnegative and finite, got nan"),
+    ], ids=["R-inf", "R-nan", "sigma_y-inf", "sigma_y-nan"])
+    def test_glm_spec_rejects_nonfinite_constants(self, R, sigma_y, match):
+        with pytest.raises(ValueError, match=match):
+            GLMSpec("ramp", np.eye(2), np.array([R, 0.0]), R, sigma_y)
+
+    def test_glm_problem_rejects_an_infinite_variance_bound(self):
+        # sigma_y**2 overflows a float here; the bound was an OverflowError
+        spec = GLMSpec("ramp", np.eye(2), np.array([1.0, 0.0]), 1.0, 1e300)
+        with pytest.raises(ValueError, match="oracle variance bound is not finite"):
+            glm_problem(spec)
 
 
 class TestSerialization:
