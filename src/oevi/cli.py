@@ -85,7 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    flags = vars(build_parser().parse_args(argv))
+    try:
+        flags = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse exits 2 on a bad command line, a configuration error
+        return 1 if exc.code else 0
     command = flags.pop("command")
     try:
         for key in ("seeds", "sizes"):
@@ -109,8 +112,6 @@ def main(argv=None) -> int:
             print(report.summary())
             return 0 if report.passed else 2
         policy = flags.pop("policy")  # validate-schedule
-        if flags["k"] < 1:
-            raise ConfigError("k must be >= 1")
         report = validate(make_schedule(policy, **flags), flags["k"])
         print(report.summary())
         return 0 if report.passed else 2

@@ -40,12 +40,24 @@ def _vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     return v
 
 
+def in_range(name: str, value, low: float = 0.0, *, closed: bool = False,
+             high: float = math.inf) -> np.ndarray:
+    """The one range rule of every constant: ``value`` as a float array (0-d
+    for a scalar) if every entry is finite, above ``low`` (or equal, with
+    ``closed``) and at most ``high``; else ``ValueError("<name> must be in
+    <interval>, got <value>")``, naming an array's first bad entry."""
+    v = np.asarray(value, dtype=float)
+    ok = np.isfinite(v) & (v >= low if closed else v > low) & (v <= high)
+    if not ok.all():
+        bounds = f"{'[' if closed else '('}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+        raise ValueError(f"{name} must be in {bounds}, got {value if v.ndim == 0 else v[~ok][0]}")
+    return v
+
+
 def partition_slices(sizes, dim: int | None = None) -> list[slice]:
     """Slices of consecutive blocks of the given sizes; ``ValueError`` unless
-    every size is positive and, given ``dim``, they sum to it."""
-    sizes = tuple(int(s) for s in sizes)
-    if any(s <= 0 for s in sizes):
-        raise ValueError("block sizes must be positive")
+    every size is at least 1 and, given ``dim``, they sum to it."""
+    sizes = tuple(int(s) for s in in_range("block sizes", sizes, 1, closed=True))
     if dim is not None and sum(sizes) != dim:
         raise ValueError(f"block partition {sizes} does not cover the dimension {dim}")
     offsets = np.cumsum((0,) + sizes)
@@ -94,8 +106,7 @@ class FeasibleSet:
         raise ValueError(f"Bregman diameter unsupported for {type(self).__name__}")
 
     def max_convex_quadratic(self, x1, alpha: float, linear) -> float:
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        in_range("alpha", alpha, closed=True)
         return self._max_quadratic(_vector(x1, self.dim, "x1"), alpha,
                                    _vector(linear, self.dim, "linear"))
 
@@ -154,11 +165,9 @@ class Ball(FeasibleSet):
     has_exact_residual = True
 
     def __init__(self, center, radius: float):
-        self.center = _vector(center, name="center")
-        self.radius = float(radius)
+        self.center = in_range("center", _vector(center, name="center"), -math.inf)
+        self.radius = float(in_range("radius", radius))
         self.dim = self.center.shape[0]
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
 
     def contains(self, x) -> bool:
         v = _vector(x, self.dim)
@@ -232,8 +241,7 @@ class Box(FeasibleSet):
         self.lower = _vector(lower, name="lower")
         self.upper = _vector(upper, self.lower.shape[0], "upper")
         self.dim = self.lower.shape[0]
-        if np.any(self.lower > self.upper):
-            raise ValueError("box requires lower <= upper componentwise")
+        in_range("upper - lower", self.upper - self.lower, closed=True)  # so both are finite
 
     def contains(self, x) -> bool:
         v = _vector(x, self.dim)
@@ -283,13 +291,11 @@ class SimplexProduct(FeasibleSet):
     has_weighted_projection = True
 
     def __init__(self, block_sizes, demands):
-        self.block_sizes = tuple(int(s) for s in block_sizes)
-        self.demands = tuple(float(d) for d in demands)
+        self._slices = partition_slices(block_sizes)
+        self.block_sizes = tuple(sl.stop - sl.start for sl in self._slices)
+        self.demands = tuple(float(d) for d in in_range("demands", demands, closed=True))
         if len(self.block_sizes) != len(self.demands):
             raise ValueError("need one demand per block")
-        self._slices = partition_slices(self.block_sizes)
-        if any(d < 0 for d in self.demands):
-            raise ValueError("demands must be nonnegative")
         self.dim = sum(self.block_sizes)
         self._demand_array = np.array(self.demands)
         # the blocks as rows (see project): the row shape, each row's demand
@@ -391,10 +397,10 @@ def set_from_doc(doc: dict, dim: int) -> FeasibleSet:
 def project_simplex(v, d: float) -> np.ndarray:
     """Euclidean projection of v onto {x : sum(x) = d, x >= 0}: the one-block
     simplex product, by sort and threshold in O(n log n)."""
-    z = _vector(v, name="v")
-    if z.shape[0] == 0 or d < 0:
-        raise ValueError("need a nonempty v and a nonnegative d")
-    return _project_rows(z, float(d), np.arange(1.0, z.shape[0] + 1.0), 0)
+    z, d = _vector(v, name="v"), float(in_range("d", d, closed=True))
+    if z.shape[0] == 0:
+        raise ValueError("need a nonempty v")
+    return _project_rows(z, d, np.arange(1.0, z.shape[0] + 1.0), 0)
 
 
 def _weights(w, dim: int) -> np.ndarray:

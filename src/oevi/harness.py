@@ -38,6 +38,7 @@ significant digits (lossless for doubles).
 from __future__ import annotations
 
 import configparser
+import contextlib
 import logging
 import math
 import os
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import analytic_center, bregman
+from .geometry import analytic_center, bregman, in_range
 from .metrics import (
     bound_gmvi_movement,
     bound_gmvi_residual,
@@ -74,7 +75,7 @@ from .problems import (
     solve_reference,
     traffic_generate,
 )
-from .schedules import POLICIES, POLICY_NAMES, Schedule, make_schedule, validate
+from .schedules import POLICIES, POLICY_NAMES, Schedule, check_constants, make_schedule, validate
 from .solvers import (
     OE_MVI_AVERAGE,
     SBOE_MVI_AVERAGE,
@@ -109,6 +110,15 @@ _log = logging.getLogger(__name__)
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
+
+
+@contextlib.contextmanager
+def _config_error(prefix: str = ""):
+    """Raise a ``ValueError`` of the body as a ``ConfigError`` after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -161,24 +171,20 @@ class ExperimentConfig:
             if policy.name in seen:
                 raise ConfigError(f"policy {policy.name} is configured more than once")
             seen.add(policy.name)
-            if policy.batch is not None and policy.batch < 1:
-                raise ConfigError(f"policy {policy.name}: batch size m must be >= 1, "
-                                  f"got {policy.batch}")
-            for key in ("L", "mu", "sigma", "V1", "noise_ratio"):
-                value, zero_ok = getattr(policy, key), key in ("mu", "sigma")
-                if value is not None and not (0 < value < math.inf or zero_ok and value == 0):
-                    raise ConfigError(f"cannot build policy {policy.name}: {key} must be "
-                                      f"{'nonnegative' if zero_ok else 'positive'} and "
-                                      f"finite, got {value}")
+            with _config_error(f"cannot build policy {policy.name}: "):
+                if policy.batch is not None:
+                    in_range("batch size m", policy.batch, 1, closed=True)
+                check_constants(**{key: getattr(policy, key)
+                                   for key in ("L", "mu", "sigma", "V1", "noise_ratio")})
             if POLICIES[policy.name].source == "block":
                 _check_blocks(policy.name, self.problem)
         _check_budget(self.k, self.seeds)
         if self.validate_policies not in ("fail", "warn", "skip"):
             raise ConfigError("validate_policies must be fail, warn, or skip")
-        if self.cadence is not None and self.cadence < 1:
-            raise ConfigError(f"cadence must be >= 1, got {self.cadence}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        with _config_error():
+            for key in ("cadence", "workers"):
+                if getattr(self, key) is not None:
+                    in_range(key, getattr(self, key), 1, closed=True)
 
     def resolved_cadence(self) -> int:
         if self.cadence is not None:
@@ -189,20 +195,14 @@ class ExperimentConfig:
         """The configured worker count, else ``OEVI_WORKERS``, else 1."""
         if self.workers is not None:
             return int(self.workers)
-        text = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
-        if workers < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-        return workers
+        with _config_error(f"{WORKERS_ENV}: "):
+            return int(in_range("workers", int(os.environ.get(WORKERS_ENV, "1")), 1, closed=True))
 
 
 def _check_budget(k: int, seeds) -> None:
     """Raise ``ConfigError`` unless k >= 1 and the seeds are distinct and nonempty."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    with _config_error():
+        in_range("k", k, 1, closed=True)
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     if not seeds:
@@ -363,13 +363,11 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
             Lbar = block_lipschitz(problem.affine, problem.block_partition)
         else:
             Lbar = L
-    try:
+    with _config_error(f"cannot build policy {policy.name}: "):
         return make_schedule(
             policy.name, L=L, mu=mu, sigma=_sigma(policy, problem, policy.batch or 1), V1=V1,
             k=k, b=b, Lbar=Lbar, noise_ratio=policy.noise_ratio,
         )
-    except ValueError as exc:
-        raise ConfigError(f"cannot build policy {policy.name}: {exc}") from exc
 
 
 def _weak_gap_available(problem: VIProblem) -> bool:
@@ -658,8 +656,10 @@ def suite_traffic(
     raise ``ConfigError`` before any instance is generated; a bad ``d_minus``
     raises ``ValueError`` before any output is written.
     """
-    if (blocks < 1 or not sizes or len(set(sizes)) < len(sizes)
-            or any(n <= 0 or n % blocks for n in sizes)):
+    with _config_error():
+        in_range("blocks", blocks, 1, closed=True)
+        in_range("sizes", sizes, blocks, closed=True)  # positive multiples of blocks
+    if not sizes or len(set(sizes)) < len(sizes) or any(n % blocks for n in sizes):
         raise ConfigError(f"traffic sizes must be a nonempty list of positive multiples "
                           f"of the block count {blocks} without repeats, got {tuple(sizes)}")
     _check_budget(1 if k is None else k, tuple(seeds))
@@ -729,8 +729,8 @@ def suite_glm(
     """
     if link not in ("hinge", "ramp"):
         raise ConfigError(f"unknown link {link!r}")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    with _config_error():
+        in_range("n", n, 1, closed=True)
     _check_budget(k, tuple(seeds))
     output = Path(output)
     report = SuiteReport(f"glm-{link}")

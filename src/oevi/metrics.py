@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .geometry import FeasibleSet
+from .geometry import FeasibleSet, in_range
 from .problems import VIProblem, _smaller_det
 from .solvers import Trajectory
 
@@ -50,9 +50,7 @@ def residual_certificate(traj: Trajectory, t_index: int, F_next) -> float:
     given checkpoints keeps Fh only where its checkpoints need it; any other
     t raises ``ValueError``.
     """
-    if not 1 <= t_index <= traj.k:
-        raise ValueError(f"t_index {t_index} outside [1, {traj.k}]")
-    t = t_index
+    t = int(in_range("t_index", t_index, 1, closed=True, high=traj.k))
     missing = [s for s in (t - 1, t) if s not in traj.ops]
     if missing:
         raise ValueError(f"residual certificate at t = {t} needs the operator values at "

@@ -6,7 +6,7 @@ operators from generalized linear models over a centered ball (hinge and
 ramp-sigmoid links).  Each instance exposes an exact operator, a stochastic
 oracle where one exists, and analytic Lipschitz / monotonicity constants.
 Generators reject a size below 1 before any draw, and the JSON reader a
-document that is not an object or misses a key, with ``ValueError``.
+document that is not an object, misses a key or holds NaN or Infinity, with ValueError.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .geometry import (
     Ball,
     FeasibleSet,
     SimplexProduct,
+    in_range,
     partition_slices,
     set_from_doc,
 )
@@ -67,8 +68,8 @@ class VIProblem:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.block_partition is not None:
-            partition_slices(self.block_partition, self.dim)
+        if self.block_partition is not None:  # as a tuple of ints
+            self.block_partition = tuple(sl.stop - sl.start for sl in self.block_slices())
 
     def block_slices(self) -> list[slice]:
         if self.block_partition is None:
@@ -238,14 +239,14 @@ def affine_problem(
         raise ValueError("set and operator dimensions differ")
     L, mu = affine_constants(spec)
     oracle = None
-    if noise_sigma > 0:
+    if in_range("sigma", noise_sigma, closed=True) > 0:
         scale = noise_sigma / math.sqrt(spec.dim)
 
         def oracle(x, rng, m=1, _scale=scale, _spec=spec):
             noise = rng.standard_normal((int(m), _spec.dim)) * _scale
             return affine_eval(_spec, x) + noise.mean(axis=0)
 
-    sol = None if known_solution is None else np.asarray(known_solution, dtype=float)
+    sol = None if known_solution is None else in_range("known_solution", known_solution, -math.inf)
     return VIProblem(
         dim=spec.dim,
         set=fs,
@@ -253,7 +254,7 @@ def affine_problem(
         constants=Constants(L=L, mu=mu, sigma=noise_sigma),
         oracle=oracle,
         known_solution=sol,
-        block_partition=None if block_partition is None else tuple(block_partition),
+        block_partition=block_partition,
         affine=spec,
         seed=seed,
     )
@@ -266,15 +267,12 @@ def traffic_generate(n: int, num_od: int, d_minus: float, seed: int) -> VIProble
     on [0, 1] and g equidistant on [d_minus, 1] (endpoints included); the
     offset is b = 5 * ones.  Arcs are split into ``num_od`` equal blocks with
     unit demands.  The construction is strongly monotone for d_minus >= 1e-3;
-    instances that come out non-monotone are rejected, and ``n < 1`` or
-    ``num_od < 1`` raise ``ValueError`` before any draw.
+    instances that come out non-monotone are rejected; n or num_od below 1, or
+    d_minus outside (0, 1], raise ``ValueError`` before any draw.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if num_od < 1:
-        raise ValueError(f"the block count num_od must be >= 1, got {num_od}")
-    if not (0 < d_minus <= 1):
-        raise ValueError("d_minus must lie in (0, 1]")
+    in_range("n", n, 1, closed=True)
+    in_range("the block count num_od", num_od, 1, closed=True)
+    in_range("d_minus", d_minus, high=1.0)
     if n % num_od != 0:
         raise ValueError("n must be divisible by num_od (equal block sizes)")
     rng = np.random.default_rng(seed)
@@ -335,8 +333,10 @@ class GLMSpec:
     A_x_star: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        x_star = np.asarray(self.x_star, dtype=float)
+        in_range("radius", self.R)
+        in_range("sigma_y", self.sigma_y, closed=True)
+        A = in_range("A", self.A, -math.inf)
+        x_star = in_range("x_star", self.x_star, -math.inf)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "x_star", x_star)
         if self.link not in (HINGE, RAMP):
@@ -346,14 +346,11 @@ class GLMSpec:
         n = A.shape[0]
         if x_star.shape != (n,):
             raise ValueError("x_star must match A")
-        if not 0 < self.R < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.R}")
-        if abs(float(np.linalg.norm(x_star)) - self.R) > 1e-9 * self.R:
+        # scale-free: the norm of x* itself overflows for R past 1e154
+        if abs(float(np.linalg.norm(x_star / self.R)) - 1.0) > 1e-9:
             raise ValueError("x_star must have norm R")
         if np.linalg.matrix_rank(A) < n:
             raise ValueError("A must be full rank")
-        if not 0 <= self.sigma_y < math.inf:
-            raise ValueError(f"sigma_y must be nonnegative and finite, got {self.sigma_y}")
         object.__setattr__(self, "A_x_star", A @ x_star)
         object.__setattr__(self, "_A_is_identity", bool(np.allclose(A, np.eye(n))))
 
@@ -466,8 +463,7 @@ def glm_generate(
     [0, 1] and d equidistant on [d_minus, 1]; the ramp link uses A = I (its
     closed-form operator is only available there).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    in_range("n", n, 1, closed=True)
     rng = np.random.default_rng(seed)
     x_star = rng.uniform(0.0, 1.0, size=n)
     x_star *= R / float(np.linalg.norm(x_star))
@@ -475,8 +471,7 @@ def glm_generate(
     if link == HINGE:
         if d_minus is None:
             d_minus = 0.1
-        if not (0 < d_minus <= 1):
-            raise ValueError("d_minus must lie in (0, 1]")
+        in_range("d_minus", d_minus, high=1.0)
         d = np.linspace(d_minus, 1.0, n)
         Ahat = rng.uniform(0.0, 1.0, size=(n, n))
         A = np.diag(d) + d_minus * 1e-2 * Ahat
@@ -497,9 +492,8 @@ def glm_problem(spec: GLMSpec, *, seed: int | None = None) -> VIProblem:
         variance = glm_sigma_bound(spec)
     except OverflowError:  # a float power past the largest double
         variance = math.inf
-    if not variance < math.inf:
-        raise ValueError(f"the oracle variance bound is not finite at R = {spec.R:g}, "
-                         f"sigma_y = {spec.sigma_y:g}")
+    in_range(f"the oracle variance bound at R = {spec.R:g}, sigma_y = {spec.sigma_y:g}",
+             variance, closed=True)
     exact = glm_exact_hinge if spec.link == HINGE else glm_exact_ramp
     return VIProblem(
         dim=spec.dim,
@@ -553,8 +547,7 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
     along a good step in the D metric, restarts can replay the same steps
     forever.
     """
-    if problem.constants.mu <= 0:
-        raise ValueError("reference solve requires a strongly monotone problem (mu > 0)")
+    in_range("mu", problem.constants.mu)  # the solve needs a strongly monotone problem
     L = problem.constants.L
     fs = problem.set
     F = problem.operator
@@ -677,16 +670,14 @@ def problem_from_json(text: str) -> VIProblem:
                          f"(this version reads format {PROBLEM_JSON_FORMAT})")
     kind = doc.get("kind")
     if kind == "affine":
-        spec = AffineSpec(G=np.array(doc["G"], dtype=float), b=np.array(doc["b"], dtype=float))
-        fs = set_from_doc(doc, spec.dim)
+        spec = AffineSpec(G=in_range("G", doc["G"], -math.inf),
+                          b=in_range("b", doc["b"], -math.inf))
         # documents without "block_partition" predate it: simplex blocks were the partition
         blocks = doc.get("block_partition", doc.get("blocks"))
-        return affine_problem(
-            spec, fs, noise_sigma=float(doc.get("sigma", 0.0)),
-            known_solution=doc.get("known_solution"),
-            block_partition=None if blocks is None else tuple(int(s) for s in blocks),
-            seed=doc.get("seed"),
-        )
+        return affine_problem(spec, set_from_doc(doc, spec.dim),
+                              noise_sigma=float(doc.get("sigma", 0.0)),
+                              known_solution=doc.get("known_solution"),
+                              block_partition=blocks, seed=doc.get("seed"))
     if kind == "glm":
         spec = GLMSpec(
             link=doc["link"],

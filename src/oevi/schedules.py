@@ -24,7 +24,10 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import in_range
+
 _EPS = np.finfo(float).eps
+_ROOT_MAX = math.sqrt(np.finfo(float).max)  # the largest constant whose square is a double
 
 # Condition identifiers (validator report keys).
 COUPLING = "coupling"                      # theta_{t+1} gamma_{t+1} lambda_{t+1} = theta_t gamma_t * b
@@ -89,11 +92,9 @@ class Schedule:
         """Store each named constant as a float after checking that it is
         positive and finite, and with ``mu_le_L`` that mu does not exceed L."""
         for name, value in constants.items():
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            setattr(self, name, float(value))
-        if mu_le_L and self.mu > self.L:
-            raise ValueError("mu cannot exceed L")
+            setattr(self, name, float(in_range(name, value)))
+        if mu_le_L:
+            in_range("mu", self.mu, high=self.L)
 
 
 def _table(k: int, gamma, lam, log_theta, epoch_start=None) -> ScheduleTable:
@@ -202,9 +203,9 @@ class SoeConstantSchedule(Schedule):
 
     def __init__(self, L: float, mu: float, sigma: float, V1: float, k: int):
         self._set_constants(L=L, mu=mu, sigma=sigma, V1=V1, mu_le_L=True)
-        if k < 2:
-            raise ValueError("the constant policy needs k >= 2")
-        self.k = int(k)
+        for key in ("mu", "sigma"):  # q squares both
+            in_range(key, getattr(self, key), high=_ROOT_MAX)
+        self.k = int(in_range("k", k, 2, closed=True))
         q = 1.0 + math.log(self.mu**2 * self.V1 / self.sigma**2) / math.log(self.k)
         self.q_clamped = q < self.Q_FLOOR
         self.q = max(q, self.Q_FLOOR)
@@ -224,7 +225,8 @@ class SoeRestartSchedule(Schedule):
     2^(s+6) sigma^2/(mu^2 V1)}); within an epoch the decreasing policy runs on
     the local index, with lambda = 0 on the first step of each epoch.  The
     noise ratio sigma^2/(mu^2 V1) may be replaced by a user estimate
-    (``noise_ratio``), defaulting to the supplied sigma and V1.
+    (``noise_ratio``), defaulting to the supplied sigma and V1.  Every epoch
+    length up to epoch 8, the last any caller reads, must be finite.
     """
 
     name = "SOE-3"
@@ -233,11 +235,10 @@ class SoeRestartSchedule(Schedule):
     def __init__(self, L: float, mu: float, sigma: float = 1.0, V1: float = 1.0,
                  noise_ratio: float | None = None):
         self._set_constants(L=L, mu=mu, sigma=sigma, V1=V1, mu_le_L=True)
-        self.t0 = 4.0 * self.L / self.mu
-        self.noise_ratio = (
-            float(noise_ratio) if noise_ratio is not None
-            else self.sigma**2 / (self.mu**2 * self.V1)
-        )
+        self.t0 = float(in_range("4 L / mu", 4.0 * self.L / self.mu, high=np.finfo(float).max / 2))
+        self.noise_ratio = float(in_range("noise_ratio", (
+            noise_ratio if noise_ratio is not None
+            else self.sigma**2 / (self.mu**2 * self.V1)), high=np.finfo(float).max / 2**14))
 
     def epoch_length(self, s: int) -> int:
         base = (2.0 * math.sqrt(2.0) - 1.0) * self.t0 + 4.0
@@ -275,9 +276,7 @@ class SoeGmviSchedule(Schedule):
 
     def __init__(self, L: float, k: int):
         self._set_constants(L=L)
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.k = int(k)
+        self.k = int(in_range("k", k, 1, closed=True))
 
     def table(self, k):
         tab = _const_table(k, 1.0 / (4.0 * self.L), 1.0, 0.0)
@@ -321,9 +320,7 @@ class SboeGsmviSchedule(Schedule):
 
     def __init__(self, Lbar: float, b: int, mu: float, L: float | None = None):
         self._set_constants(Lbar=Lbar, mu=mu)
-        if b < 1:
-            raise ValueError("b must be >= 1")
-        self.b = int(b)
+        self.b = int(in_range("b", b, 1, closed=True))
         # full-operator Lipschitz constant, used only by the final-step check
         self._set_constants(L=self.Lbar * math.sqrt(self.b) if L is None else L)
         self.gamma = 1.0 / (2.0 * self.Lbar * self.b)
@@ -346,9 +343,7 @@ class SboeMviSchedule(Schedule):
 
     def __init__(self, Lbar: float, b: int, L: float | None = None):
         self._set_constants(Lbar=Lbar)
-        if b < 1:
-            raise ValueError("b must be >= 1")
-        self.b = int(b)
+        self.b = int(in_range("b", b, 1, closed=True))
         self._set_constants(L=self.Lbar * math.sqrt(self.b) if L is None else L)
 
     def table(self, k):
@@ -430,6 +425,15 @@ POLICIES: dict[str, Policy] = {
 POLICY_NAMES = tuple(POLICIES)
 
 
+def check_constants(*, b: int = 1, **constants) -> None:
+    """The range of every constant ``make_schedule`` takes, read by its policy or not:
+    b >= 1, mu and sigma >= 0, the others > 0, all finite; None is not checked."""
+    in_range("b", b, 1, closed=True)
+    for key, value in constants.items():
+        if value is not None:
+            in_range(key, value, closed=key in ("mu", "sigma"))
+
+
 def make_schedule(
     name: str,
     *,
@@ -445,10 +449,12 @@ def make_schedule(
     """Build a policy by its CLI name from problem constants.
 
     ``k`` is required by horizon-dependent policies (SOE-2, SOE-4); block
-    policies use ``Lbar`` (defaulting to L) and ``b``.
+    policies use ``Lbar`` (defaulting to L) and ``b``.  A constant out of its
+    range (``check_constants``, then the policy's own) raises ``ValueError``.
     """
     if name not in POLICIES:
         raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")
+    check_constants(L=L, mu=mu, sigma=sigma, V1=V1, b=b, Lbar=Lbar, noise_ratio=noise_ratio)
     return POLICIES[name].build(L=L, mu=mu, sigma=sigma, V1=V1, k=k, b=b,
                                 Lbar=L if Lbar is None else Lbar, noise_ratio=noise_ratio)
 
@@ -523,7 +529,8 @@ def validate(
     """Check the policy's own side conditions for t = 1..k.
 
     ``L``, ``mu`` and ``Lbar`` replace the schedule's own constants, so a
-    schedule built from tuned constants can be checked at the true ones.
+    schedule built from tuned constants can be checked at the true ones; a
+    k below 1, or an L whose square overflows a float, raises ``ValueError``.
     Inequalities are verified in log space with a fixed relative slack of
     1e-10 (an absolute slack on log values).  The coupling identity is
     checked to 1e-12 relative, widened by the floating-point rounding floor
@@ -532,7 +539,8 @@ def validate(
     term zero) and are checked from t = 2; restart boundaries, where
     lambda_t = 0, are exempt from the coupling identity by construction.
     """
-    L = schedule.L if L is None else float(L)
+    in_range("k", k, 1, closed=True)
+    L = float(in_range("L", schedule.L if L is None else L, high=_ROOT_MAX))
     mu = schedule.mu if mu is None else float(mu)
     b = schedule.b
     Lbar = (schedule.Lbar if not math.isnan(schedule.Lbar) else L) if Lbar is None else float(Lbar)

@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import in_range
 from .problems import VIProblem
 from .schedules import POLICIES, SaSchedule, Schedule
 
@@ -92,10 +93,9 @@ class RunConfig:
     checkpoints: Sequence[int] | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.checkpoints is not None and not all(0 <= t <= self.k for t in self.checkpoints):
-            raise ValueError(f"checkpoints must lie in [0, {self.k}]")
+        in_range("k", self.k, 1, closed=True)
+        if self.checkpoints is not None:
+            in_range("checkpoints", self.checkpoints, 0, closed=True, high=self.k)
 
 
 @dataclass
@@ -163,8 +163,8 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     arrays the steps used, at every t or, given ``checkpoints``, at the indices
     the residual certificate reads there (see ``RunConfig``).
     """
-    if batch is not None and batch < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch}")
+    if batch is not None:
+        in_range("batch size", batch, 1, closed=True)
     x = np.asarray(x1, dtype=float)
     if not problem.set.contains(x):
         raise ValueError("start point x1 is not feasible")
@@ -323,8 +323,7 @@ def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig,
 def select_best_movement(traj: Trajectory) -> tuple[int, np.ndarray]:
     """Index R minimizing ||x_{t+1} - x_t||^2 + ||x_t - x_{t-1}||^2 over
     t = 1..k (ties resolved to the smallest t), and the iterate x_{R+1}."""
-    if traj.k < 1:
-        raise ValueError("empty trajectory")
+    in_range("k", traj.k, 1, closed=True)
     sums = traj.movement_sq[1:] + traj.movement_sq[:-1]
     R = int(np.argmin(sums)) + 1
     return R, traj.xs[R + 1].copy()
@@ -332,8 +331,7 @@ def select_best_movement(traj: Trajectory) -> tuple[int, np.ndarray]:
 
 def select_uniform_R(traj: Trajectory, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """R uniform on {2..k}, independent of the iterates; returns x_{R+1}."""
-    if traj.k < 2:
-        raise ValueError("uniform output selection needs k >= 2")
+    in_range("k", traj.k, 2, closed=True)
     R = int(rng.integers(2, traj.k + 1))
     return R, traj.xs[R + 1].copy()
 
@@ -352,9 +350,7 @@ def weighted_average(traj: Trajectory, mode: str, *, k: int | None = None) -> np
     theta_k gamma_k b, for the run's b blocks.  ``k`` restricts to a prefix
     of the trajectory.
     """
-    k = traj.k if k is None else int(k)
-    if not 1 <= k <= traj.k:
-        raise ValueError("k out of range")
+    k = traj.k if k is None else int(in_range("k", k, 1, closed=True, high=traj.k))
     gam = traj.gammas[1 : k + 1]
     the = traj.thetas[1 : k + 1]
     if mode == OE_MVI_AVERAGE:

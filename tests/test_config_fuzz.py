@@ -1,0 +1,159 @@
+"""Grammar fuzz of the command line: INI documents and flags drawn from the
+known keys, each value from a fixed set of edge classes.
+
+The property is the input contract: a call exits 0 or 2 only when every value
+it was given is finite and in its key's range; otherwise it exits 1 with
+``config error:`` or ``error:``.  No call prints a traceback, LAPACK text or a
+numpy warning, none leaves an output directory behind when it exits 1, and no
+``[PASS]`` line carries a limit that is not finite.  Sizes stay at n <= 10 and
+budgets at k <= 20.
+"""
+
+import math
+import os
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oevi import cli
+from oevi.harness import POLICY_KEYS, PROBLEM_KEYS, RUN_KEYS
+from oevi.problems import problem_to_json, traffic_generate
+from oevi.schedules import POLICY_NAMES
+
+# every value is drawn from these classes; "valid" stands for each key's own valid text
+CLASSES = {"valid": None, "zero": "0", "negative": "-1", "nan": "nan", "inf": "inf",
+           "-inf": "-inf", "huge": "1e300", "empty": "", "text": "abc"}
+ANY = frozenset(CLASSES)
+POSITIVE = frozenset({"valid", "huge"})
+NONNEGATIVE = frozenset({"valid", "zero", "huge"})
+INTEGER = frozenset({"valid", "zero", "negative"})
+BOOLEAN = frozenset({"valid", "zero"})  # configparser reads "0" as false
+VALID = frozenset({"valid"})
+# a key takes its valid text about five times in six, so that a fair share of
+# calls has every value in range and runs
+CLASS_POOL = ["valid"] * 40 + sorted(set(CLASSES) - VALID)
+
+# key -> (valid text, the classes whose values are finite and in the key's range)
+PROBLEM_SPECS = {
+    "traffic": {"n": ("10", VALID), "blocks": ("5", VALID), "d_minus": ("0.5", VALID),
+                "seed": ("3", INTEGER)},
+    "glm-hinge": {"n": ("5", VALID), "R": ("2", POSITIVE), "sigma_y": ("0.5", NONNEGATIVE),
+                  "seed": ("3", INTEGER), "d_minus": ("0.5", VALID)},
+    "glm-ramp": {"n": ("5", VALID), "R": ("2", POSITIVE), "sigma_y": ("0.5", NONNEGATIVE),
+                 "seed": ("3", INTEGER)},
+    "json": {"path": ("problem.json", VALID)},
+}
+RUN_SPECS = {"k": ("5", VALID), "seeds": ("1, 2", INTEGER), "cadence": ("2", VALID),
+             "output": ("out", ANY), "timing": ("false", BOOLEAN), "weak_gap": ("true", BOOLEAN),
+             "workers": ("1", VALID), "validate": ("warn", VALID),
+             "reference": ("true", BOOLEAN)}
+POLICY_SPECS = {"L": ("2", POSITIVE), "mu": ("0.01", NONNEGATIVE),
+                "sigma": ("0.5", NONNEGATIVE), "V1": ("1", POSITIVE), "m": ("2", VALID),
+                "noise_ratio": ("1", POSITIVE), "recursive_affine": ("true", BOOLEAN)}
+FLAG_SPECS = {
+    "run": {"--k": ("5", VALID), "--seeds": ("1", INTEGER), "--workers": ("1", VALID),
+            "--output": ("out", ANY)},
+    "check": {"--k": ("5", VALID), "--seeds": ("1", INTEGER)},
+    "validate-schedule": {"--L": ("2", POSITIVE), "--mu": ("0.1", NONNEGATIVE),
+                          "--k": ("20", VALID), "--b": ("2", VALID),
+                          "--sigma": ("1", NONNEGATIVE), "--V1": ("1", POSITIVE),
+                          "--Lbar": ("2", POSITIVE)},
+    # a suite always gets a budget and a size (SUITE_SIZES), drawn like any flag
+    "suite": {"--k": ("5", VALID), "--d-minus": ("0.5", VALID), "--seeds": ("1", INTEGER),
+              "--output": ("out", ANY)},
+}
+# glm-hinge is left out: its restart study runs 1000 iterations whatever the flags
+SUITE_SIZES = {"traffic": ("--sizes", ("10", VALID)), "glm-ramp": ("--n", ("5", VALID))}
+ALWAYS = {"--k", "--sizes", "--n"}
+
+
+def test_specs_cover_every_key():
+    assert {kind: tuple(spec) for kind, spec in PROBLEM_SPECS.items()} == PROBLEM_KEYS
+    assert list(RUN_SPECS) == list(RUN_KEYS)
+    assert list(POLICY_SPECS) == list(POLICY_KEYS)
+
+
+@st.composite
+def values(draw, specs, always=frozenset()):
+    """Some of ``specs``' keys (every key in ``always``), each with a text
+    drawn from CLASSES, and whether every one of them is in range."""
+    chosen, in_range = {}, True
+    for key, (valid, ok) in specs.items():
+        if key in always or draw(st.booleans()):
+            cls = draw(st.sampled_from(CLASS_POOL))
+            chosen[key] = valid if cls == "valid" else CLASSES[cls]
+            in_range = in_range and cls in ok
+    return chosen, in_range
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, the config file's text or None, whether every value is in range)."""
+    command = draw(st.sampled_from(["run", "check", "validate-schedule", "suite"]))
+    if command == "validate-schedule":
+        flags, ok = draw(values(FLAG_SPECS[command]))
+        return [command, draw(st.sampled_from(POLICY_NAMES))] + _argv(flags), None, ok
+    if command == "suite":
+        name = draw(st.sampled_from(sorted(SUITE_SIZES)))
+        flag, spec = SUITE_SIZES[name]
+        flags, ok = draw(values({**FLAG_SPECS[command], flag: spec}, ALWAYS))
+        return [command, name] + _argv(flags), None, ok
+    kind = draw(st.sampled_from(sorted(PROBLEM_SPECS)))
+    problem, ok = draw(values(PROBLEM_SPECS[kind]))
+    run, run_ok = draw(values(RUN_SPECS, {"k"}))
+    lines = ["[problem]", f"kind = {kind}", *_ini(problem), "[run]", *_ini(run)]
+    for name in draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=2,
+                              unique=True)):
+        policy, policy_ok = draw(values(POLICY_SPECS))
+        lines += [f"[policy:{name}]", *_ini(policy)]
+        ok = ok and policy_ok
+    flags, flags_ok = draw(values(FLAG_SPECS[command]))
+    return [command, "exp.ini"] + _argv(flags), "\n".join(lines) + "\n", ok and run_ok and flags_ok
+
+
+def _ini(chosen):
+    return [f"{key} = {text}" for key, text in chosen.items()]
+
+
+def _argv(chosen):
+    return [f"{flag}={text}" for flag, text in chosen.items()]
+
+
+JSON_DOC = problem_to_json(traffic_generate(10, 5, 0.5, seed=4))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(command_lines())
+def test_cli_input_contract(capfd, case):
+    argv, config, in_range = case
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("problem.json").write_text(JSON_DOC)
+            if config is not None:
+                Path("exp.ini").write_text(config)
+            before = set(os.listdir())
+            capfd.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning fails the example
+                rc = cli.main(argv)
+            out, err = capfd.readouterr()
+            left = set(os.listdir()) - before
+        finally:
+            os.chdir(home)
+    assert rc in (0, 1, 2), (argv, config)
+    assert in_range or rc == 1, (argv, config, out)
+    if rc == 1:
+        # argparse's own message reads "oevi <command>: error: ..."
+        assert re.search(r"(^|\n)(config error: |error: |oevi[\w -]*: error: )", err), err
+        assert not left, (argv, config, left)
+    for text in ("Traceback", "On entry to", "Warning"):
+        assert text not in err, (argv, config, err)
+    for limit in re.findall(r"^\s*\[PASS\].* limit=(\S+)", out, flags=re.M):
+        assert math.isfinite(float(limit)), out

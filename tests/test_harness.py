@@ -79,7 +79,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_nonpositive_batch_rejected(self, tmp_path, m):
-        with pytest.raises(ConfigError, match="batch size m must be >= 1"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot build policy SOE-1: batch size m must be in [1, inf), got {m}") + "$"):
             tiny_config(tmp_path, policies=[PolicyRun("SOE-1", batch=m)])
 
     def test_cadence_default(self, tmp_path):
@@ -89,7 +90,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,value", [("cadence", 0), ("cadence", -4),
                                            ("workers", 0), ("workers", -1)])
     def test_nonpositive_cadence_or_workers_rejected(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match=f"{key} must be >= 1, got {value}"):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{key} must be in [1, inf), got {value}") + "$"):
             tiny_config(tmp_path, **{key: value})
 
     @pytest.mark.parametrize("value", ["0", "-2", "two"])
@@ -825,10 +827,10 @@ class TestSuites:
         assert seeds == []
 
     @pytest.mark.parametrize("suite, kwargs, match", [
-        (suite_glm, dict(link="hinge", n=10, restart_k=0), "k must be >= 1"),
+        (suite_glm, dict(link="hinge", n=10, restart_k=0), r"^k must be in \[1, inf\), got 0$"),
         (suite_glm, dict(link="hinge", n=10, d_minus_grid=()), "the suite has no study"),
         (suite_glm, dict(link="ramp", n=10, radius_grid=()), "the suite has no study"),
-        (suite_traffic, dict(sizes=(10,), d_minus=2), "d_minus must lie in"),
+        (suite_traffic, dict(sizes=(10,), d_minus=2), r"^d_minus must be in \(0, 1\], got 2$"),
     ], ids=["hinge-restart-k0", "hinge-no-grid", "ramp-no-grid", "traffic-d-minus-2"])
     def test_bad_study_raises_before_any_work(self, tmp_path, monkeypatch, suite, kwargs,
                                               match):
@@ -841,8 +843,10 @@ class TestSuites:
         assert seeds == []
 
     @pytest.mark.parametrize("kwargs, match", [
-        (dict(k=0), "k must be >= 1"), (dict(seeds=(1, 1)), "seeds must be distinct"),
-        (dict(blocks=0), "block count 0"), (dict(sizes=(10, 20, 10)), "without repeats"),
+        (dict(k=0), r"^k must be in \[1, inf\), got 0$"),
+        (dict(seeds=(1, 1)), "seeds must be distinct"),
+        (dict(blocks=0), r"^blocks must be in \[1, inf\), got 0$"),
+        (dict(sizes=(10, 20, 10)), "without repeats"),
     ], ids=["k0", "repeated-seeds", "blocks0", "repeated-size"])
     def test_traffic_suite_bad_input_leaves_no_directory(self, tmp_path, monkeypatch,
                                                          kwargs, match):
@@ -880,13 +884,13 @@ class TestCli:
         rc = cli.main(["validate-schedule", "OE-GSMVI", "--L", "2", "--mu", "0.1", "--k", k])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "config error: k must be >= 1" in captured.err
+        assert captured.err == f"error: k must be in [1, inf), got {k}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        (["OE-GSMVI", "--L", "inf", "--mu", "0.1", "--k", "100"], "L"),
+        (["OE-GSMVI", "--L", "inf", "--mu", "0.1", "--k", "100"], "L must be in (0, inf)"),
         (["SOE-2", "--L", "1", "--mu", "0.1", "--sigma", "inf", "--V1", "1", "--k", "100"],
-         "sigma"),
+         "sigma must be in [0, inf)"),
     ], ids=["L", "sigma"])
     def test_validate_schedule_rejects_infinite_constants(self, capsys, argv, message):
         with warnings.catch_warnings():
@@ -894,7 +898,7 @@ class TestCli:
             rc = cli.main(["validate-schedule", *argv])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message} must be positive and finite, got inf\n"
+        assert captured.err == f"error: {message}, got inf\n"
         assert captured.out == ""
 
     def test_infinite_policy_override_is_a_config_error(self, tmp_path, capsys):
@@ -904,17 +908,17 @@ class TestCli:
         assert cli.main(["run", str(path), "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot build policy SBOE-GSMVI: ")
-        assert err.endswith(" must be positive and finite, got inf\n")
+        assert err.endswith(" must be in (0, inf), got inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
-        ("sigma = inf", "sigma must be nonnegative and finite, got inf"),
-        ("sigma = nan", "sigma must be nonnegative and finite, got nan"),
-        ("sigma = -1", "sigma must be nonnegative and finite, got -1.0"),
-        ("mu = -0.5", "mu must be nonnegative and finite, got -0.5"),
-        ("L = 0", "L must be positive and finite, got 0.0"),
-        ("V1 = nan", "V1 must be positive and finite, got nan"),
-        ("noise_ratio = -inf", "noise_ratio must be positive and finite, got -inf"),
+        ("sigma = inf", "sigma must be in [0, inf), got inf"),
+        ("sigma = nan", "sigma must be in [0, inf), got nan"),
+        ("sigma = -1", "sigma must be in [0, inf), got -1.0"),
+        ("mu = -0.5", "mu must be in [0, inf), got -0.5"),
+        ("L = 0", "L must be in (0, inf), got 0.0"),
+        ("V1 = nan", "V1 must be in (0, inf), got nan"),
+        ("noise_ratio = -inf", "noise_ratio must be in (0, inf), got -inf"),
     ], ids=["sigma-inf", "sigma-nan", "sigma-negative", "mu-negative", "L-zero", "V1-nan",
             "noise_ratio-inf"])
     def test_bad_policy_override_is_a_config_error(self, tmp_path, capsys, line, message):
@@ -940,26 +944,86 @@ class TestCli:
         assert captured.err == f"config error: policy SOE-1: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["validate-schedule", "SOE-2", "--L", "1", "--mu", "0.1", "--sigma", "1e200", "--V1", "1",
+          "--k", "100"], "error: sigma must be in (0, 1.34078e+154], got 1e+200"),
+        (["validate-schedule", "OE-GSMVI", "--L", "1e300", "--mu", "0.1", "--k", "10"],
+         "error: L must be in (0, 1.34078e+154], got 1e+300"),
+        (["validate-schedule", "SBOE-MVI", "--L", "2", "--k", "20", "--sigma=-inf"],
+         "error: sigma must be in [0, inf), got -inf"),
+    ], ids=["SOE-2-sigma-squared", "validator-L-squared", "unread-sigma"])
+    def test_validate_schedule_rejects_constants_out_of_range(self, capsys, argv, message):
+        # the first two once ended in an OverflowError traceback; the last exited 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+
+    def test_unparsable_command_line_exits_1(self, capsys):
+        # argparse's own exit code 2 would read as a bound-check failure
+        assert cli.main(["validate-schedule", "OE-GSMVI", "--L", "abc", "--k", "3"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "oevi validate-schedule: error: argument --L: invalid float value: 'abc'\n")
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("section, message", [
+        ("[policy:SOE-2]\nsigma = 1e200\n",
+         "SOE-2: sigma must be in (0, 1.34078e+154], got 1e+200"),
+        ("[policy:SOE-3]\nnoise_ratio = 1e308\n",
+         "SOE-3: noise_ratio must be in (0, 1.09722e+304], got 1e+308"),
+    ], ids=["SOE-2-sigma", "SOE-3-noise_ratio"])
+    def test_override_past_its_closed_form_is_a_config_error(self, tmp_path, capsys, command,
+                                                              section, message):
+        # finite overrides that once overflowed inside the schedule: an
+        # OverflowError traceback from SOE-2's q and from SOE-3's epoch length
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nkind = glm-hinge\nn = 5\nseed = 1\n\n[run]\nk = 5\n\n"
+                        + section)
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--output", str(out)] if command == "run" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: cannot build policy {message}\n")
+        assert not out.exists()
+
+    def test_glm_huge_radius_stops_at_the_variance_bound(self, tmp_path, capsys):
+        # the norm check on x* once overflowed here, printing a numpy warning
+        path = tmp_path / "exp.ini"
+        path.write_text(GLM_RAMP_TEXT.replace("glm-ramp", "glm-hinge")
+                        .replace("n = 5", "n = 5\nR = 1e200"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: the oracle variance bound at R = 1e+200, "
+                                       "sigma_y = 1 must be in [0, inf), got inf\n")
+        assert not out.exists()
+
     def test_glm_infinite_variance_bound_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(GLM_RAMP_TEXT.replace("n = 5", "n = 5\nsigma_y = 1e300"))
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--output", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == ("error: the oracle variance bound is not finite at R = 100, "
-                                "sigma_y = 1e+300\n")
+        assert captured.err == ("error: the oracle variance bound at R = 100, sigma_y = 1e+300 "
+                                "must be in [0, inf), got inf\n")
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("sizes", [",", "200,0", "200,-5", "200,203", "200,200"],
-                             ids=["empty", "zero", "negative", "not-a-block-multiple",
-                                  "repeated"])
-    def test_suite_traffic_rejects_bad_sizes(self, tmp_path, capsys, sizes):
+    @pytest.mark.parametrize("sizes, message", [
+        (",", "traffic sizes must be a nonempty list of positive"),
+        ("200,0", "sizes must be in [5, inf), got 0.0"),
+        ("200,-5", "sizes must be in [5, inf), got -5.0"),
+        ("200,203", "traffic sizes must be a nonempty list of positive"),
+        ("200,200", "traffic sizes must be a nonempty list of positive"),
+    ], ids=["empty", "zero", "negative", "not-a-block-multiple", "repeated"])
+    def test_suite_traffic_rejects_bad_sizes(self, tmp_path, capsys, sizes, message):
         out = tmp_path / "traffic"
         rc = cli.main(["suite", "traffic", "--sizes", sizes, "--output", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "config error: traffic sizes must be a nonempty list of positive" in captured.err
+        assert captured.err.startswith(f"config error: {message}")
         assert captured.out == ""
         assert not out.exists()
 
@@ -975,10 +1039,10 @@ class TestCli:
         path.write_text(CONFIG_TEXT.replace("cadence = 1", "cadence = -4"))
         out = tmp_path / "out"
         assert cli.main(["run", str(path), "--output", str(out)]) == 1
-        assert "config error: cadence must be >= 1, got -4" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: cadence must be in [1, inf), got -4\n"
         path.write_text(CONFIG_TEXT)
         assert cli.main(["run", str(path), "--output", str(out), "--workers", "0"]) == 1
-        assert "config error: workers must be >= 1, got 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: workers must be in [1, inf), got 0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-2"])
@@ -987,7 +1051,7 @@ class TestCli:
                        "--output", str(tmp_path / "glm")])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "error: n must be >= 1" in captured.err
+        assert captured.err == f"config error: n must be in [1, inf), got {n}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("doc, key", [
@@ -1007,6 +1071,29 @@ class TestCli:
         assert captured.err == f"error: problem JSON lacks the key {key!r}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("reference", ["true", "false"])
+    @pytest.mark.parametrize("fields, message", [
+        ({"set": "simplex", "blocks": [2], "demands": [math.nan]},
+         "demands must be in [0, inf), got nan"),
+        ({"set": "ball", "center": [0.0, 0.0], "radius": math.nan},
+         "radius must be in (0, inf), got nan"),
+        ({"set": "ball", "center": [0.0, 0.0], "radius": 1.0, "b": [math.nan, 1.0]},
+         "b must be in (-inf, inf), got nan"),
+        ({"set": "box", "lower": [0.0, 0.0], "upper": [math.inf, 1.0]},
+         "upper - lower must be in [0, inf), got inf"),
+    ], ids=["demand-nan", "radius-nan", "b-nan", "upper-inf"])
+    def test_json_problem_number_not_finite(self, tmp_path, capfd, fields, message, reference):
+        # these once printed LAPACK's DLASCL message and an SVD error, or,
+        # without the reference solve, an infeasible start or a diverged run
+        doc = {"kind": "affine", "G": [[2.0, 0.0], [0.0, 2.0]], "b": [1.0, -1.0], **fields}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n\n"
+                        f"[run]\nk = 5\nreference = {reference}\n\n[policy:OE-MVI]\n")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc, kind", [([1, 2], "list"), ("affine", "str"), (3, "int")],
                              ids=["array", "string", "number"])
     def test_json_problem_not_an_object(self, tmp_path, capsys, doc, kind):
@@ -1020,8 +1107,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, bad, message", [
-        ("blocks = 5", "blocks = 0", "the block count num_od must be >= 1, got 0"),
-        ("n = 10", "n = -5", "n must be >= 1, got -5"),
+        ("blocks = 5", "blocks = 0", "the block count num_od must be in [1, inf), got 0"),
+        ("n = 10", "n = -5", "n must be in [1, inf), got -5"),
     ], ids=["blocks0", "n-negative"])
     def test_traffic_sizes_checked(self, tmp_path, capsys, line, bad, message):
         path = tmp_path / "exp.ini"

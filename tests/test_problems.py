@@ -4,7 +4,9 @@ mini-batching, reference solutions, and JSON round-trips."""
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
+import warnings
 from contextlib import nullcontext as _nullcontext
 
 import numpy as np
@@ -274,7 +276,7 @@ class TestTraffic:
 
 @pytest.mark.parametrize("n", [0, -2])
 def test_glm_generate_rejects_nonpositive_n(n):
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match=re.escape(f"n must be in [1, inf), got {n}") + "$"):
         glm_generate(n, "hinge", R=1.0, sigma_y=0.5, seed=4)
 
 
@@ -530,19 +532,30 @@ class TestOperatorInvariants:
             GLMSpec("hinge", np.eye(2), np.array([2.0, 0.0]), 2.0, -0.1)
 
     @pytest.mark.parametrize("R, sigma_y, match", [
-        (math.inf, 0.1, "radius must be positive and finite, got inf"),
-        (math.nan, 0.1, "radius must be positive and finite, got nan"),
-        (2.0, math.inf, "sigma_y must be nonnegative and finite, got inf"),
-        (2.0, math.nan, "sigma_y must be nonnegative and finite, got nan"),
+        (math.inf, 0.1, "radius must be in (0, inf), got inf"),
+        (math.nan, 0.1, "radius must be in (0, inf), got nan"),
+        (2.0, math.inf, "sigma_y must be in [0, inf), got inf"),
+        (2.0, math.nan, "sigma_y must be in [0, inf), got nan"),
     ], ids=["R-inf", "R-nan", "sigma_y-inf", "sigma_y-nan"])
     def test_glm_spec_rejects_nonfinite_constants(self, R, sigma_y, match):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             GLMSpec("ramp", np.eye(2), np.array([R, 0.0]), R, sigma_y)
+
+    def test_glm_spec_norm_check_is_scale_free(self):
+        # ||x*|| itself overflows past R = 1.3e154, with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = GLMSpec("hinge", np.eye(2), np.array([0.6e200, 0.8e200]), 1e200, 0.1)
+            assert spec.R == 1e200
+            with pytest.raises(ValueError, match="^x_star must have norm R$"):
+                GLMSpec("hinge", np.eye(2), np.array([0.6e200, 0.6e200]), 1e200, 0.1)
 
     def test_glm_problem_rejects_an_infinite_variance_bound(self):
         # sigma_y**2 overflows a float here; the bound was an OverflowError
         spec = GLMSpec("ramp", np.eye(2), np.array([1.0, 0.0]), 1.0, 1e300)
-        with pytest.raises(ValueError, match="oracle variance bound is not finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                "the oracle variance bound at R = 1, sigma_y = 1e+300 must be in [0, inf), "
+                "got inf") + "$"):
             glm_problem(spec)
 
 
@@ -670,11 +683,58 @@ def test_block_partition_must_cover_dimension(fs):
     spec = AffineSpec(np.eye(6), np.ones(6))
     with pytest.raises(ValueError, match="does not cover"):
         affine_problem(spec, fs, block_partition=(3, 2))
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(ValueError, match=r"^block sizes must be in \[1, inf\), got -1\.0$"):
         affine_problem(spec, fs, block_partition=(7, -1))
     doc = json.loads(problem_to_json(affine_problem(spec, fs, block_partition=(3, 3))))
     doc["block_partition"] = [3, 2]
     with pytest.raises(ValueError, match="does not cover"):
+        problem_from_json(json.dumps(doc))
+
+
+def _json_doc(fs, **extra):
+    """A two-dimensional affine problem on ``fs`` as a JSON object."""
+    p = affine_problem(AffineSpec(np.eye(2), np.ones(2)), fs, known_solution=np.zeros(2),
+                       block_partition=(1, 1))
+    return {**json.loads(problem_to_json(p)), **extra}
+
+
+_SIMPLEX = SimplexProduct((1, 1), (1.0, 1.0))
+_GLM_DOC = json.loads(problem_to_json(glm_generate(2, "hinge", R=2.0, sigma_y=0.1, seed=8)))
+
+
+_NONFINITE_JSON = [
+    (_json_doc(_SIMPLEX), "G", "G must be in (-inf, inf), got nan"),
+    (_json_doc(_SIMPLEX), "b", "b must be in (-inf, inf), got nan"),
+    (_json_doc(_SIMPLEX), "demands", "demands must be in [0, inf), got nan"),
+    (_json_doc(_SIMPLEX), "blocks", "block sizes must be in [1, inf), got inf"),
+    (_json_doc(_SIMPLEX), "block_partition", "block sizes must be in [1, inf), got inf"),
+    (_json_doc(_SIMPLEX), "known_solution", "known_solution must be in (-inf, inf), got nan"),
+    (_json_doc(_SIMPLEX, sigma=0.5), "sigma", "sigma must be in [0, inf), got inf"),
+    (_json_doc(Ball(np.zeros(2), 1.0)), "center", "center must be in (-inf, inf), got nan"),
+    (_json_doc(Ball(np.zeros(2), 1.0)), "radius", "radius must be in (0, inf), got nan"),
+    (_json_doc(Box(np.zeros(2), np.ones(2))), "lower", "upper - lower must be in [0, inf), got nan"),
+    (_json_doc(Box(np.zeros(2), np.ones(2))), "upper", "upper - lower must be in [0, inf), got inf"),
+    (_GLM_DOC, "A", "A must be in (-inf, inf), got nan"),
+    (_GLM_DOC, "x_star", "x_star must be in (-inf, inf), got nan"),
+    (_GLM_DOC, "R", "radius must be in (0, inf), got inf"),
+    (_GLM_DOC, "sigma_y", "sigma_y must be in [0, inf), got nan"),
+]
+
+
+@pytest.mark.parametrize("doc, key, message", _NONFINITE_JSON,
+                         ids=[key for _, key, _ in _NONFINITE_JSON])
+def test_json_number_that_is_not_finite_rejected(doc, key, message):
+    # Python's json reads NaN and Infinity; they once reached LAPACK through the
+    # set constructors and AffineSpec
+    bad = {"blocks": math.inf, "block_partition": math.inf, "sigma": math.inf, "R": math.inf,
+           "upper": math.inf}.get(key, math.nan)
+    doc = json.loads(json.dumps(doc))
+    if isinstance(doc[key], list):
+        flat = doc[key][0] if isinstance(doc[key][0], list) else doc[key]
+        flat[0] = bad
+    else:
+        doc[key] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         problem_from_json(json.dumps(doc))
 
 

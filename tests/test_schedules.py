@@ -3,6 +3,7 @@ epoch bookkeeping, and the side-condition validator."""
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,8 +61,39 @@ class TestLinearRatePolicy:
 ], ids=["OE-GSMVI-L", "OE-GSMVI-mu", "SOE-2-sigma", "SOE-3-V1", "SBOE-MVI-Lbar",
         "SBOE-GSMVI-L"])
 def test_constants_must_be_finite(name, build, value):
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'{name} must be in (0, inf), got {value}')}$"):
         build(value)
+
+
+@pytest.mark.parametrize("build, message", [
+    # SOE-2's q squares mu and sigma: each once overflowed into an OverflowError
+    (lambda: S.SoeConstantSchedule(1.0, 0.1, 1e200, 1.0, 100),
+     "sigma must be in (0, 1.34078e+154], got 1e+200"),
+    (lambda: S.SoeConstantSchedule(1e300, 1e200, 1.0, 1.0, 100),
+     "mu must be in (0, 1.34078e+154], got 1e+200"),
+    # 2^14 noise_ratio is epoch 8's length, which once overflowed an int
+    (lambda: S.SoeRestartSchedule(1.0, 0.1, noise_ratio=1e308),
+     "noise_ratio must be in (0, 1.09722e+304], got 1e+308"),
+    (lambda: S.SoeRestartSchedule(1e150, 1e-200), "4 L / mu must be in (0, 8.98847e+307], got inf"),
+    # a constant the policy does not read is held to its range all the same
+    (lambda: S.make_schedule("SBOE-MVI", L=2.0, sigma=-math.inf, b=2),
+     "sigma must be in [0, inf), got -inf"),
+    (lambda: S.make_schedule("OE-GMVI", L=2.0, b=0), "b must be in [1, inf), got 0"),
+    # the validator squares L
+    (lambda: S.validate(S.OEGmviSchedule(1e300), 10),
+     "L must be in (0, 1.34078e+154], got 1e+300"),
+    (lambda: S.validate(S.OEGmviSchedule(1.0), 0), "k must be in [1, inf), got 0"),
+], ids=["SOE-2-sigma", "SOE-2-mu", "SOE-3-noise_ratio", "SOE-3-t0", "unread-sigma", "unread-b",
+        "validate-L", "validate-k"])
+def test_constant_out_of_its_range_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_largest_noise_ratio_keeps_every_epoch_finite():
+    schedule = S.SoeRestartSchedule(1.0, 0.1, noise_ratio=np.finfo(float).max / 2**14)
+    assert all(isinstance(K, int) for K in schedule.epoch_ends(8))
 
 
 class TestPlainMonotonePolicies:
