@@ -19,6 +19,7 @@ concurrent solver runs.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,26 @@ def in_range(name: str, value, low: float = 0.0, *, closed: bool = False,
         bounds = f"{'[' if closed else '('}{low:g}, {high:g}{']' if high < math.inf else ')'}"
         raise ValueError(f"{name} must be in {bounds}, got {value if v.ndim == 0 else v[~ok][0]}")
     return v
+
+
+# what doc_value reads at each array dimension
+_DOC_SHAPES = ("a number", "a list of numbers", "a list of equal-length lists of numbers")
+
+
+def doc_value(doc: dict, key: str, ndim: int) -> np.ndarray:
+    """The number (``ndim`` 0), list (1) or matrix (2) of numbers a JSON
+    problem document holds at ``key``, as a float array; ``ValueError``
+    naming the key for a value of another shape, or one that holds a
+    string, a boolean, null or an integer too large for a double."""
+    value = doc[key]
+    try:
+        v = np.asarray(value)
+    except ValueError:  # a ragged list
+        v = None
+    if v is None or v.ndim != ndim or v.dtype.kind not in "iuf":
+        raise ValueError(f"problem JSON key {key!r} must be {_DOC_SHAPES[ndim]}, "
+                         f"got {reprlib.repr(value)}")
+    return v.astype(float)
 
 
 def partition_slices(sizes, dim: int | None = None) -> list[slice]:
@@ -228,7 +249,7 @@ class Ball(FeasibleSet):
 
     @classmethod
     def from_doc(cls, doc: dict, dim: int) -> Ball:
-        return cls(doc["center"], doc["radius"])
+        return cls(doc_value(doc, "center", 1), doc_value(doc, "radius", 0))
 
 
 class Box(FeasibleSet):
@@ -281,7 +302,7 @@ class Box(FeasibleSet):
 
     @classmethod
     def from_doc(cls, doc: dict, dim: int) -> Box:
-        return cls(doc["lower"], doc["upper"])
+        return cls(doc_value(doc, "lower", 1), doc_value(doc, "upper", 1))
 
 
 class SimplexProduct(FeasibleSet):
@@ -378,7 +399,7 @@ class SimplexProduct(FeasibleSet):
 
     @classmethod
     def from_doc(cls, doc: dict, dim: int) -> SimplexProduct:
-        return cls(doc["blocks"], doc["demands"])
+        return cls(doc_value(doc, "blocks", 1), doc_value(doc, "demands", 1))
 
 
 # the one table from a doc's "set" kind to its class
@@ -389,7 +410,7 @@ def set_from_doc(doc: dict, dim: int) -> FeasibleSet:
     """Rebuild a set from its doc; a doc without "set" predates the key and
     names a simplex product when it has "blocks", the whole space otherwise."""
     kind = doc.get("set", "simplex" if "blocks" in doc else "full")
-    if kind not in SET_KINDS:
+    if not isinstance(kind, str) or kind not in SET_KINDS:
         raise ValueError(f"unknown set kind {kind!r}")
     return SET_KINDS[kind].from_doc(doc, dim)
 

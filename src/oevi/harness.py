@@ -69,7 +69,6 @@ from .metrics import (
 )
 from .problems import (
     VIProblem,
-    block_lipschitz,
     glm_generate,
     problem_from_json,
     solve_reference,
@@ -90,6 +89,8 @@ from .solvers import (
 )
 
 WORKERS_ENV = "OEVI_WORKERS"
+# the largest GLM radius a run takes: its metrics square distances up to 2R on the ball
+_MAX_RADIUS = 0.5 * math.sqrt(np.finfo(float).max)
 
 METRIC_COLUMNS = (
     "V_to_solution",
@@ -185,6 +186,8 @@ class ExperimentConfig:
             for key in ("cadence", "workers"):
                 if getattr(self, key) is not None:
                     in_range(key, getattr(self, key), 1, closed=True)
+            if self.problem.glm is not None:
+                in_range("R", self.problem.glm.R, high=_MAX_RADIUS)
 
     def resolved_cadence(self) -> int:
         if self.cadence is not None:
@@ -357,12 +360,8 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
         V1 = bregman(x1, x_star) if x_star is not None else 1.0
         V1 = V1 if V1 > 0 else 1.0
     b = len(problem.block_partition) if problem.block_partition else 1
-    Lbar = None
-    if POLICIES[policy.name].source == "block":
-        if problem.affine is not None and policy.L is None:
-            Lbar = block_lipschitz(problem.affine, problem.block_partition)
-        else:
-            Lbar = L
+    # a block policy steps at the problem's L-bar unless L is overridden (then L-bar = L)
+    Lbar = problem.Lbar if POLICIES[policy.name].source == "block" and policy.L is None else None
     with _config_error(f"cannot build policy {policy.name}: "):
         return make_schedule(
             policy.name, L=L, mu=mu, sigma=_sigma(policy, problem, policy.batch or 1), V1=V1,
@@ -944,13 +943,9 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
     checks: list[BoundCheck] = []
     for policy in config.policies:
         schedule = schedule_for(policy, problem, config.k, x1)
-        # bounds hold only under the theorem conditions at the problem's true
-        # constants, not at possibly fine-tuned overrides
-        true_Lbar = None
-        if POLICIES[policy.name].source == "block" and problem.affine is not None:
-            true_Lbar = block_lipschitz(problem.affine, problem.block_partition)
-        report = validate(schedule, config.k, L=problem.constants.L,
-                          mu=problem.constants.mu, Lbar=true_Lbar)
+        # bounds hold only at the problem's true constants, not at fine-tuned overrides
+        report = validate(schedule, config.k, L=problem.constants.L, mu=problem.constants.mu,
+                          Lbar=problem.Lbar if POLICIES[policy.name].source == "block" else None)
         if not report.passed:
             checks.append(BoundCheck(policy.name, "schedule validation", math.nan,
                                      math.nan, False, report.summary()))

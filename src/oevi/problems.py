@@ -6,7 +6,8 @@ operators from generalized linear models over a centered ball (hinge and
 ramp-sigmoid links).  Each instance exposes an exact operator, a stochastic
 oracle where one exists, and analytic Lipschitz / monotonicity constants.
 Generators reject a size below 1 before any draw, and the JSON reader a
-document that is not an object, misses a key or holds NaN or Infinity, with ValueError.
+document that is not an object, misses a key, holds NaN or Infinity or a value
+of the wrong JSON type, with ValueError.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .geometry import (
     Ball,
     FeasibleSet,
     SimplexProduct,
+    doc_value,
     in_range,
     partition_slices,
     set_from_doc,
@@ -53,7 +55,7 @@ class VIProblem:
     ``operator`` is the exact map F; ``oracle`` (optional) is a mini-batch
     estimator ``oracle(x, rng, m) -> mean of m unbiased samples``.  When the
     operator is affine, ``affine`` carries (G, b) so solvers can use recursive
-    operator updates.
+    operator updates.  The block constant ``Lbar`` is computed here, on first use.
     """
 
     dim: int
@@ -75,6 +77,13 @@ class VIProblem:
         if self.block_partition is None:
             raise ValueError("problem has no block partition")
         return partition_slices(self.block_partition, self.dim)
+
+    @cached_property
+    def Lbar(self) -> float:
+        """``block_lipschitz`` of the affine data; L without G or a block partition."""
+        if self.affine is None or self.block_partition is None:
+            return self.constants.L
+        return block_lipschitz(self.affine, self.block_partition)
 
 
 @dataclass(frozen=True)
@@ -247,6 +256,8 @@ def affine_problem(
             return affine_eval(_spec, x) + noise.mean(axis=0)
 
     sol = None if known_solution is None else in_range("known_solution", known_solution, -math.inf)
+    if sol is not None and sol.shape != (spec.dim,):
+        raise ValueError("known_solution must match G")
     return VIProblem(
         dim=spec.dim,
         set=fs,
@@ -320,9 +331,9 @@ class GLMSpec:
     """Signal-estimation instance: labels satisfy E[y | eta] = f(eta^T A x*).
 
     The signal x* lies on the sphere of radius R; the feasible set is the
-    centered ball of that radius.  ``sigma_y`` is the label noise standard
-    deviation.  ``A_x_star`` = A x* is computed once, at construction, as is
-    whether A = I, which the ramp closed form needs.
+    centered ball of that radius; the ramp link needs A = I.  ``sigma_y`` is
+    the label noise standard deviation.  ``A_x_star`` = A x* and ``sigma_max``
+    = sigma_max(A), from the SVD that tests A's rank, are computed once.
     """
 
     link: str
@@ -331,6 +342,7 @@ class GLMSpec:
     R: float
     sigma_y: float
     A_x_star: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         in_range("radius", self.R)
@@ -349,10 +361,13 @@ class GLMSpec:
         # scale-free: the norm of x* itself overflows for R past 1e154
         if abs(float(np.linalg.norm(x_star / self.R)) - 1.0) > 1e-9:
             raise ValueError("x_star must have norm R")
-        if np.linalg.matrix_rank(A) < n:
+        if self.link == RAMP and not np.allclose(A, np.eye(n)):
+            raise ValueError("the ramp link needs A = I, where its closed form holds")
+        s = np.linalg.svd(A, compute_uv=False)
+        if s.min() <= s.max() * n * np.finfo(float).eps:  # matrix_rank's tolerance
             raise ValueError("A must be full rank")
         object.__setattr__(self, "A_x_star", A @ x_star)
-        object.__setattr__(self, "_A_is_identity", bool(np.allclose(A, np.eye(n))))
+        object.__setattr__(self, "sigma_max", float(s.max()))
 
     @property
     def dim(self) -> int:
@@ -393,11 +408,9 @@ def _ramp_mean_map(x: np.ndarray) -> np.ndarray:
 
 
 def glm_exact_ramp(spec: GLMSpec, x) -> np.ndarray:
-    """Exact operator for the ramp-sigmoid link with A = I."""
+    """Exact operator for the ramp-sigmoid link (``GLMSpec`` holds A = I)."""
     if spec.link != RAMP:
         raise ValueError("exact ramp operator requires the ramp link")
-    if not spec._A_is_identity:
-        raise ValueError("the ramp closed form is available only for A = I")
     xv = np.asarray(x, dtype=float)
     return _ramp_mean_map(xv) - _ramp_mean_map(spec.x_star)
 
@@ -418,17 +431,23 @@ def ramp_mean_jacobian(x) -> np.ndarray:
 def glm_constants(spec: GLMSpec) -> tuple[float, float]:
     """Analytic (L, mu) for the exact GLM operator."""
     if spec.link == HINGE:
-        L = 0.5 * float(np.linalg.norm(spec.A, 2))
         mu = 0.25 * float(np.linalg.eigvalsh(spec.A + spec.A.T)[0])
-        return L, max(mu, 0.0)
-    # Ramp link (A = I): the Jacobian eigenvalues are erf(1/(sqrt(2) r))/2 and
-    # erf(1/(sqrt(2) r))/2 - exp(-1/(2 r^2)) / (sqrt(2 pi) r), minimized at r = R.
+        return 0.5 * spec.sigma_max, max(mu, 0.0)
+    # Ramp link (A = I): the Jacobian eigenvalues are erf(1/(sqrt(2) r))/2 <= L = 1/2
+    # and erf(1/(sqrt(2) r))/2 - exp(-1/(2 r^2)) / (sqrt(2 pi) r), minimized at r = R.
     R = spec.R
-    L = 0.5
-    mu = 0.5 * math.erf(1.0 / (math.sqrt(2.0) * R)) - math.exp(
-        -1.0 / (2.0 * R * R)
-    ) / (_SQRT2PI * R)
-    return L, mu
+    if R <= 100.0:
+        return 0.5, 0.5 * math.erf(1.0 / (math.sqrt(2.0) * R)) - math.exp(
+            -1.0 / (2.0 * R * R)
+        ) / (_SQRT2PI * R)
+    # past R = 100 that difference of two terms near 1/(sqrt(2 pi) R) cancels;
+    # mu is the integral of t^2 phi(t) over [0, u], u = 1/R, whose series
+    # sum_j (-1)^j u^(2j+3) / (sqrt(2 pi) 2^j j! (2j+3)) is exact to round-off
+    # in four terms (u^2 / 2 <= 5e-5)
+    u = 1.0 / R
+    x = -0.5 * u * u
+    series = sum(x**j / (math.factorial(j) * (2 * j + 3)) for j in range(4))
+    return 0.5, u**3 / _SQRT2PI * series
 
 
 def glm_sigma_bound(spec: GLMSpec) -> float:
@@ -437,14 +456,20 @@ def glm_sigma_bound(spec: GLMSpec) -> float:
     Uses |f(s1) - f(s2)| <= |s1 - s2| (both links are 1-Lipschitz),
     E[||eta||^2 (eta^T w)^2] = (n + 2) ||w||^2 for standard normal eta, and
     ||x - x*|| <= 2R on the ball.  The ramp link is additionally bounded by 1,
-    capping that term at E||eta||^2 = n.
+    capping that term at E||eta||^2 = n.  A term past the largest double is
+    inf, so the ramp cap still applies.
     """
     n = spec.dim
-    smax = float(np.linalg.norm(spec.A, 2))
-    drift = (n + 2.0) * (smax * 2.0 * spec.R) ** 2
+    drift = _times_square(n + 2.0, spec.sigma_max * 2.0 * spec.R)
     if spec.link == RAMP:
         drift = min(drift, float(n))
-    return drift + n * spec.sigma_y**2
+    return drift + _times_square(n, spec.sigma_y)
+
+
+def _times_square(c: float, v: float) -> float:
+    """c v^2 for c >= 1 and v >= 0, or inf once v^2 would pass the largest
+    double, where a float power raises ``OverflowError``."""
+    return c * v**2 if v <= math.sqrt(np.finfo(float).max / c) else math.inf
 
 
 def glm_generate(
@@ -488,10 +513,7 @@ def glm_problem(spec: GLMSpec, *, seed: int | None = None) -> VIProblem:
     """Wrap a GLMSpec as a VIProblem with exact operator and sampling oracle;
     ``ValueError`` if its variance bound ``glm_sigma_bound`` is not finite."""
     L, mu = glm_constants(spec)
-    try:
-        variance = glm_sigma_bound(spec)
-    except OverflowError:  # a float power past the largest double
-        variance = math.inf
+    variance = glm_sigma_bound(spec)
     in_range(f"the oracle variance bound at R = {spec.R:g}, sigma_y = {spec.sigma_y:g}",
              variance, closed=True)
     exact = glm_exact_hinge if spec.link == HINGE else glm_exact_ramp
@@ -609,6 +631,11 @@ class _Doc(dict):
         raise ValueError(f"problem JSON lacks the key {key!r}")
 
 
+def _optional_list(doc: dict, key: str) -> Optional[np.ndarray]:
+    """The list of numbers at ``key``, or None when the key is absent or null."""
+    return None if doc.get(key) is None else doc_value(doc, key, 1)
+
+
 def problem_to_json(problem: VIProblem) -> str:
     """Serialize a problem to the documented JSON form (matrices row-major).
 
@@ -659,7 +686,8 @@ def problem_from_json(text: str) -> VIProblem:
     A document of another format version raises ``ValueError``; one without
     "format" predates the key and reads as format 1.  A document that lacks
     a key its kind or set needs, or that is not a JSON object, raises
-    ``ValueError``.
+    ``ValueError``, and so does a value of the wrong JSON type: each numeric
+    key is read by ``doc_value`` as a number, a list or a matrix of numbers.
     """
     doc = json.loads(text, object_hook=_Doc)
     if not isinstance(doc, dict):
@@ -670,21 +698,21 @@ def problem_from_json(text: str) -> VIProblem:
                          f"(this version reads format {PROBLEM_JSON_FORMAT})")
     kind = doc.get("kind")
     if kind == "affine":
-        spec = AffineSpec(G=in_range("G", doc["G"], -math.inf),
-                          b=in_range("b", doc["b"], -math.inf))
+        spec = AffineSpec(G=in_range("G", doc_value(doc, "G", 2), -math.inf),
+                          b=in_range("b", doc_value(doc, "b", 1), -math.inf))
         # documents without "block_partition" predate it: simplex blocks were the partition
-        blocks = doc.get("block_partition", doc.get("blocks"))
-        return affine_problem(spec, set_from_doc(doc, spec.dim),
-                              noise_sigma=float(doc.get("sigma", 0.0)),
-                              known_solution=doc.get("known_solution"),
-                              block_partition=blocks, seed=doc.get("seed"))
+        part = "block_partition" if "block_partition" in doc else "blocks"
+        sigma = float(doc_value(doc, "sigma", 0)) if "sigma" in doc else 0.0
+        return affine_problem(spec, set_from_doc(doc, spec.dim), noise_sigma=sigma,
+                              known_solution=_optional_list(doc, "known_solution"),
+                              block_partition=_optional_list(doc, part), seed=doc.get("seed"))
     if kind == "glm":
         spec = GLMSpec(
             link=doc["link"],
-            A=np.array(doc["A"], dtype=float),
-            x_star=np.array(doc["x_star"], dtype=float),
-            R=float(doc["R"]),
-            sigma_y=float(doc["sigma_y"]),
+            A=doc_value(doc, "A", 2),
+            x_star=doc_value(doc, "x_star", 1),
+            R=float(doc_value(doc, "R", 0)),
+            sigma_y=float(doc_value(doc, "sigma_y", 0)),
         )
         return glm_problem(spec, seed=doc.get("seed"))
     raise ValueError(f"unknown problem kind {kind!r}")

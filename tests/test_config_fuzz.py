@@ -1,14 +1,17 @@
 """Grammar fuzz of the command line: INI documents and flags drawn from the
-known keys, each value from a fixed set of edge classes.
+known keys, each value from a fixed set of edge classes, and for ``kind =
+json`` the problem document too, valid or with up to two of its values
+replaced by a number, a list, a string or null.
 
 The property is the input contract: a call exits 0 or 2 only when every value
-it was given is finite and in its key's range; otherwise it exits 1 with
-``config error:`` or ``error:``.  No call prints a traceback, LAPACK text or a
-numpy warning, none leaves an output directory behind when it exits 1, and no
-``[PASS]`` line carries a limit that is not finite.  Sizes stay at n <= 10 and
-budgets at k <= 20.
+it was given is finite, of its type and in its key's range; otherwise it
+exits 1 with ``config error:`` or ``error:``.  No call prints a traceback,
+LAPACK text or a numpy warning, none leaves an output directory behind when
+it exits 1, and no ``[PASS]`` line carries a limit that is not finite.  Sizes
+stay at n <= 10 and budgets at k <= 20.
 """
 
+import json
 import math
 import os
 import re
@@ -16,12 +19,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oevi import cli
+from oevi.geometry import Ball
 from oevi.harness import POLICY_KEYS, PROBLEM_KEYS, RUN_KEYS
-from oevi.problems import problem_to_json, traffic_generate
+from oevi.problems import AffineSpec, affine_problem, glm_generate, problem_to_json, traffic_generate
 from oevi.schedules import POLICY_NAMES
 
 # every value is drawn from these classes; "valid" stands for each key's own valid text
@@ -90,20 +95,62 @@ def values(draw, specs, always=frozenset()):
     return chosen, in_range
 
 
+# the values that replace a problem document's own
+JSON_CLASSES = {"number": 1.0, "list": [1.0], "string": "abc", "null": None}
+
+
+def _document(problem, **accepted):
+    """A problem's JSON object, and for each key the classes whose values are
+    valid there (those named in ``accepted``)."""
+    doc = json.loads(problem_to_json(problem))
+    return doc, {key: frozenset(accepted.get(key, ())) for key in doc}
+
+
+# in every document, format 1.0 equals 1 and the seed is provenance, kept as given
+_EVERY_DOC = dict(format={"number"}, seed=JSON_CLASSES)
+_AFFINE = dict(sigma={"number"}, known_solution={"null"}, block_partition={"null"}, **_EVERY_DOC)
+_STRONGLY_MONOTONE = AffineSpec(2.0 * np.eye(3) + np.triu(np.ones((3, 3)), 1), np.ones(3))
+JSON_DOCS = [
+    _document(traffic_generate(10, 5, 0.5, seed=4), **_AFFINE),
+    _document(affine_problem(_STRONGLY_MONOTONE, Ball(np.zeros(3), 2.0), block_partition=(1, 2)),
+              radius={"number"}, **_AFFINE),
+    _document(glm_generate(3, "hinge", 2.0, 0.5, seed=4), sigma_y={"number"}, **_EVERY_DOC),
+    _document(glm_generate(3, "ramp", 2.0, 0.5, seed=4), sigma_y={"number"}, **_EVERY_DOC),
+]
+
+
+@st.composite
+def documents(draw):
+    """(a problem document's text, whether every value in it is valid): a
+    document of JSON_DOCS with up to two of its values replaced."""
+    doc, specs = draw(st.sampled_from(JSON_DOCS))
+    doc, ok = dict(doc), True
+    for key in draw(st.lists(st.sampled_from(sorted(specs)), max_size=2, unique=True)):
+        cls = draw(st.sampled_from(sorted(JSON_CLASSES)))
+        doc[key] = JSON_CLASSES[cls]
+        ok = ok and cls in specs[key]
+    return json.dumps(doc), ok
+
+
 @st.composite
 def command_lines(draw):
-    """(argv, the config file's text or None, whether every value is in range)."""
+    """(argv, the config file's text or None, the problem document's text,
+    whether every value is in range)."""
     command = draw(st.sampled_from(["run", "check", "validate-schedule", "suite"]))
     if command == "validate-schedule":
         flags, ok = draw(values(FLAG_SPECS[command]))
-        return [command, draw(st.sampled_from(POLICY_NAMES))] + _argv(flags), None, ok
+        return [command, draw(st.sampled_from(POLICY_NAMES))] + _argv(flags), None, JSON_DOC, ok
     if command == "suite":
         name = draw(st.sampled_from(sorted(SUITE_SIZES)))
         flag, spec = SUITE_SIZES[name]
         flags, ok = draw(values({**FLAG_SPECS[command], flag: spec}, ALWAYS))
-        return [command, name] + _argv(flags), None, ok
+        return [command, name] + _argv(flags), None, JSON_DOC, ok
     kind = draw(st.sampled_from(sorted(PROBLEM_SPECS)))
     problem, ok = draw(values(PROBLEM_SPECS[kind]))
+    document = JSON_DOC
+    if kind == "json":
+        document, doc_ok = draw(documents())
+        ok = ok and doc_ok
     run, run_ok = draw(values(RUN_SPECS, {"k"}))
     lines = ["[problem]", f"kind = {kind}", *_ini(problem), "[run]", *_ini(run)]
     for name in draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=2,
@@ -112,7 +159,21 @@ def command_lines(draw):
         lines += [f"[policy:{name}]", *_ini(policy)]
         ok = ok and policy_ok
     flags, flags_ok = draw(values(FLAG_SPECS[command]))
-    return [command, "exp.ini"] + _argv(flags), "\n".join(lines) + "\n", ok and run_ok and flags_ok
+    return ([command, "exp.ini"] + _argv(flags), "\n".join(lines) + "\n", document,
+            ok and run_ok and flags_ok)
+
+
+@st.composite
+def json_command_lines(draw):
+    """``run`` or ``check`` on a drawn problem document, with every INI value
+    valid, so that the document alone decides the exit code."""
+    document, ok = draw(documents())
+    lines = ["[problem]", "kind = json", "path = problem.json", "[run]", "k = 5"]
+    for name in draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=2,
+                              unique=True)):
+        lines.append(f"[policy:{name}]")
+    command = draw(st.sampled_from(["run", "check"]))
+    return [command, "exp.ini"], "\n".join(lines) + "\n", document, ok
 
 
 def _ini(chosen):
@@ -123,19 +184,29 @@ def _argv(chosen):
     return [f"{flag}={text}" for flag, text in chosen.items()]
 
 
-JSON_DOC = problem_to_json(traffic_generate(10, 5, 0.5, seed=4))
+JSON_DOC = json.dumps(JSON_DOCS[0][0])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(command_lines())
 def test_cli_input_contract(capfd, case):
-    argv, config, in_range = case
+    _check_call(capfd, *case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(json_command_lines())
+def test_json_document_contract(capfd, case):
+    _check_call(capfd, *case)
+
+
+def _check_call(capfd, argv, config, document, in_range):
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("problem.json").write_text(JSON_DOC)
+            Path("problem.json").write_text(document)
             if config is not None:
                 Path("exp.ini").write_text(config)
             before = set(os.listdir())
@@ -147,8 +218,8 @@ def test_cli_input_contract(capfd, case):
             left = set(os.listdir()) - before
         finally:
             os.chdir(home)
-    assert rc in (0, 1, 2), (argv, config)
-    assert in_range or rc == 1, (argv, config, out)
+    assert rc in (0, 1, 2), (argv, config, document)
+    assert in_range or rc == 1, (argv, config, document, out)
     if rc == 1:
         # argparse's own message reads "oevi <command>: error: ..."
         assert re.search(r"(^|\n)(config error: |error: |oevi[\w -]*: error: )", err), err

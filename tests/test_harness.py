@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oevi import cli, harness
+from oevi import problems as problems_module
 from oevi.geometry import analytic_center
 from oevi.harness import (
     BOUND_CHECKS,
@@ -1000,6 +1001,20 @@ class TestCli:
                                        "sigma_y = 1 must be in [0, inf), got inf\n")
         assert not out.exists()
 
+    def test_glm_ramp_huge_radius_builds_but_does_not_run(self, tmp_path, capsys):
+        # the ramp's variance bound is finite at any R, but a run squares
+        # distances up to 2R: past sqrt(DBL_MAX) / 2 they overflow, with numpy
+        # warnings, in V1, the metrics and the ramp operator's norm
+        path = tmp_path / "exp.ini"
+        path.write_text(GLM_RAMP_TEXT.replace("n = 5", "n = 5\nR = 1e200"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", "config error: R must be in (0, 6.7039e+153], "
+                                       "got 1e+200\n")
+        assert not out.exists()
+
     def test_glm_infinite_variance_bound_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(GLM_RAMP_TEXT.replace("n = 5", "n = 5\nsigma_y = 1e300"))
@@ -1177,3 +1192,60 @@ class TestCli:
         )
         rc = cli.main(["check", str(path), "--k", "50"])
         assert rc == 2
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        ("simplex", "demands", 1.0, "'demands' must be a list of numbers, got 1.0"),
+        ("simplex", "blocks", 2, "'blocks' must be a list of numbers, got 2"),
+        ("simplex", "block_partition", 2, "'block_partition' must be a list of numbers, got 2"),
+        ("simplex", "sigma", [0.0], "'sigma' must be a number, got [0.0]"),
+        ("glm", "R", [1.0], "'R' must be a number, got [1.0]"),
+        ("glm", "A", [[1.0, 0.0], [0.0]],
+         "'A' must be a list of equal-length lists of numbers, got [[1.0, 0.0], [0.0]]"),
+    ], ids=["demands", "blocks", "block_partition", "sigma", "R", "ragged-A"])
+    def test_json_value_of_the_wrong_type_is_an_error(self, tmp_path, capsys, kind, key, value,
+                                                     message):
+        # the first five once ended in a TypeError traceback, the last in
+        # numpy's "inhomogeneous shape" text without the key
+        problem = (traffic_generate(4, 2, 0.5, seed=1) if kind == "simplex"
+                   else glm_generate(2, "hinge", R=2.0, sigma_y=0.1, seed=8))
+        doc = {**json.loads(problem_to_json(problem)), key: value}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n\n"
+                        "[run]\nk = 5\n\n[policy:OE-GSMVI]\n")
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: problem JSON key {message}\n")
+
+
+class TestProblemConstantsComputedOnce:
+    """L-bar is a value of the problem: computed on first use, once per problem object."""
+
+    @staticmethod
+    def count_block_lipschitz(monkeypatch) -> list[int]:
+        calls = [0]
+        real = problems_module.block_lipschitz
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(problems_module, "block_lipschitz", counted)
+        return calls
+
+    def test_golden_traffic_computes_lbar_once_per_entry_point(self, monkeypatch):
+        # two block policies: four passes in check_bounds and two in
+        # run_experiment when the harness derived L-bar itself
+        calls = self.count_block_lipschitz(monkeypatch)
+        config = dataclasses.replace(load_config(REPO / "scripts" / "golden_traffic.ini"),
+                                     k=20, weak_gap=False)
+        check_bounds(config)
+        assert calls == [1]
+        run_experiment(config)
+        assert calls == [2]
+
+    def test_config_without_a_block_policy_never_computes_lbar(self, tmp_path, monkeypatch):
+        calls = self.count_block_lipschitz(monkeypatch)
+        config = tiny_config(tmp_path, policies=[PolicyRun("OE-GSMVI"), PolicyRun("SOE-1")])
+        check_bounds(config)
+        run_experiment(config)
+        assert calls == [0]

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import warnings
 from contextlib import nullcontext as _nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +224,23 @@ def test_traffic_constants_match_svd():
     assert block_lipschitz(p.affine, p.block_partition) == pytest.approx(lbar, rel=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: traffic_generate(100, 5, 0.05, seed=41),
+    lambda: problem_from_json((Path(__file__).resolve().parents[1] / "scripts"
+                               / "golden_ragged.json").read_text()),
+], ids=["traffic-100", "golden-ragged"])
+def test_problem_lbar_is_block_lipschitz_bit_for_bit(make):
+    p = make()
+    assert p.Lbar == block_lipschitz(p.affine, p.block_partition)
+    assert p.Lbar is p.Lbar  # computed once, then read
+
+
+def test_problem_lbar_is_L_without_affine_data_or_partition():
+    for p in (glm_generate(3, "hinge", R=2.0, sigma_y=0.1, seed=2),
+              affine_problem(AffineSpec(np.eye(2), np.zeros(2)), FullSpace(2))):
+        assert p.Lbar == p.constants.L
+
+
 class TestTraffic:
     def test_structure(self):
         p = traffic_generate(10, 5, 1.0, seed=7)
@@ -363,10 +381,10 @@ class TestGlmExact:
         np.testing.assert_allclose(at_zero, expect)
 
     def test_ramp_requires_identity(self):
+        # rejected when built, not on the first operator call after a run
         x_star = np.array([1.0, 0.0])
-        spec = GLMSpec("ramp", np.array([[2.0, 0.0], [0.0, 2.0]]), x_star, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            glm_exact_ramp(spec, x_star)
+        with pytest.raises(ValueError, match="the ramp link needs A = I"):
+            GLMSpec("ramp", np.array([[2.0, 0.0], [0.0, 2.0]]), x_star, 1.0, 0.0)
 
     def test_scalar_monte_carlo_matches_erf(self):
         # E[zeta * clip(zeta * s, 0, 1)] = s/2 * erf(1/(sqrt(2) s)) for scalar s
@@ -396,10 +414,16 @@ class TestGlmExact:
             np.testing.assert_allclose(fd, J, atol=1e-5)
 
     def test_ramp_mu_decreasing_in_radius(self):
+        # past R = 100, mu ~ 1/(3 sqrt(2 pi) R^3); the difference of erf and
+        # exp terms was 10% off at R = 1e7 and negative from R = 1e8
+        radii = [2.0, 4.0, 10.0] + [10.0**e for e in range(2, 13)]
         mus = [glm_constants(GLMSpec("ramp", np.eye(2), np.array([r, 0.0]), r, 0.0))[1]
-               for r in (2.0, 4.0, 10.0)]
+               for r in radii]
         assert all(m > 0 for m in mus)
-        assert mus[0] > mus[1] > mus[2]
+        assert all(a > b for a, b in zip(mus, mus[1:]))
+        for r, mu in zip(radii, mus):
+            if r >= 1e3:
+                assert abs(3.0 * math.sqrt(2.0 * math.pi) * r**3 * mu - (1.0 - 0.3 / r**2)) <= 1e-9
 
     def test_hinge_constants_formulas(self):
         A = np.array([[1.0, 0.2], [0.0, 0.5]])
@@ -549,6 +573,31 @@ class TestOperatorInvariants:
             assert spec.R == 1e200
             with pytest.raises(ValueError, match="^x_star must have norm R$"):
                 GLMSpec("hinge", np.eye(2), np.array([0.6e200, 0.6e200]), 1e200, 0.1)
+
+    def test_ramp_variance_bound_caps_an_overflowing_drift(self):
+        # 2 R sigma_max(A) squared passes the largest double; the ramp's cap
+        # at n still holds, where the bound was once inf
+        p = glm_generate(3, "ramp", 1e200, 0.5, seed=1)
+        assert p.constants.sigma == math.sqrt(3 + 3 * 0.5**2)
+
+    def test_glm_spec_takes_one_svd(self, monkeypatch):
+        # matrix_rank and two norm(A, 2) calls once made three
+        calls = [0]
+        real = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        p = glm_generate(20, "hinge", R=2.0, sigma_y=0.1, seed=3)
+        assert calls == [1]
+        assert p.glm.sigma_max == 2.0 * p.constants.L
+
+    def test_sigma_max_is_the_spectral_norm_bit_for_bit(self):
+        spec = glm_generate(100, "hinge", R=2.0, sigma_y=0.1, seed=5).glm
+        assert spec.sigma_max == float(np.linalg.norm(spec.A, 2))
 
     def test_glm_problem_rejects_an_infinite_variance_bound(self):
         # sigma_y**2 overflows a float here; the bound was an OverflowError
