@@ -77,8 +77,11 @@ def doc_value(doc: dict, key: str, ndim: int) -> np.ndarray:
 
 def partition_slices(sizes, dim: int | None = None) -> list[slice]:
     """Slices of consecutive blocks of the given sizes; ``ValueError`` unless
-    every size is at least 1 and, given ``dim``, they sum to it."""
-    sizes = tuple(int(s) for s in in_range("block sizes", sizes, 1, closed=True))
+    every size is an integer of at least 1 and, given ``dim``, they sum to it."""
+    v = in_range("block sizes", sizes, 1, closed=True)
+    if (v % 1).any():
+        raise ValueError(f"block sizes must be integers, got {v[v % 1 > 0][0]}")
+    sizes = tuple(int(s) for s in v)
     if dim is not None and sum(sizes) != dim:
         raise ValueError(f"block partition {sizes} does not cover the dimension {dim}")
     offsets = np.cumsum((0,) + sizes)
@@ -139,7 +142,7 @@ class FeasibleSet:
                          "use residual_certificate")
 
     def split(self, sizes) -> list[FeasibleSet]:
-        raise TypeError(f"unsupported set {type(self).__name__}")
+        raise ValueError(f"{type(self).__name__} sets cannot be split into blocks")
 
     def to_doc(self) -> dict:
         raise ValueError(f"cannot serialize a {type(self).__name__} set")

@@ -177,8 +177,16 @@ class ExperimentConfig:
                     in_range("batch size m", policy.batch, 1, closed=True)
                 check_constants(**{key: getattr(policy, key)
                                    for key in ("L", "mu", "sigma", "V1", "noise_ratio")})
-            if POLICIES[policy.name].source == "block":
-                _check_blocks(policy.name, self.problem)
+            # an override the policy's operator source never reads is refused
+            source = POLICIES[policy.name].source
+            if policy.batch is not None and source != "oracle":
+                raise ConfigError(f"policy {policy.name}: m is read only by oracle policies")
+            if not policy.recursive_affine and source != "block":
+                raise ConfigError(f"policy {policy.name}: recursive_affine = false is read "
+                                  "only by block policies")
+            if source == "block":
+                with _config_error(f"policy {policy.name}: "):
+                    self.problem.blocks  # split here, once per problem
         _check_budget(self.k, self.seeds)
         if self.validate_policies not in ("fail", "warn", "skip"):
             raise ConfigError("validate_policies must be fail, warn, or skip")
@@ -210,16 +218,6 @@ def _check_budget(k: int, seeds) -> None:
         raise ConfigError("seeds must be distinct")
     if not seeds:
         raise ConfigError("config needs at least one seed")
-
-
-def _check_blocks(name: str, problem: VIProblem) -> None:
-    """A block policy needs a partition that the problem's set splits along."""
-    if problem.block_partition is None:
-        raise ConfigError(f"policy {name} needs a block partition")
-    try:
-        problem.set.split(problem.block_partition)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"policy {name}: {exc}") from exc
 
 
 def checkpoints(k: int, cadence: int) -> list[int]:
@@ -825,7 +823,7 @@ def _check_oe_gmvi(policy, schedule, problem, runs, x1, k):
     total_lim = bound_gmvi_movement(V1) + 1e-9
     R, _ = select_best_movement(traj)
     cert = residual_certificate(traj, R, problem.operator(traj.xs[R + 1]))
-    cert_lim = bound_gmvi_residual(schedule.L, problem.constants.L_omega, V1, k)
+    cert_lim = bound_gmvi_residual(schedule.L, problem.constants.L_omega, V1, k) + 1e-9
     return [BoundCheck(policy.name, "movement sum", total, total_lim, total <= total_lim),
             BoundCheck(policy.name, "residual certificate", cert, cert_lim, cert <= cert_lim)]
 

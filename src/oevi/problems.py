@@ -55,7 +55,8 @@ class VIProblem:
     ``operator`` is the exact map F; ``oracle`` (optional) is a mini-batch
     estimator ``oracle(x, rng, m) -> mean of m unbiased samples``.  When the
     operator is affine, ``affine`` carries (G, b) so solvers can use recursive
-    operator updates.  The block constant ``Lbar`` is computed here, on first use.
+    operator updates.  The block constant ``Lbar`` and ``blocks``, the (slice,
+    set) pair of each block, are computed here, on first use, once per problem.
     """
 
     dim: int
@@ -71,12 +72,16 @@ class VIProblem:
 
     def __post_init__(self):
         if self.block_partition is not None:  # as a tuple of ints
-            self.block_partition = tuple(sl.stop - sl.start for sl in self.block_slices())
+            self.block_partition = tuple(sl.stop - sl.start for sl in
+                                         partition_slices(self.block_partition, self.dim))
 
-    def block_slices(self) -> list[slice]:
+    @cached_property
+    def blocks(self) -> list[tuple[slice, FeasibleSet]]:
+        """``ValueError`` without a partition, or from ``set.split`` where the set cannot split."""
         if self.block_partition is None:
             raise ValueError("problem has no block partition")
-        return partition_slices(self.block_partition, self.dim)
+        return list(zip(partition_slices(self.block_partition, self.dim),
+                        self.set.split(self.block_partition)))
 
     @cached_property
     def Lbar(self) -> float:

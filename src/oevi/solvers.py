@@ -172,11 +172,10 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     tab = schedule.table(k)
     blocks = source == "block"
     if blocks:
-        slices = problem.block_slices()
-        parts = problem.set.split(problem.block_partition)
-        drawn = _philox(seed, _PURPOSE_BLOCK).integers(0, len(slices), size=k)
+        parts = problem.blocks
+        drawn = _philox(seed, _PURPOSE_BLOCK).integers(0, len(parts), size=k)
     else:
-        slices, parts, drawn = [slice(0, n)], [problem.set], np.zeros(k, dtype=int)
+        parts, drawn = [(slice(0, n), problem.set)], np.zeros(k, dtype=int)
     batch_sizes = np.zeros(k + 1, dtype=int)
     if source == "oracle":
         batch_sizes[1:] = tab.batch[1:] if batch is None else batch
@@ -186,7 +185,7 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
         thetas=np.array([np.nan] + [tab.theta(t) for t in range(1, k + 1)]),
         batch_sizes=batch_sizes, step_time_ns=np.zeros(k + 1, dtype=np.int64),
         oracle_calls=int(batch_sizes.sum()), block_index=np.r_[-1, drawn] if blocks else None,
-        num_blocks=len(slices), seed=None if source == "exact" else seed,
+        num_blocks=len(parts), seed=None if source == "exact" else seed,
     )
     xs, ops, order = traj.xs, traj.ops, drawn.tolist()
     xs[:2] = x
@@ -217,12 +216,12 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
         gamma, lam = gammas[t], lams[t]
         if t in keep:
             ops[t] = F_cur
-        i = order[t - 1]
-        sl, x, x_next = slices[i], xs[t], xs[t + 1]
+        sl, part = parts[order[t - 1]]
+        x, x_next = xs[t], xs[t + 1]
         if blocks:  # the coordinates outside the block carry over
             x_next[:] = x
         F_sl, x_sl = F_cur[sl], x[sl]
-        y = parts[i].project(x_sl - gamma * (F_sl + lam * (F_sl - F_prev[sl])))
+        y = part.project(x_sl - gamma * (F_sl + lam * (F_sl - F_prev[sl])))
         x_next[sl] = y
         d = y - x_sl
         move = float(d @ d)

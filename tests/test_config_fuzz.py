@@ -4,10 +4,11 @@ json`` the problem document too, valid or with up to two of its values
 replaced by a number, a list, a string or null.
 
 The property is the input contract: a call exits 0 or 2 only when every value
-it was given is finite, of its type and in its key's range; otherwise it
-exits 1 with ``config error:`` or ``error:``.  No call prints a traceback,
-LAPACK text or a numpy warning, none leaves an output directory behind when
-it exits 1, and no ``[PASS]`` line carries a limit that is not finite.  Sizes
+it was given is finite, of its type and in its key's range, and every policy
+override is one its policy's operator source reads; otherwise it exits 1
+with ``config error:`` or ``error:``.  No call prints a traceback, LAPACK
+text or a numpy warning, none leaves an output directory behind when it
+exits 1, and no ``[PASS]`` line carries a limit that is not finite.  Sizes
 stay at n <= 10 and budgets at k <= 20.
 """
 
@@ -27,7 +28,7 @@ from oevi import cli
 from oevi.geometry import Ball
 from oevi.harness import POLICY_KEYS, PROBLEM_KEYS, RUN_KEYS
 from oevi.problems import AffineSpec, affine_problem, glm_generate, problem_to_json, traffic_generate
-from oevi.schedules import POLICY_NAMES
+from oevi.schedules import POLICIES, POLICY_NAMES
 
 # every value is drawn from these classes; "valid" stands for each key's own valid text
 CLASSES = {"valid": None, "zero": "0", "negative": "-1", "nan": "nan", "inf": "inf",
@@ -157,7 +158,7 @@ def command_lines(draw):
                               unique=True)):
         policy, policy_ok = draw(values(POLICY_SPECS))
         lines += [f"[policy:{name}]", *_ini(policy)]
-        ok = ok and policy_ok
+        ok = ok and policy_ok and _read_by_source(name, policy)
     flags, flags_ok = draw(values(FLAG_SPECS[command]))
     return ([command, "exp.ini"] + _argv(flags), "\n".join(lines) + "\n", document,
             ok and run_ok and flags_ok)
@@ -174,6 +175,14 @@ def json_command_lines(draw):
         lines.append(f"[policy:{name}]")
     command = draw(st.sampled_from(["run", "check"]))
     return [command, "exp.ini"], "\n".join(lines) + "\n", document, ok
+
+
+def _read_by_source(name, chosen):
+    """Whether the policy's operator source reads each override: only an
+    oracle reads m, and only a block source reads recursive_affine = false."""
+    source = POLICIES[name].source
+    return (("m" not in chosen or source == "oracle")
+            and (chosen.get("recursive_affine") != CLASSES["zero"] or source == "block"))
 
 
 def _ini(chosen):

@@ -108,7 +108,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("policy,partition,match", [
         ("SBOE-GSMVI", (2, 4),
          "policy SBOE-GSMVI: block partition must match the simplex-product structure"),
-        ("SBOE-MVI", None, "policy SBOE-MVI needs a block partition"),
+        ("SBOE-MVI", None, "policy SBOE-MVI: problem has no block partition"),
     ], ids=["mismatched-partition", "no-partition"])
     def test_block_policy_problem_rejected_before_work(self, tmp_path, monkeypatch, capsys,
                                                        policy, partition, match):
@@ -131,6 +131,61 @@ class TestConfigValidation:
                                           f"\n\n[run]\nk = 10\n\n[policy:{policy}]\n")
         assert cli.main(["run", str(tmp_path / "exp.ini")]) == 1
         assert f"config error: {match}" in capsys.readouterr().err
+
+    def test_block_policy_on_a_set_without_split_rejected(self):
+        from oevi.geometry import FeasibleSet
+        from oevi.problems import AffineSpec, affine_problem
+
+        class Unsplittable(FeasibleSet):
+            dim = 2
+
+            def contains(self, x):
+                return True
+
+        problem = affine_problem(AffineSpec(np.eye(2), np.ones(2)), Unsplittable(),
+                                 block_partition=(1, 1))
+        with pytest.raises(ConfigError,
+                           match="^policy SBOE-MVI: Unsplittable sets cannot be split into blocks$"):
+            ExperimentConfig(problem=problem, policies=[PolicyRun("SBOE-MVI")], k=10)
+
+    @pytest.mark.parametrize("policy,key,match", [
+        ("OE-GSMVI", "m = 5", "policy OE-GSMVI: m is read only by oracle policies"),
+        ("SBOE-MVI", "m = 5", "policy SBOE-MVI: m is read only by oracle policies"),
+        ("OE-GSMVI", "recursive_affine = false",
+         "policy OE-GSMVI: recursive_affine = false is read only by block policies"),
+        ("SA", "recursive_affine = false",
+         "policy SA: recursive_affine = false is read only by block policies"),
+    ], ids=["m-exact", "m-block", "recursive-exact", "recursive-oracle"])
+    def test_override_the_source_never_reads_rejected(self, tmp_path, capsys, policy, key, match):
+        # the override would go unused
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace("[policy:OE-GSMVI]\n", "")
+                        + f"\n[policy:{policy}]\n{key}\n")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
+        assert f"config error: {match}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_accepted_where_their_source_reads_them(self, tmp_path):
+        policies = [PolicyRun("SOE-1", batch=3), PolicyRun("SBOE-GSMVI", recursive_affine=False)]
+        policies += [PolicyRun(name, recursive_affine=True) for name in POLICY_NAMES
+                     if name not in ("SOE-1", "SBOE-GSMVI")]
+        assert tiny_config(tmp_path, policies=policies).policies == policies
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_each_command_splits_the_partition_once_per_problem(self, tmp_path, monkeypatch,
+                                                                command):
+        # one split for the config's problem and one for the problem that
+        # ensure_reference returns: no block-policy check or block run splits again
+        from oevi.geometry import SimplexProduct
+
+        calls = []
+        split = SimplexProduct.split
+        monkeypatch.setattr(SimplexProduct, "split",
+                            lambda fs, sizes: calls.append(sizes) or split(fs, sizes))
+        ini = str(Path(__file__).resolve().parents[1] / "scripts" / "golden_traffic.ini")
+        argv = [command, ini] + (["--output", str(tmp_path / "out")] if command == "run" else [])
+        assert cli.main(argv) == 0
+        assert len(calls) == 2
 
     def test_checkpoints_include_endpoints(self):
         assert checkpoints(10, 1) == list(range(11))
@@ -615,13 +670,15 @@ class TestConfigKeys:
                                             "weak_gap = on\nworkers = 2\nvalidate = warn\n"
                                             "reference = false")
                         .replace("m = 2", "m = 2\nL = 3\nmu = 0.5\nsigma = 2\nV1 = 4\n"
-                                 "noise_ratio = 0.1\nrecursive_affine = no"))
+                                 "noise_ratio = 0.1\n\n[policy:SBOE-GSMVI]\n"
+                                 "recursive_affine = no"))
         cfg = load_config(path)
         assert (cfg.cadence, cfg.output, cfg.timing, cfg.weak_gap, cfg.workers,
                 cfg.validate_policies, cfg.compute_reference) == (2, None, True, True, 2,
                                                                   "warn", False)
-        assert cfg.policies[1] == PolicyRun("SOE-1", L=3.0, mu=0.5, sigma=2.0, V1=4.0, batch=2,
-                                            noise_ratio=0.1, recursive_affine=False)
+        assert cfg.policies[1:] == [PolicyRun("SOE-1", L=3.0, mu=0.5, sigma=2.0, V1=4.0, batch=2,
+                                              noise_ratio=0.1),
+                                    PolicyRun("SBOE-GSMVI", recursive_affine=False)]
 
     @pytest.mark.parametrize("argv, text, name", [
         (["run"], CONFIG_TEXT.replace("m = 2", "batch = 50"), "'batch' in [policy:SOE-1]"),

@@ -220,15 +220,19 @@ def test_traffic_constants_match_svd():
     p = traffic_generate(100, 5, 0.05, seed=41)
     G = p.affine.G
     assert affine_constants(p.affine)[0] == pytest.approx(float(np.linalg.norm(G, 2)), rel=1e-12)
-    lbar = max(float(np.linalg.norm(G[sl, :], 2)) for sl in p.block_slices())
+    lbar = max(float(np.linalg.norm(G[sl, :], 2)) for sl, _ in p.blocks)
     assert block_lipschitz(p.affine, p.block_partition) == pytest.approx(lbar, rel=1e-12)
 
 
-@pytest.mark.parametrize("make", [
+_GOLDEN_RAGGED = Path(__file__).resolve().parents[1] / "scripts" / "golden_ragged.json"
+# problems with a block partition: equal blocks, and the ragged golden instance
+_BLOCK_PROBLEMS = pytest.mark.parametrize("make", [
     lambda: traffic_generate(100, 5, 0.05, seed=41),
-    lambda: problem_from_json((Path(__file__).resolve().parents[1] / "scripts"
-                               / "golden_ragged.json").read_text()),
+    lambda: problem_from_json(_GOLDEN_RAGGED.read_text()),
 ], ids=["traffic-100", "golden-ragged"])
+
+
+@_BLOCK_PROBLEMS
 def test_problem_lbar_is_block_lipschitz_bit_for_bit(make):
     p = make()
     assert p.Lbar == block_lipschitz(p.affine, p.block_partition)
@@ -738,6 +742,57 @@ def test_block_partition_must_cover_dimension(fs):
     doc["block_partition"] = [3, 2]
     with pytest.raises(ValueError, match="does not cover"):
         problem_from_json(json.dumps(doc))
+
+
+def test_fractional_block_sizes_rejected():
+    # rejected, not truncated to five blocks of 2
+    message = "^block sizes must be integers, got 2.9$"
+    with pytest.raises(ValueError, match=message):
+        partition_slices([2.9, 2.2, 2, 2, 2], 10)
+    with pytest.raises(ValueError, match=message):
+        SimplexProduct([2.9, 2.2, 2, 2, 2], [1.0] * 5)
+    doc = json.loads(problem_to_json(traffic_generate(10, 5, 0.5, seed=4)))
+    with pytest.raises(ValueError, match=message):
+        problem_from_json(json.dumps({**doc, "blocks": [2.9, 2.2, 2, 2, 2],
+                                      "block_partition": [2.5, 2.5, 2, 2, 2]}))
+    with pytest.raises(ValueError, match="^block sizes must be integers, got 2.5$"):
+        problem_from_json(json.dumps({**doc, "block_partition": [2.5, 2.5, 2, 2, 2]}))
+
+
+def test_integer_valued_float_block_sizes_accepted():
+    doc = json.loads(problem_to_json(traffic_generate(10, 5, 0.5, seed=4)))
+    q = problem_from_json(json.dumps({**doc, "blocks": [2.0] * 5, "block_partition": [2.0] * 5}))
+    assert q.set.block_sizes == q.block_partition == (2,) * 5
+    assert all(type(s) is int for s in q.block_partition)
+    assert partition_slices([2.0, 3.0], 5) == [slice(0, 2), slice(2, 5)]
+
+
+def test_json_round_trip_keeps_the_ragged_partition():
+    text = _GOLDEN_RAGGED.read_text()
+    p = problem_from_json(text)
+    q = problem_from_json(problem_to_json(p))
+    assert q.block_partition == p.block_partition == tuple(json.loads(text)["block_partition"])
+    assert q.set.block_sizes == p.set.block_sizes
+
+
+@_BLOCK_PROBLEMS
+def test_problem_blocks_are_the_partition_slices_and_split(make):
+    p = make()
+    slices, parts = zip(*p.blocks)
+    assert list(slices) == partition_slices(p.block_partition, p.dim)
+    assert [q.to_doc() for q in parts] == [q.to_doc() for q in p.set.split(p.block_partition)]
+    assert p.blocks is p.blocks  # built once, then read
+
+
+def test_problem_blocks_stay_lazy():
+    # a set that cannot split along the partition still loads; only reading
+    # its blocks (as a block policy does) raises
+    spec = AffineSpec(2.0 * np.eye(3), np.ones(3))
+    p = affine_problem(spec, Ball(np.zeros(3), 2.0), block_partition=(1, 2))
+    with pytest.raises(ValueError, match="cannot be split"):
+        p.blocks
+    with pytest.raises(ValueError, match="no block partition"):
+        affine_problem(spec, Ball(np.zeros(3), 2.0)).blocks
 
 
 def _json_doc(fs, **extra):

@@ -246,7 +246,7 @@ class TestBlockRun:
         sched = S.SboeGsmviSchedule(Lbar=p.constants.L, b=5, mu=p.constants.mu)
         x1 = analytic_center(p.set)
         traj = sboe_run(p, sched, x1, 40, seed=2)
-        slices = p.block_slices()
+        slices = [sl for sl, _ in p.blocks]
         for t in range(1, 41):
             i = traj.block_index[t]
             for j, sl in enumerate(slices):
@@ -474,7 +474,7 @@ def _transcribed_run(problem, schedule, k, seed, batch):
 
     slices, parts, order = [slice(None)], [problem.set], [0] * k
     if source == "block":
-        slices, parts = problem.block_slices(), problem.set.split(problem.block_partition)
+        slices, parts = zip(*problem.blocks)
         order = _philox(seed, _PURPOSE_BLOCK).integers(0, len(slices), size=k)
     G = np.asfortranarray(problem.affine.G)  # as the engine's block updates read it
     xs = [analytic_center(problem.set)] * 2
