@@ -77,8 +77,9 @@ def doc_value(doc: dict, key: str, ndim: int) -> np.ndarray:
 
 def partition_slices(sizes, dim: int | None = None) -> list[slice]:
     """Slices of consecutive blocks of the given sizes; ``ValueError`` unless
-    every size is an integer of at least 1 and, given ``dim``, they sum to it."""
-    v = in_range("block sizes", sizes, 1, closed=True)
+    every size is an integer of at least 1 and, given ``dim``, at most ``dim``
+    and they sum to it."""
+    v = in_range("block sizes", sizes, 1, closed=True, high=math.inf if dim is None else dim)
     if (v % 1).any():
         raise ValueError(f"block sizes must be integers, got {v[v % 1 > 0][0]}")
     sizes = tuple(int(s) for s in v)
@@ -402,7 +403,9 @@ class SimplexProduct(FeasibleSet):
 
     @classmethod
     def from_doc(cls, doc: dict, dim: int) -> SimplexProduct:
-        return cls(doc_value(doc, "blocks", 1), doc_value(doc, "demands", 1))
+        blocks = doc_value(doc, "blocks", 1)
+        partition_slices(blocks, dim)  # before the set allocates its widest block
+        return cls(blocks, doc_value(doc, "demands", 1))
 
 
 # the one table from a doc's "set" kind to its class

@@ -20,6 +20,10 @@ in one pass, so at most two trajectories are held (the one read and the one
 being made) whatever the seed count, and a skipped check runs nothing.  Only
 the residual-certificate checks (OE-GMVI, SOE-4) keep operator values.
 
+x* belongs to the problem: ``ensure_reference`` attaches it in place, once,
+before any run starts, so a problem that was run or checked keeps it, and a
+later ``reference = false`` run on that object reads it as a known solution.
+
 A canned suite is a list of studies (output subdirectory, problem, policy
 names, batch, k).  Every study is built, and so checked, before one loop
 makes the output directory and runs each study through ``run_experiment``.
@@ -43,7 +47,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -502,10 +506,10 @@ def mean_iteration_ns(traj, warmup: int = 10) -> float:
 
 
 def ensure_reference(problem: VIProblem, tol: float = 1e-10) -> VIProblem:
-    """Attach a high-accuracy reference solution when none is known."""
-    if problem.known_solution is not None or problem.constants.mu <= 0:
-        return problem
-    return replace(problem, known_solution=solve_reference(problem, tol))
+    """Attach x* to ``problem`` itself, once, when none is known and mu > 0."""
+    if problem.known_solution is None and problem.constants.mu > 0:
+        problem.known_solution = solve_reference(problem, tol)
+    return problem
 
 
 def _seed_groups(policy: str, problem: VIProblem, seeds) -> list[tuple[int, ...]]:
@@ -522,9 +526,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
     seed; write one trajectory CSV per pair and one aggregate CSV per policy
     under config.output (if set)."""
     workers = config.resolved_workers()
-    problem = config.problem
-    if config.compute_reference:
-        problem = ensure_reference(problem)
+    problem = ensure_reference(config.problem) if config.compute_reference else config.problem
     x1 = analytic_center(problem.set)
     ts = checkpoints(config.k, config.resolved_cadence())
 
@@ -787,10 +789,11 @@ def _solution(problem: VIProblem) -> np.ndarray:
 def _seed_mean(policy: PolicyRun, bound: str, vals, limit: float,
                detail: str | None = None) -> BoundCheck:
     """Check the mean of per-seed values against ``limit`` plus three standard
-    errors (none for a single seed); ``detail`` defaults to the seed count."""
+    errors (none for a single seed) and the 1e-9 of the deterministic checks,
+    which a run that starts at x* needs; ``detail`` defaults to the seed count."""
     vals = np.asarray(vals, dtype=float)
     se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
-    lim = limit + 3 * se
+    lim = limit + 3 * se + 1e-9
     mean = float(vals.mean())
     return BoundCheck(policy.name, bound, mean, lim, mean <= lim,
                       f"{len(vals)} seeds" if detail is None else detail)
@@ -852,7 +855,9 @@ def _check_soe_3(policy, schedule, problem, runs, x1, k):
                            f"skipped: k = {k} ends before the first epoch end "
                            f"K_1 = {schedule.epoch_length(1)}")]
     x_star = _solution(problem)
-    V1 = bregman(x1, x_star)
+    # halve from V(x1, x*); at x1 = x* from the V1 the epochs were sized for,
+    # sigma^2 / (mu^2 noise_ratio), which a V1 override does not change
+    V1 = bregman(x1, x_star) or schedule.sigma**2 / (schedule.mu**2 * schedule.noise_ratio)
     # one row per run: its distance at each epoch end
     dists = [[bregman(traj.xs[K + 1], x_star) for K in ends] for _, traj in runs]
     return [_seed_mean(policy, f"epoch {s} halving", vals, bound_soe_restart(V1, s),
@@ -861,6 +866,9 @@ def _check_soe_3(policy, schedule, problem, runs, x1, k):
 
 
 def _check_soe_4(policy, schedule, problem, runs, x1, k):
+    if k < 2:  # R is uniform on {2, ..., k}
+        return [BoundCheck(policy.name, "expected squared residual", math.nan, math.nan, True,
+                           f"skipped: k = {k} leaves no output index R >= 2")]
     V1 = bregman(x1, _solution(problem))
     vals = []
     for seed, traj in runs:
@@ -886,8 +894,9 @@ def _check_averaged_gap(policy, schedule, problem, runs, x1, k):
         # the gap bounds need the exact weak gap, which only bounded affine problems have
         return [BoundCheck(policy.name, bound, math.nan, math.nan, True,
                            "skipped: exact gap needs bounded affine")]
+    # each gap is solved to inner_tol, so each limit carries 2 inner_tol
+    inner_tol = 1e-8
     if policy.name == "OE-MVI":  # deterministic: a bound on its one run
-        inner_tol = 1e-8
         _, traj = next(runs)
         gap = weak_gap_exact_affine(problem, weighted_average(traj, mode), inner_tol)
         lim = bound_mvi_gap(schedule.L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
@@ -897,8 +906,9 @@ def _check_averaged_gap(policy, schedule, problem, runs, x1, k):
                                   problem.set.bregman_diameter(), k)
     else:
         limit = bound_sboe_gap(problem, schedule.Lbar, schedule.b, x1, k)
-    gaps = [weak_gap_exact_affine(problem, weighted_average(traj, mode)) for _, traj in runs]
-    return [_seed_mean(policy, bound, gaps, limit)]
+    gaps = [weak_gap_exact_affine(problem, weighted_average(traj, mode), inner_tol)
+            for _, traj in runs]
+    return [_seed_mean(policy, bound, gaps, limit + 2 * inner_tol)]
 
 
 # The convergence-bound check of each policy; the SA baselines have none.

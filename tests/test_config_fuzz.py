@@ -21,7 +21,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oevi import cli
@@ -206,6 +206,10 @@ def test_cli_input_contract(capfd, case):
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(json_command_lines())
+# a block wider than the dimension: once numpy's "Maximum allowed size exceeded"
+@example((["run", "exp.ini"], "[problem]\nkind = json\npath = problem.json\n[run]\nk = 5\n"
+          "[policy:OE-GSMVI]\n", json.dumps({**JSON_DOCS[0][0], "blocks": [1e300, 2, 2, 2, 2]}),
+          False))
 def test_json_document_contract(capfd, case):
     _check_call(capfd, *case)
 
@@ -233,7 +237,8 @@ def _check_call(capfd, argv, config, document, in_range):
         # argparse's own message reads "oevi <command>: error: ..."
         assert re.search(r"(^|\n)(config error: |error: |oevi[\w -]*: error: )", err), err
         assert not left, (argv, config, left)
-    for text in ("Traceback", "On entry to", "Warning"):
+    # Python's, LAPACK's and numpy's own texts, none of which names the input
+    for text in ("Traceback", "On entry to", "Warning", "Maximum allowed size"):
         assert text not in err, (argv, config, err)
     for limit in re.findall(r"^\s*\[PASS\].* limit=(\S+)", out, flags=re.M):
         assert math.isfinite(float(limit)), out

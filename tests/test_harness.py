@@ -174,8 +174,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_each_command_splits_the_partition_once_per_problem(self, tmp_path, monkeypatch,
                                                                 command):
-        # one split for the config's problem and one for the problem that
-        # ensure_reference returns: no block-policy check or block run splits again
+        # one split for the config's problem: ensure_reference attaches x* to
+        # that problem, and no block-policy check or block run splits again
         from oevi.geometry import SimplexProduct
 
         calls = []
@@ -185,7 +185,7 @@ class TestConfigValidation:
         ini = str(Path(__file__).resolve().parents[1] / "scripts" / "golden_traffic.ini")
         argv = [command, ini] + (["--output", str(tmp_path / "out")] if command == "run" else [])
         assert cli.main(argv) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_checkpoints_include_endpoints(self):
         assert checkpoints(10, 1) == list(range(11))
@@ -797,6 +797,48 @@ class TestCheckBounds:
             "[PASS] SOE-3: epoch halving skipped: k = 50 ends before the first "
             "epoch end K_1 = 128")
 
+    def test_restart_halving_ignores_an_unread_v1_override(self):
+        # with noise_ratio given, SOE-3 sizes its epochs without V1, so a V1
+        # override must not raise the limits the halving is measured against
+        problem = glm_generate(10, "hinge", 100.0, 1.0, seed=3)
+
+        def limits(**kw):
+            cfg = ExperimentConfig(problem=problem, policies=[PolicyRun("SOE-3", noise_ratio=1.0,
+                                                                        **kw)],
+                                   k=200, seeds=(1, 2))
+            return [c.limit for c in check_bounds(cfg)]
+
+        assert len(limits()) == 1 and limits(V1=1e6) == limits()
+
+    def test_restart_halving_from_the_sized_v1_at_the_solution(self):
+        # x1 = x*: V(x1, x*) = 0, so the epochs' own V1, sigma^2 / (mu^2 noise_ratio),
+        # is halved; V = 0 once failed the noise the first epoch leaves behind
+        from oevi.geometry import Box
+        from oevi.problems import AffineSpec, affine_problem
+
+        G = np.diag([1.0, 2.0, 3.0, 4.0])
+        box = Box(-np.ones(4), np.ones(4) * 2.0)
+        problem = affine_problem(AffineSpec(G, -G @ box.analytic_center()), box,
+                                 noise_sigma=0.1, seed=1)
+        cfg = ExperimentConfig(problem=problem, policies=[PolicyRun("SOE-3", noise_ratio=2.0)],
+                               k=300, seeds=(1, 2, 3))
+        checks = check_bounds(cfg)
+        assert checks and all(c.passed for c in checks), checks
+        assert checks[0].limit >= 0.1**2 / (1.0**2 * 2.0) / 2
+
+    def test_soe_4_skipped_at_one_step(self, tmp_path, capsys, monkeypatch):
+        # R is uniform on {2, ..., k}, so k = 1 leaves nothing to check and
+        # nothing to run; it once ended in "error: k must be in [2, inf), got 1"
+        made = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kw: made.append(args))
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nkind = glm-hinge\nn = 5\nseed = 1\n\n"
+                        "[run]\nk = 1\n\n[policy:SOE-4]\n")
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr() == ("[PASS] SOE-4: expected squared residual skipped: "
+                                       "k = 1 leaves no output index R >= 2\n", "")
+        assert made == []
+
     def test_stochastic_mean_bound(self, tmp_path):
         p = tiny_problem()
         import dataclasses
@@ -1273,32 +1315,93 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: problem JSON key {message}\n")
 
+    def test_json_block_size_above_the_dimension_is_an_error(self, tmp_path, capsys):
+        # once numpy's "error: Maximum allowed size exceeded", naming neither key nor value
+        doc = {**json.loads(problem_to_json(traffic_generate(8, 4, 0.5, seed=1))),
+               "blocks": [1e300, 2, 2, 2]}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n\n"
+                        "[run]\nk = 5\n\n[policy:OE-GSMVI]\n")
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: block sizes must be in [1, 8], got 1e+300\n")
+
 
 class TestProblemConstantsComputedOnce:
-    """L-bar is a value of the problem: computed on first use, once per problem object."""
+    """L-bar and x* are values of the problem: each made once per problem object."""
 
     @staticmethod
-    def count_block_lipschitz(monkeypatch) -> list[int]:
+    def count(monkeypatch, module, name) -> list[int]:
         calls = [0]
-        real = problems_module.block_lipschitz
+        real = getattr(module, name)
 
         def counted(*args):
             calls[0] += 1
             return real(*args)
 
-        monkeypatch.setattr(problems_module, "block_lipschitz", counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
+
+    def count_block_lipschitz(self, monkeypatch) -> list[int]:
+        return self.count(monkeypatch, problems_module, "block_lipschitz")
+
+    def count_solves(self, monkeypatch) -> list[int]:
+        return self.count(monkeypatch, harness, "solve_reference")
 
     def test_golden_traffic_computes_lbar_once_per_entry_point(self, monkeypatch):
         # two block policies: four passes in check_bounds and two in
-        # run_experiment when the harness derived L-bar itself
+        # run_experiment when the harness derived L-bar itself, and one more
+        # in run_experiment when ensure_reference returned a copy
         calls = self.count_block_lipschitz(monkeypatch)
         config = dataclasses.replace(load_config(REPO / "scripts" / "golden_traffic.ini"),
                                      k=20, weak_gap=False)
         check_bounds(config)
         assert calls == [1]
+        run_experiment(config)  # the same problem object, L-bar already made
+        assert calls == [1]
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_each_command_solves_the_reference_once(self, tmp_path, monkeypatch, command):
+        calls = self.count_solves(monkeypatch)
+        argv = [command, str(REPO / "scripts" / "golden_traffic.ini")]
+        assert cli.main(argv + (["--output", str(tmp_path / "out")] if command == "run" else [])) == 0
+        assert calls == [1]
+
+    def test_check_then_run_solve_the_reference_once(self, tmp_path, monkeypatch):
+        # x* is attached to the config's problem, in place, so the run reads it
+        calls = self.count_solves(monkeypatch)
+        config = tiny_config(tmp_path, policies=[PolicyRun("OE-GSMVI"), PolicyRun("SOE-1")])
+        check_bounds(config)
+        assert calls == [1] and config.problem.known_solution is not None
         run_experiment(config)
-        assert calls == [2]
+        assert calls == [1]
+
+    def test_check_carries_the_reference_into_a_later_run_without_one(self, tmp_path,
+                                                                       monkeypatch):
+        # check_bounds solves x* whatever compute_reference says, onto the
+        # config's problem, so a reference = false run after it reads x* as a
+        # known solution and writes what a reference = true run alone writes
+        calls = self.count_solves(monkeypatch)
+        config = tiny_config(tmp_path, compute_reference=False)
+        check_bounds(config)
+        carried = run_experiment(config)["OE-GSMVI"].mean["V_to_solution"]
+        alone = run_experiment(tiny_config(tmp_path))["OE-GSMVI"].mean["V_to_solution"]
+        assert calls == [2] and None not in carried and list(carried) == list(alone)
+
+    def test_ensure_reference_attaches_to_the_problem_it_is_given(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        problem = tiny_problem()
+        assert ensure_reference(problem) is problem
+        x_star = problem.known_solution
+        assert ensure_reference(problem) is problem and problem.known_solution is x_star
+        assert calls == [1]
+
+    def test_without_compute_reference_nothing_is_solved(self, tmp_path, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        config = tiny_config(tmp_path, compute_reference=False)
+        aggs = run_experiment(config)
+        assert calls == [0] and config.problem.known_solution is None
+        assert set(aggs["OE-GSMVI"].mean["V_to_solution"]) == {None}
 
     def test_config_without_a_block_policy_never_computes_lbar(self, tmp_path, monkeypatch):
         calls = self.count_block_lipschitz(monkeypatch)

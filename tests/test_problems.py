@@ -736,7 +736,10 @@ def test_block_partition_must_cover_dimension(fs):
     spec = AffineSpec(np.eye(6), np.ones(6))
     with pytest.raises(ValueError, match="does not cover"):
         affine_problem(spec, fs, block_partition=(3, 2))
-    with pytest.raises(ValueError, match=r"^block sizes must be in \[1, inf\), got -1\.0$"):
+    with pytest.raises(ValueError, match=r"^block sizes must be in \[1, 6\], got -1\.0$"):
+        affine_problem(spec, fs, block_partition=(6, -1))
+    # 7 is the first size out of [1, n]
+    with pytest.raises(ValueError, match=r"^block sizes must be in \[1, 6\], got 7\.0$"):
         affine_problem(spec, fs, block_partition=(7, -1))
     doc = json.loads(problem_to_json(affine_problem(spec, fs, block_partition=(3, 3))))
     doc["block_partition"] = [3, 2]
@@ -757,6 +760,17 @@ def test_fractional_block_sizes_rejected():
                                       "block_partition": [2.5, 2.5, 2, 2, 2]}))
     with pytest.raises(ValueError, match="^block sizes must be integers, got 2.5$"):
         problem_from_json(json.dumps({**doc, "block_partition": [2.5, 2.5, 2, 2, 2]}))
+
+
+def test_block_size_above_the_dimension_rejected_before_any_allocation():
+    # a simplex set once allocated its widest block first: numpy's "Maximum
+    # allowed size exceeded" for 1e300, about 24 GB for 3e9
+    doc = json.loads(problem_to_json(traffic_generate(8, 4, 0.5, seed=4)))
+    for size, shown in ((1e300, "1e+300"), (3e9, "3000000000.0"), (9, "9.0")):
+        message = re.escape(f"block sizes must be in [1, 8], got {shown}")
+        for key in ("blocks", "block_partition"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                problem_from_json(json.dumps({**doc, key: [size, 2, 2, 2]}))
 
 
 def test_integer_valued_float_block_sizes_accepted():
@@ -810,8 +824,8 @@ _NONFINITE_JSON = [
     (_json_doc(_SIMPLEX), "G", "G must be in (-inf, inf), got nan"),
     (_json_doc(_SIMPLEX), "b", "b must be in (-inf, inf), got nan"),
     (_json_doc(_SIMPLEX), "demands", "demands must be in [0, inf), got nan"),
-    (_json_doc(_SIMPLEX), "blocks", "block sizes must be in [1, inf), got inf"),
-    (_json_doc(_SIMPLEX), "block_partition", "block sizes must be in [1, inf), got inf"),
+    (_json_doc(_SIMPLEX), "blocks", "block sizes must be in [1, 2], got inf"),
+    (_json_doc(_SIMPLEX), "block_partition", "block sizes must be in [1, 2], got inf"),
     (_json_doc(_SIMPLEX), "known_solution", "known_solution must be in (-inf, inf), got nan"),
     (_json_doc(_SIMPLEX, sigma=0.5), "sigma", "sigma must be in [0, inf), got inf"),
     (_json_doc(Ball(np.zeros(2), 1.0)), "center", "center must be in (-inf, inf), got nan"),
