@@ -24,6 +24,11 @@ x* belongs to the problem: ``ensure_reference`` attaches it in place, once,
 before any run starts, so a problem that was run or checked keeps it, and a
 later ``reference = false`` run on that object reads it as a known solution.
 
+A policy takes only the overrides it reads: ``ExperimentConfig`` refuses one
+besides L that is not in ``POLICIES[name].reads``, and a budget whose largest
+array, the (k + 2) x n trajectory or an m x n oracle batch, exceeds physical
+memory.
+
 A canned suite is a list of studies (output subdirectory, problem, policy
 names, batch, k).  Every study is built, and so checked, before one loop
 makes the output directory and runs each study through ``run_experiment``.
@@ -181,17 +186,18 @@ class ExperimentConfig:
                     in_range("batch size m", policy.batch, 1, closed=True)
                 check_constants(**{key: getattr(policy, key)
                                    for key in ("L", "mu", "sigma", "V1", "noise_ratio")})
-            # an override the policy's operator source never reads is refused
-            source = POLICIES[policy.name].source
-            if policy.batch is not None and source != "oracle":
-                raise ConfigError(f"policy {policy.name}: m is read only by oracle policies")
-            if not policy.recursive_affine and source != "block":
-                raise ConfigError(f"policy {policy.name}: recursive_affine = false is read "
-                                  "only by block policies")
-            if source == "block":
+            # an override set away from its default that the policy never reads is refused
+            for key, (name, _) in POLICY_KEYS.items():
+                if getattr(policy, name) != getattr(PolicyRun, name) and key not in (
+                        "L", *POLICIES[policy.name].reads):
+                    readers = ", ".join(p for p in POLICIES if key in POLICIES[p].reads)
+                    raise ConfigError(f"policy {policy.name}: {key} is read only by {readers}")
+            if POLICIES[policy.name].source == "block":
                 with _config_error(f"policy {policy.name}: "):
                     self.problem.blocks  # split here, once per problem
         _check_budget(self.k, self.seeds)
+        _check_memory(self.k, self.problem.dim,
+                      [policy.batch for policy in self.policies if policy.batch is not None])
         if self.validate_policies not in ("fail", "warn", "skip"):
             raise ConfigError("validate_policies must be fail, warn, or skip")
         with _config_error():
@@ -222,6 +228,22 @@ def _check_budget(k: int, seeds) -> None:
         raise ConfigError("seeds must be distinct")
     if not seeds:
         raise ConfigError("config needs at least one seed")
+
+
+def _check_memory(k: int, n: int, batches) -> None:
+    """Raise ``ConfigError`` unless a run's largest array of doubles fits in
+    physical memory: the (k + 2) x n trajectory, or an m x n oracle batch of an
+    ``m`` override (SOE-4's own batch of k + 1 rows is below the trajectory).
+    Where ``os.sysconf`` cannot tell the memory size, nothing is checked."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    rows, name, array = max([(k + 2, f"k = {k}", "trajectory"),
+                             *((m, f"m = {m}", "oracle batch") for m in batches)])
+    if rows * n * 8 > memory > 0:
+        raise ConfigError(f"{name} at n = {n} needs a {rows * n * 8 / 2**30:.1f} GiB {array}, "
+                          f"more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
 def checkpoints(k: int, cadence: int) -> list[int]:
@@ -856,7 +878,7 @@ def _check_soe_3(policy, schedule, problem, runs, x1, k):
                            f"K_1 = {schedule.epoch_length(1)}")]
     x_star = _solution(problem)
     # halve from V(x1, x*); at x1 = x* from the V1 the epochs were sized for,
-    # sigma^2 / (mu^2 noise_ratio), which a V1 override does not change
+    # sigma^2 / (mu^2 noise_ratio)
     V1 = bregman(x1, x_star) or schedule.sigma**2 / (schedule.mu**2 * schedule.noise_ratio)
     # one row per run: its distance at each epoch end
     dists = [[bregman(traj.xs[K + 1], x_star) for K in ends] for _, traj in runs]

@@ -385,12 +385,15 @@ class SaSchedule(Schedule):
 @dataclass(frozen=True)
 class Policy:
     """One named policy: ``build`` makes its schedule from the keyword
-    constants of ``make_schedule``, and ``source`` says where a run's operator
+    constants of ``make_schedule``, ``source`` says where a run's operator
     values come from: ``"exact"`` (the operator itself), ``"oracle"``
-    (mini-batch estimates) or ``"block"`` (one randomly drawn block per step)."""
+    (mini-batch estimates) or ``"block"`` (one randomly drawn block per step),
+    and ``reads`` names the overrides besides L that its schedule, run or bound
+    check reads; the harness refuses any other."""
 
     build: Callable[..., Schedule]
     source: str
+    reads: tuple[str, ...] = ()
 
 
 def _horizon(name: str, k: int | None) -> int:
@@ -402,25 +405,30 @@ def _horizon(name: str, k: int | None) -> int:
 # Every policy, by the name the harness and the CLI speak.  SA-RM is the
 # no-offset classic Robbins-Monro baseline used by the qualitative comparisons.
 POLICIES: dict[str, Policy] = {
-    "OE-GSMVI": Policy(lambda L, mu, **_: OEGsmviSchedule(L, mu), "exact"),
+    "OE-GSMVI": Policy(lambda L, mu, **_: OEGsmviSchedule(L, mu), "exact", ("mu",)),
     "OE-GMVI": Policy(lambda L, **_: OEGmviSchedule(L), "exact"),
     "OE-MVI": Policy(lambda L, **_: OEMviSchedule(L), "exact"),
-    "SOE-1": Policy(lambda L, mu, **_: SoeDecreasingSchedule(L, mu), "oracle"),
+    "SOE-1": Policy(lambda L, mu, **_: SoeDecreasingSchedule(L, mu), "oracle",
+                    ("m", "mu", "sigma")),
     "SOE-2": Policy(lambda L, mu, sigma, V1, k, **_: SoeConstantSchedule(
-        L, mu, sigma, V1, _horizon("SOE-2", k)), "oracle"),
+        L, mu, sigma, V1, _horizon("SOE-2", k)), "oracle", ("m", "mu", "sigma", "V1")),
     # the noise ratio sigma^2/(mu^2 V1) is rarely known; the default harness
     # estimate is 1 (override with an honest value when checking the
-    # epoch-halving bound)
+    # epoch-halving bound), so V1 is never read
     "SOE-3": Policy(lambda L, mu, sigma, V1, noise_ratio, **_: SoeRestartSchedule(
         L, mu, sigma if sigma > 0 else 1.0, V1,
-        noise_ratio=noise_ratio if noise_ratio is not None else 1.0), "oracle"),
-    "SOE-4": Policy(lambda L, k, **_: SoeGmviSchedule(L, _horizon("SOE-4", k)), "oracle"),
-    "SOE-MVI": Policy(lambda L, **_: SoeMviSchedule(L), "oracle"),
+        noise_ratio=noise_ratio if noise_ratio is not None else 1.0), "oracle",
+        ("m", "mu", "sigma", "noise_ratio")),
+    "SOE-4": Policy(lambda L, k, **_: SoeGmviSchedule(L, _horizon("SOE-4", k)), "oracle",
+                    ("m", "sigma")),
+    "SOE-MVI": Policy(lambda L, **_: SoeMviSchedule(L), "oracle", ("m", "sigma")),
     "SBOE-GSMVI": Policy(lambda L, mu, b, Lbar, **_: SboeGsmviSchedule(Lbar, b, mu, L=L),
-                         "block"),
-    "SBOE-MVI": Policy(lambda L, b, Lbar, **_: SboeMviSchedule(Lbar, b, L=L), "block"),
-    "SA": Policy(lambda L, mu, **_: SaSchedule(L, mu), "oracle"),
-    "SA-RM": Policy(lambda L, mu, **_: SaSchedule(L, mu, parity_offset=False), "oracle"),
+                         "block", ("mu", "recursive_affine")),
+    "SBOE-MVI": Policy(lambda L, b, Lbar, **_: SboeMviSchedule(Lbar, b, L=L), "block",
+                       ("recursive_affine",)),
+    "SA": Policy(lambda L, mu, **_: SaSchedule(L, mu), "oracle", ("m", "mu")),
+    "SA-RM": Policy(lambda L, mu, **_: SaSchedule(L, mu, parity_offset=False), "oracle",
+                    ("m", "mu")),
 }
 POLICY_NAMES = tuple(POLICIES)
 

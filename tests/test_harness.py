@@ -1,10 +1,13 @@
 """Harness tests: config validation and parsing, CSV schema, end-to-end
 determinism, aggregation consistency, bound checks, and the CLI surface."""
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import logging
 import math
+import os
 import re
 import struct
 import tracemalloc
@@ -40,7 +43,7 @@ from oevi.harness import (
     write_trajectory_csv,
 )
 from oevi.problems import glm_generate, problem_to_json, traffic_generate
-from oevi.schedules import POLICY_NAMES, OEGsmviSchedule
+from oevi.schedules import POLICIES, POLICY_NAMES, OEGsmviSchedule
 from oevi.solvers import RunConfig, oe_run, run, seed_free
 
 
@@ -149,26 +152,48 @@ class TestConfigValidation:
             ExperimentConfig(problem=problem, policies=[PolicyRun("SBOE-MVI")], k=10)
 
     @pytest.mark.parametrize("policy,key,match", [
-        ("OE-GSMVI", "m = 5", "policy OE-GSMVI: m is read only by oracle policies"),
-        ("SBOE-MVI", "m = 5", "policy SBOE-MVI: m is read only by oracle policies"),
+        ("OE-GSMVI", "m = 5",
+         "policy OE-GSMVI: m is read only by SOE-1, SOE-2, SOE-3, SOE-4, SOE-MVI, SA, SA-RM"),
+        ("SBOE-MVI", "m = 5",
+         "policy SBOE-MVI: m is read only by SOE-1, SOE-2, SOE-3, SOE-4, SOE-MVI, SA, SA-RM"),
         ("OE-GSMVI", "recursive_affine = false",
-         "policy OE-GSMVI: recursive_affine = false is read only by block policies"),
+         "policy OE-GSMVI: recursive_affine is read only by SBOE-GSMVI, SBOE-MVI"),
         ("SA", "recursive_affine = false",
-         "policy SA: recursive_affine = false is read only by block policies"),
-    ], ids=["m-exact", "m-block", "recursive-exact", "recursive-oracle"])
+         "policy SA: recursive_affine is read only by SBOE-GSMVI, SBOE-MVI"),
+        ("OE-GMVI", "mu = 0.1",
+         "policy OE-GMVI: mu is read only by OE-GSMVI, SOE-1, SOE-2, SOE-3, SBOE-GSMVI, SA, SA-RM"),
+        ("SA", "sigma = 9",
+         "policy SA: sigma is read only by SOE-1, SOE-2, SOE-3, SOE-4, SOE-MVI"),
+        ("OE-GSMVI", "V1 = 4", "policy OE-GSMVI: V1 is read only by SOE-2"),
+        ("SOE-2", "noise_ratio = 7", "policy SOE-2: noise_ratio is read only by SOE-3"),
+    ], ids=["m-exact", "m-block", "recursive-exact", "recursive-oracle", "mu-exact",
+            "sigma-baseline", "V1-exact", "noise_ratio-constant"])
     def test_override_the_source_never_reads_rejected(self, tmp_path, capsys, policy, key, match):
-        # the override would go unused
+        # the override would go unused: these once ran with exit 0 and the
+        # same CSVs as without it
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT.replace("[policy:OE-GSMVI]\n", "")
                         + f"\n[policy:{policy}]\n{key}\n")
         assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
-        assert f"config error: {match}\n" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"config error: {match}\n")
         assert not (tmp_path / "out").exists()
 
     def test_overrides_accepted_where_their_source_reads_them(self, tmp_path):
-        policies = [PolicyRun("SOE-1", batch=3), PolicyRun("SBOE-GSMVI", recursive_affine=False)]
-        policies += [PolicyRun(name, recursive_affine=True) for name in POLICY_NAMES
-                     if name not in ("SOE-1", "SBOE-GSMVI")]
+        # an in-range value of each override besides L, on each policy: the 23
+        # pairs of POLICIES' reads are accepted, where 57 once were, and
+        # recursive_affine = true, its default, everywhere
+        values = {"mu": 0.01, "sigma": 0.5, "V1": 2.0, "m": 3, "noise_ratio": 0.5,
+                  "recursive_affine": False}
+        assert set(values) == set(harness.POLICY_KEYS) - {"L"}
+        accepted = set()
+        for name, (key, value) in itertools.product(POLICY_NAMES, values.items()):
+            with contextlib.suppress(ConfigError):
+                tiny_config(tmp_path, policies=[PolicyRun(name, **{harness.POLICY_KEYS[key][0]:
+                                                                   value})])
+                accepted.add((name, key))
+        assert accepted == {(name, key) for name in POLICY_NAMES for key in POLICIES[name].reads}
+        assert len(accepted) == 23
+        policies = [PolicyRun(name, recursive_affine=True) for name in POLICY_NAMES]
         assert tiny_config(tmp_path, policies=policies).policies == policies
 
     @pytest.mark.parametrize("command", ["run", "check"])
@@ -644,6 +669,25 @@ GLM_RAMP_TEXT = "[problem]\nkind = glm-ramp\nn = 5\nseed = 1\n\n[run]\nk = 5\n\n
 
 
 class TestConfigKeys:
+    def test_readme_key_table_matches_the_code(self):
+        # every key is in README's "Every key" table, and each [policy:NAME]
+        # row names exactly the policies that read its key
+        text = (REPO / "README.md").read_text()
+        table = re.search(r"Every key, .*?\n\n(\|.*?)\n\n", text, re.S).group(1)
+        keys = {*harness.RUN_KEYS, *harness.POLICY_KEYS}
+        keys.update(*harness.PROBLEM_KEYS.values())
+        assert [key for key in sorted(keys) if f"`{key}`" not in table] == []
+        rows = table[table.index("| `[policy:NAME]` |"):].splitlines()
+        row_keys = [re.search(r"`(\w+)`", row.split("|")[2]).group(1) for row in rows]
+        assert row_keys == list(harness.POLICY_KEYS)
+        for key, row in zip(row_keys, rows):
+            named = {name for name in POLICY_NAMES
+                     if re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", row)}
+            readers = ({name for name in POLICY_NAMES if key in POLICIES[name].reads}
+                       if key != "L" else set())  # every policy reads L, and its row says so
+            assert named == readers, row
+        assert "read by every policy" in rows[0]
+
     @pytest.mark.parametrize("name", list(PINNED_CONFIGS))
     def test_parsed_config_pinned(self, tmp_path, name):
         path = REPO / "scripts" / name
@@ -669,15 +713,15 @@ class TestConfigKeys:
         path.write_text(CONFIG_TEXT.replace("cadence = 1", "cadence = 2\noutput =\ntiming = yes\n"
                                             "weak_gap = on\nworkers = 2\nvalidate = warn\n"
                                             "reference = false")
-                        .replace("m = 2", "m = 2\nL = 3\nmu = 0.5\nsigma = 2\nV1 = 4\n"
-                                 "noise_ratio = 0.1\n\n[policy:SBOE-GSMVI]\n"
-                                 "recursive_affine = no"))
+                        .replace("m = 2", "m = 2\nL = 3\nmu = 0.5\nsigma = 2\n\n"
+                                 "[policy:SOE-2]\nV1 = 4\n\n[policy:SOE-3]\nnoise_ratio = 0.1\n\n"
+                                 "[policy:SBOE-GSMVI]\nrecursive_affine = no"))
         cfg = load_config(path)
         assert (cfg.cadence, cfg.output, cfg.timing, cfg.weak_gap, cfg.workers,
                 cfg.validate_policies, cfg.compute_reference) == (2, None, True, True, 2,
                                                                   "warn", False)
-        assert cfg.policies[1:] == [PolicyRun("SOE-1", L=3.0, mu=0.5, sigma=2.0, V1=4.0, batch=2,
-                                              noise_ratio=0.1),
+        assert cfg.policies[1:] == [PolicyRun("SOE-1", L=3.0, mu=0.5, sigma=2.0, batch=2),
+                                    PolicyRun("SOE-2", V1=4.0), PolicyRun("SOE-3", noise_ratio=0.1),
                                     PolicyRun("SBOE-GSMVI", recursive_affine=False)]
 
     @pytest.mark.parametrize("argv, text, name", [
@@ -797,18 +841,14 @@ class TestCheckBounds:
             "[PASS] SOE-3: epoch halving skipped: k = 50 ends before the first "
             "epoch end K_1 = 128")
 
-    def test_restart_halving_ignores_an_unread_v1_override(self):
-        # with noise_ratio given, SOE-3 sizes its epochs without V1, so a V1
-        # override must not raise the limits the halving is measured against
-        problem = glm_generate(10, "hinge", 100.0, 1.0, seed=3)
-
-        def limits(**kw):
-            cfg = ExperimentConfig(problem=problem, policies=[PolicyRun("SOE-3", noise_ratio=1.0,
-                                                                        **kw)],
-                                   k=200, seeds=(1, 2))
-            return [c.limit for c in check_bounds(cfg)]
-
-        assert len(limits()) == 1 and limits(V1=1e6) == limits()
+    def test_restart_halving_refuses_a_v1_override(self, tmp_path, capsys):
+        # with noise_ratio given, SOE-3 sizes its epochs without V1; a V1
+        # override was once accepted and left the halving limits unchanged
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nkind = glm-hinge\nn = 10\nseed = 3\n\n[run]\nk = 200\n"
+                        "seeds = 1, 2\n\n[policy:SOE-3]\nnoise_ratio = 1\nV1 = 1e6\n")
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr() == ("", "config error: policy SOE-3: V1 is read only by SOE-2\n")
 
     def test_restart_halving_from_the_sized_v1_at_the_solution(self):
         # x1 = x*: V(x1, x*) = 0, so the epochs' own V1, sigma^2 / (mu^2 noise_ratio),
@@ -1000,6 +1040,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}, got inf\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, section, name, size", [
+        (["run"], "[run]\nk = 1000000000000000\n\n[policy:OE-GSMVI]\n",
+         "k = 1000000000000000", f"{(10**15 + 2) * 20 * 8 / 2**30:.1f} GiB trajectory"),
+        (["check"], "[run]\nk = 5\n\n[policy:SOE-1]\nm = 100000000000000\n",
+         "m = 100000000000000", f"{10**14 * 20 * 8 / 2**30:.1f} GiB oracle batch"),
+        (["suite", "traffic", "--sizes", "20", "--k", "1000000000000000"], None,
+         "k = 1000000000000000", f"{(10**15 + 2) * 20 * 8 / 2**30:.1f} GiB trajectory"),
+    ], ids=["run-k", "check-m", "suite-k"])
+    def test_array_beyond_memory_is_a_config_error(self, tmp_path, capsys, argv, section, name,
+                                                   size):
+        # no machine holds these; the run once stopped in a numpy MemoryError traceback
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        out = tmp_path / "out"
+        if section is not None:
+            (tmp_path / "exp.ini").write_text("[problem]\nkind = glm-hinge\nn = 20\nseed = 1\n\n"
+                                              + section)
+            argv = argv + [str(tmp_path / "exp.ini")]
+        argv = argv + (["--output", str(out)] if argv[0] != "check" else [])
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: {name} at n = 20 needs a {size}, more "
+                                       f"than the {memory / 2**30:.1f} GiB of physical memory\n")
+        assert not out.exists()
 
     def test_infinite_policy_override_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
