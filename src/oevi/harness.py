@@ -29,6 +29,11 @@ besides L that is not in ``POLICIES[name].reads``, and a budget whose largest
 array, the (k + 2) x n trajectory or an m x n oracle batch, exceeds physical
 memory.
 
+The exact weak gap, a checkpoint row's ``weak_gap_exact`` and the
+averaged-gap checks, is taken where ``metrics.has_exact_weak_gap`` holds (an
+affine operator, a bounded set, ``AffineSpec.monotone``), the predicate the
+metric itself enforces; each gap check's limit carries 2 ``INNER_TOL``.
+
 A canned suite is a list of studies (output subdirectory, problem, policy
 names, batch, k).  Every study is built, and so checked, before one loop
 makes the output directory and runs each study through ``run_experiment``.
@@ -59,6 +64,7 @@ import numpy as np
 
 from .geometry import analytic_center, bregman, in_range
 from .metrics import (
+    INNER_TOL,
     bound_gmvi_movement,
     bound_gmvi_residual,
     bound_gsmvi_linear,
@@ -71,6 +77,7 @@ from .metrics import (
     bound_soe_mvi_gap,
     bound_soe_restart,
     gap_surrogate,
+    has_exact_weak_gap,
     max_bregman_from,
     residual_certificate,
     residual_exact,
@@ -78,6 +85,7 @@ from .metrics import (
 )
 from .problems import (
     VIProblem,
+    check_memory,
     glm_generate,
     problem_from_json,
     solve_reference,
@@ -232,18 +240,13 @@ def _check_budget(k: int, seeds) -> None:
 
 def _check_memory(k: int, n: int, batches) -> None:
     """Raise ``ConfigError`` unless a run's largest array of doubles fits in
-    physical memory: the (k + 2) x n trajectory, or an m x n oracle batch of an
-    ``m`` override (SOE-4's own batch of k + 1 rows is below the trajectory).
-    Where ``os.sysconf`` cannot tell the memory size, nothing is checked."""
-    try:
-        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return
+    physical memory (``problems.check_memory``): the (k + 2) x n trajectory, or
+    an m x n oracle batch of an ``m`` override (SOE-4's own batch of k + 1
+    rows is below the trajectory)."""
     rows, name, array = max([(k + 2, f"k = {k}", "trajectory"),
                              *((m, f"m = {m}", "oracle batch") for m in batches)])
-    if rows * n * 8 > memory > 0:
-        raise ConfigError(f"{name} at n = {n} needs a {rows * n * 8 / 2**30:.1f} GiB {array}, "
-                          f"more than the {memory / 2**30:.1f} GiB of physical memory")
+    with _config_error():
+        check_memory(rows * n * 8, f"{name} at n = {n}", array)
 
 
 def checkpoints(k: int, cadence: int) -> list[int]:
@@ -393,10 +396,6 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
         )
 
 
-def _weak_gap_available(problem: VIProblem) -> bool:
-    return problem.affine is not None and problem.set.bounded and problem.affine.monotone
-
-
 def trajectory_rows(
     traj, problem: VIProblem, ts: list[int], *,
     weak_gap: bool = False, timing: bool = False,
@@ -404,10 +403,11 @@ def trajectory_rows(
     """Metric records at the checkpoint grid (row t = state after t iterations).
 
     F is evaluated once per checkpoint; the exact residual, the residual
-    certificate and the gap surrogate all read that value.
+    certificate and the gap surrogate all read that value.  ``weak_gap``
+    fills ``weak_gap_exact`` where ``has_exact_weak_gap`` holds.
     """
     x_star = problem.known_solution
-    weak_ok = weak_gap and _weak_gap_available(problem)
+    weak_ok = weak_gap and has_exact_weak_gap(problem)
     cum_time = np.cumsum(traj.step_time_ns)
     rows = []
     for t in ts:
@@ -912,25 +912,22 @@ _GAP_BOUNDS = {
 
 def _check_averaged_gap(policy, schedule, problem, runs, x1, k):
     bound, mode = _GAP_BOUNDS[policy.name]
-    if not _weak_gap_available(problem):
-        # the gap bounds need the exact weak gap, which only bounded affine problems have
+    if not has_exact_weak_gap(problem):
         return [BoundCheck(policy.name, bound, math.nan, math.nan, True,
                            "skipped: exact gap needs bounded affine")]
-    # each gap is solved to inner_tol, so each limit carries 2 inner_tol
-    inner_tol = 1e-8
+    # each gap is solved to INNER_TOL, so each limit carries 2 INNER_TOL
     if policy.name == "OE-MVI":  # deterministic: a bound on its one run
         _, traj = next(runs)
-        gap = weak_gap_exact_affine(problem, weighted_average(traj, mode), inner_tol)
-        lim = bound_mvi_gap(schedule.L, k, max_bregman_from(problem.set, x1)) + 2 * inner_tol
+        gap = weak_gap_exact_affine(problem, weighted_average(traj, mode))
+        lim = bound_mvi_gap(schedule.L, k, max_bregman_from(problem.set, x1)) + 2 * INNER_TOL
         return [BoundCheck(policy.name, bound, gap, lim, gap <= lim)]
     if policy.name == "SOE-MVI":
         limit = bound_soe_mvi_gap(schedule.L, _sigma(policy, problem, policy.batch or 1),
                                   problem.set.bregman_diameter(), k)
     else:
         limit = bound_sboe_gap(problem, schedule.Lbar, schedule.b, x1, k)
-    gaps = [weak_gap_exact_affine(problem, weighted_average(traj, mode), inner_tol)
-            for _, traj in runs]
-    return [_seed_mean(policy, bound, gaps, limit + 2 * inner_tol)]
+    gaps = [weak_gap_exact_affine(problem, weighted_average(traj, mode)) for _, traj in runs]
+    return [_seed_mean(policy, bound, gaps, limit + 2 * INNER_TOL)]
 
 
 # The convergence-bound check of each policy; the SA baselines have none.

@@ -23,6 +23,8 @@ from .problems import VIProblem, _smaller_det
 from .solvers import Trajectory
 
 GAP_CLAMP = -1e-12  # gap values this close to zero are rounding, report 0
+INNER_TOL = 1e-8  # the exact weak gap's stopping gradient-mapping norm
+INNER_STEPS = 10**5  # and its cap on FISTA steps
 
 
 def residual_exact(fs: FeasibleSet, x, Fx) -> float:
@@ -82,10 +84,15 @@ def gap_surrogate(fs: FeasibleSet, x_bar, Fx) -> float:
     return max(value, 0.0)
 
 
-def weak_gap_exact_affine(
-    problem: VIProblem, x_bar, inner_tol: float = 1e-8, max_inner: int = 10**5
-) -> float:
-    """Exact weak gap max_{x in X} <F(x), x_bar - x> for affine monotone F.
+def has_exact_weak_gap(problem: VIProblem) -> bool:
+    """Whether ``weak_gap_exact_affine`` applies: an affine operator, a bounded
+    set, and G + G^T positive semidefinite by ``AffineSpec.monotone``."""
+    return problem.affine is not None and problem.set.bounded and problem.affine.monotone
+
+
+def weak_gap_exact_affine(problem: VIProblem, x_bar, inner_tol: float = INNER_TOL) -> float:
+    """Exact weak gap max_{x in X} <F(x), x_bar - x> for affine monotone F,
+    on problems that ``has_exact_weak_gap`` accepts (``ValueError`` otherwise).
 
     The inner problem is a concave quadratic maximization, solved by FISTA
     (Beck & Teboulle 2009) from x_bar with the gradient adaptive restart of
@@ -106,20 +113,17 @@ def weak_gap_exact_affine(
     In either metric the solve stops once the Euclidean gradient-mapping
     norm at the extrapolated point y, ||y - P_X(y + step grad phi(y))|| /
     step with step = 1/lambda_max(S), drops below ``inner_tol``, and
-    returns that projected point as the maximizer.  ``max_inner`` caps the
+    returns that projected point as the maximizer.  ``INNER_STEPS`` caps the
     number of FISTA steps (one Euclidean projection each, and in the
     diagonal metric one weighted projection per step that does not stop);
     ``RuntimeError`` if they do not get there.  When the quadratic part
     vanishes numerically (skew G), the inner problem is linear and is
     solved exactly through the support oracle.
     """
+    if not has_exact_weak_gap(problem):
+        raise ValueError("the exact weak gap needs an affine operator, a bounded set "
+                         "and G + G^T positive semidefinite")
     spec = problem.affine
-    if spec is None:
-        raise ValueError("exact weak gap requires an affine operator")
-    if not problem.set.bounded:
-        raise ValueError("weak gap requires a bounded set")
-    if not spec.monotone:
-        raise ValueError("G + G^T is indefinite; the inner problem is not concave")
     G, b, fs = spec.G, spec.b, problem.set
     xb = np.asarray(x_bar, dtype=float)
     lam_min, lam_max = spec.spectrum
@@ -138,7 +142,7 @@ def weak_gap_exact_affine(
                 w, scale = jw, 1.0 / (L_w * jw)
         x = y = xb.copy()
         t = 1.0
-        for _ in range(max_inner):
+        for _ in range(INNER_STEPS):
             grad = c - S @ y
             x_new = fs.project(y + step * grad)
             if float(np.linalg.norm(y - x_new)) / step <= inner_tol:
@@ -154,7 +158,7 @@ def weak_gap_exact_affine(
         else:
             raise RuntimeError(
                 f"weak-gap inner solve did not reach inner_tol={inner_tol} "
-                f"within max_inner={max_inner} steps"
+                f"within {INNER_STEPS} steps"
             )
         x_opt = x
     value = float((G @ x_opt + b) @ (xb - x_opt))

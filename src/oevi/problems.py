@@ -5,7 +5,8 @@ demand simplices (the traffic-assignment family) and signal-estimation
 operators from generalized linear models over a centered ball (hinge and
 ramp-sigmoid links).  Each instance exposes an exact operator, a stochastic
 oracle where one exists, and analytic Lipschitz / monotonicity constants.
-Generators reject a size below 1 before any draw, and the JSON reader a
+Generators reject a size below 1, or one whose n x n matrix of doubles
+exceeds physical memory (``check_memory``), before any draw, and the JSON reader a
 document that is not an object, misses a key, holds NaN or Infinity or a value
 of the wrong JSON type, with ValueError.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -158,9 +160,23 @@ class AffineSpec:
     @property
     def monotone(self) -> bool:
         """G + G^T is positive semidefinite up to round-off:
-        lambda_min >= -1e-8 max(|lambda|, 1)."""
+        lambda_min >= -1e-8 max(|lambda_min|, |lambda_max|, 1).  The library's
+        one monotonicity rule: ``affine_constants`` warns and the exact weak
+        gap (``metrics.has_exact_weak_gap``) refuses by it."""
         lam_min, lam_max = self.spectrum
         return lam_min >= -1e-8 * max(abs(lam_min), abs(lam_max), 1.0)
+
+
+def check_memory(nbytes: int, who: str, array: str) -> None:
+    """``ValueError`` naming ``who`` when ``array`` of ``nbytes`` exceeds physical
+    memory; where ``os.sysconf`` cannot tell the memory size, nothing is checked."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    if nbytes > memory > 0:
+        raise ValueError(f"{who} needs a {nbytes / 2**30:.1f} GiB {array}, "
+                         f"more than the {memory / 2**30:.1f} GiB of physical memory")
 
 
 def _smaller_det(w: np.ndarray, L_w: float, lam: float) -> bool:
@@ -210,20 +226,17 @@ def _sigma_max(M: np.ndarray) -> float:
 
 
 def affine_constants(spec: AffineSpec) -> tuple[float, float]:
-    """(L, mu) for an affine operator: L = sigma_max(G), mu = lambda_min(G + G^T)/2.
+    """(L, mu) for an affine operator: L = sigma_max(G), mu = max(lambda_min(G + G^T)/2, 0).
 
     L comes from the largest eigenvalue of G G^T (``_sigma_max``), which costs
-    about half of a full SVD; mu is clamped at 0 (with a warning) when
-    G + G^T has a negative eigenvalue, i.e. the instance is not monotone.
+    about half of a full SVD.  A G that ``AffineSpec.monotone`` rejects warns
+    once; a positive semidefinite G + G^T with a null space never does.
     """
-    L = _sigma_max(spec.G)
-    mu_raw = 0.5 * spec.spectrum[0]
-    if mu_raw < 0:
-        warnings.warn(
-            f"operator is not monotone (lambda_min(G+G^T)/2 = {mu_raw:.3e}); reporting mu = 0",
-            stacklevel=2,
-        )
-    return L, max(mu_raw, 0.0)
+    L, mu = _sigma_max(spec.G), 0.5 * spec.spectrum[0]
+    if not spec.monotone:
+        warnings.warn(f"operator is not monotone (lambda_min(G+G^T)/2 = {mu:.3e}); "
+                      "reporting mu = 0", stacklevel=2)
+    return L, max(mu, 0.0)
 
 
 def block_lipschitz(spec: AffineSpec, block_partition) -> float:
@@ -291,6 +304,7 @@ def traffic_generate(n: int, num_od: int, d_minus: float, seed: int) -> VIProble
     in_range("d_minus", d_minus, high=1.0)
     if n % num_od != 0:
         raise ValueError("n must be divisible by num_od (equal block sizes)")
+    check_memory(8 * n * n, f"n = {n}", "n x n matrix")
     rng = np.random.default_rng(seed)
     # G is built in place and column-major, the layout AffineSpec stores, so
     # generation holds one n x n array; the draws fill it in row panels of
@@ -494,6 +508,7 @@ def glm_generate(
     closed-form operator is only available there).
     """
     in_range("n", n, 1, closed=True)
+    check_memory(8 * n * n, f"n = {n}", "n x n matrix")
     rng = np.random.default_rng(seed)
     x_star = rng.uniform(0.0, 1.0, size=n)
     x_star *= R / float(np.linalg.norm(x_star))

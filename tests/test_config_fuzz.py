@@ -10,7 +10,11 @@ trajectory fits in memory; otherwise it exits 1 with ``config error:`` or
 ``error:``.  No call prints a traceback, LAPACK text or a numpy warning, none
 leaves an output directory behind when it exits 1, and no ``[PASS]`` line
 carries a limit that is not finite.  Sizes stay at n <= 10 and budgets at
-k <= 20, but for a [run] k of HUGE_K, whose trajectory no machine holds.
+k <= 20, but for a [run] k of HUGE_K, whose trajectory no machine holds.  In
+one ``run`` or ``check`` call in LONE_UNREAD, the only fault is one override
+that its policy section's policy does not read, set in range: every other
+value is valid and every other override one its policy reads, so a policy
+that accepted that override would exit 0 or 2.
 """
 
 import json
@@ -75,6 +79,8 @@ FLAG_SPECS = {
 }
 # a budget whose (k + 2) x n trajectory no machine holds, even at n = 1
 HUGE_K = str(10**15)
+# one run or check call in this many has a lone unread override for its only fault
+LONE_UNREAD = 3
 # glm-hinge is left out: its restart study runs 1000 iterations whatever the flags
 SUITE_SIZES = {"traffic": ("--sizes", ("10", VALID)), "glm-ramp": ("--n", ("5", VALID))}
 ALWAYS = {"--k", "--sizes", "--n"}
@@ -87,16 +93,30 @@ def test_specs_cover_every_key():
 
 
 @st.composite
-def values(draw, specs, always=frozenset()):
+def values(draw, specs, always=frozenset(), pool=CLASS_POOL):
     """Some of ``specs``' keys (every key in ``always``), each with a text
-    drawn from CLASSES, and whether every one of them is in range."""
+    drawn from the classes in ``pool``, and whether every one of them is in
+    range."""
     chosen, in_range = {}, True
     for key, (valid, ok) in specs.items():
         if key in always or draw(st.booleans()):
-            cls = draw(st.sampled_from(CLASS_POOL))
+            cls = draw(st.sampled_from(pool))
             chosen[key] = valid if cls == "valid" else CLASSES[cls]
             in_range = in_range and cls in ok
     return chosen, in_range
+
+
+@st.composite
+def read_overrides(draw, name, unread=False):
+    """A [policy:NAME] section of some overrides the policy reads, each at its
+    valid text, and with ``unread`` one it does not read, set in range."""
+    reads = ("L", *POLICIES[name].reads)
+    chosen = {key: POLICY_SPECS[key][0] for key in reads if draw(st.booleans())}
+    if unread:
+        key = draw(st.sampled_from([key for key in POLICY_SPECS if key not in reads]))
+        # recursive_affine is true by default, so only false sets it
+        chosen[key] = CLASSES["zero"] if key == "recursive_affine" else POLICY_SPECS[key][0]
+    return chosen
 
 
 # the values that replace a problem document's own
@@ -124,12 +144,13 @@ JSON_DOCS = [
 
 
 @st.composite
-def documents(draw):
+def documents(draw, max_replaced=2):
     """(a problem document's text, whether every value in it is valid): a
-    document of JSON_DOCS with up to two of its values replaced."""
+    document of JSON_DOCS with up to ``max_replaced`` of its values replaced."""
     doc, specs = draw(st.sampled_from(JSON_DOCS))
     doc, ok = dict(doc), True
-    for key in draw(st.lists(st.sampled_from(sorted(specs)), max_size=2, unique=True)):
+    for key in draw(st.lists(st.sampled_from(sorted(specs)), max_size=max_replaced,
+                             unique=True)):
         cls = draw(st.sampled_from(sorted(JSON_CLASSES)))
         doc[key] = JSON_CLASSES[cls]
         ok = ok and cls in specs[key]
@@ -150,21 +171,27 @@ def command_lines(draw):
         flags, ok = draw(values({**FLAG_SPECS[command], flag: spec}, ALWAYS))
         return [command, name] + _argv(flags), None, JSON_DOC, ok
     kind = draw(st.sampled_from(sorted(PROBLEM_SPECS)))
-    problem, ok = draw(values(PROBLEM_SPECS[kind]))
+    lone = draw(st.integers(0, LONE_UNREAD - 1)) == 0
+    pool = ["valid"] if lone else CLASS_POOL
+    problem, ok = draw(values(PROBLEM_SPECS[kind], pool=pool))
     document = JSON_DOC
     if kind == "json":
-        document, doc_ok = draw(documents())
+        document, doc_ok = draw(documents(0 if lone else 2))
         ok = ok and doc_ok
-    run, run_ok = draw(values(RUN_SPECS, {"k"}))
-    if draw(st.integers(0, 19)) == 0:
+    run, run_ok = draw(values(RUN_SPECS, {"k"}, pool))
+    if not lone and draw(st.integers(0, 19)) == 0:
         run["k"], run_ok = HUGE_K, False
     lines = ["[problem]", f"kind = {kind}", *_ini(problem), "[run]", *_ini(run)]
-    for name in draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=2,
-                              unique=True)):
-        policy, policy_ok = draw(values(POLICY_SPECS))
+    names = draw(st.lists(st.sampled_from(POLICY_NAMES), min_size=1, max_size=2, unique=True))
+    for i, name in enumerate(names):
+        if lone:  # the first section holds the call's one fault
+            policy, policy_ok = draw(read_overrides(name, unread=i == 0)), i > 0
+        else:
+            policy, policy_ok = draw(values(POLICY_SPECS))
+            policy_ok = policy_ok and _read(name, policy)
         lines += [f"[policy:{name}]", *_ini(policy)]
-        ok = ok and policy_ok and _read(name, policy)
-    flags, flags_ok = draw(values(FLAG_SPECS[command]))
+        ok = ok and policy_ok
+    flags, flags_ok = draw(values(FLAG_SPECS[command], pool=pool))
     return ([command, "exp.ini"] + _argv(flags), "\n".join(lines) + "\n", document,
             ok and run_ok and flags_ok)
 

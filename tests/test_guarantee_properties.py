@@ -37,7 +37,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from oevi.geometry import bregman, set_from_doc
@@ -222,7 +222,10 @@ def test_noisy_edges_are_edges():
     assert schedule_for(PolicyRun("SOE-2"), problem, SOE_2_CLAMPED.k, x1).q_clamped
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+# a fixed seed, where derandomize would draw from a digest of the body's
+# source, so that an edit of the body re-rolls neither the draws nor the runtime
+@seed(201102987)
+@settings(max_examples=60, database=None, deadline=None)
 @given(noisy_instances())
 @example(_noisy_edge(6, "simplex", demands=(2.0,)))  # one block
 @example(_noisy_edge(5, "simplex", cuts=(1, 2, 3, 4), demands=(1.0, 0.5, 2.0, 1.0, 3.0)))

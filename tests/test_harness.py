@@ -1064,6 +1064,26 @@ class TestCli:
                                        f"than the {memory / 2**30:.1f} GiB of physical memory\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["run"], "kind = traffic\nn = 1000000"),
+        (["run"], "kind = glm-ramp\nn = 1000000"),
+        (["suite", "traffic", "--sizes", "1000000"], None),
+    ], ids=["run-traffic", "run-glm", "suite-traffic"])
+    def test_matrix_beyond_memory_refused_before_any_draw(self, tmp_path, capsys, argv,
+                                                          problem):
+        # 7.3 TiB: generation once stopped in numpy's _ArrayMemoryError traceback
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        out = tmp_path / "out"
+        if problem is not None:
+            (tmp_path / "exp.ini").write_text(f"[problem]\n{problem}\n\n[run]\nk = 5\n\n"
+                                              "[policy:SA]\n")
+            argv = argv + [str(tmp_path / "exp.ini")]
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: n = 1000000 needs a {8e12 / 2**30:.1f} GiB "
+                                       f"n x n matrix, more than the {memory / 2**30:.1f} GiB of "
+                                       "physical memory\n")
+        assert not out.exists()
+
     def test_infinite_policy_override_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT + "\n[policy:SBOE-GSMVI]\nL = inf\n")

@@ -1,8 +1,10 @@
 """Metric tests: residuals (exact and certified), gap measures against
 independent grid-search oracles, set-geometry helpers, and bound formulas."""
 
+import csv
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from oevi.geometry import (
 )
 from oevi.metrics import (
     GAP_CLAMP,
+    INNER_TOL,
     bound_gsmvi_linear,
     bound_mvi_gap,
     gap_surrogate,
@@ -29,10 +32,10 @@ from oevi.metrics import (
     residual_exact,
     weak_gap_exact_affine,
 )
-from oevi import metrics
+from oevi import cli, metrics
 from oevi import schedules as S
-from oevi.problems import (AffineSpec, _smaller_det, affine_problem, solve_reference,
-                           traffic_generate)
+from oevi.problems import (AffineSpec, _smaller_det, affine_problem, problem_to_json,
+                           solve_reference, traffic_generate)
 from oevi.solvers import OE_MVI_AVERAGE, RunConfig, oe_run, run, weighted_average
 
 
@@ -220,16 +223,39 @@ class TestWeakGapExact:
 
     def test_indefinite_rejected(self):
         G = np.diag([1.0, -1.0])
-        with pytest.warns(UserWarning):  # constants clamp mu for non-monotone G
+        with pytest.warns(UserWarning, match="operator is not monotone") as caught:
             p = affine_problem(AffineSpec(G, np.zeros(2)), Box([0.0, 0.0], [1.0, 1.0]))
-        with pytest.raises(ValueError):
+        assert len(caught) == 1 and not p.affine.monotone and p.constants.mu == 0.0
+        with pytest.raises(ValueError, match="positive semidefinite"):
             weak_gap_exact_affine(p, np.zeros(2))
 
-    def test_inner_cap_raises(self):
+    def test_null_space_is_monotone_without_warning(self, tmp_path, capsys):
+        # G = A A^T with rank(A) = 10 < n = 30: lambda_min(G + G^T)/2 is a
+        # round-off below 0, inside the one monotonicity rule's tolerance
+        A = np.random.default_rng(0).normal(size=(30, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = affine_problem(AffineSpec(A @ A.T, np.ones(30)),
+                               SimplexProduct([10] * 3, [1.0] * 3))
+        assert p.affine.spectrum[0] < 0.0 and p.affine.monotone and p.constants.mu == 0.0
+        (tmp_path / "p.json").write_text(problem_to_json(p))
+        (tmp_path / "exp.ini").write_text(
+            f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n[run]\nk = 20\ncadence = 10\n"
+            f"weak_gap = true\nreference = false\noutput = {tmp_path / 'out'}\n[policy:OE-MVI]\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(tmp_path / "exp.ini")]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "OE-MVI_s0.csv") as f:
+            gaps = [row["weak_gap_exact"] for row in csv.DictReader(f)]
+        assert len(gaps) == 3 and all(float(g) >= 0.0 for g in gaps)
+
+    def test_inner_cap_raises(self, monkeypatch):
         p, x_bar = skewed_traffic_point()
         assert weak_gap_exact_affine(p, x_bar, inner_tol=1e-12) > 0.0
-        with pytest.raises(RuntimeError, match="max_inner=3"):
-            weak_gap_exact_affine(p, x_bar, inner_tol=1e-12, max_inner=3)
+        monkeypatch.setattr(metrics, "INNER_STEPS", 3)
+        with pytest.raises(RuntimeError, match="within 3 steps"):
+            weak_gap_exact_affine(p, x_bar, inner_tol=1e-12)
 
     def test_inner_steps_on_skewed_point(self, monkeypatch):
         # in the diagonal metric restarted FISTA takes 12 steps here (one
@@ -350,17 +376,17 @@ def _monotone_affine_points(draw):
     return affine_problem(AffineSpec(G, b), fs), x_bar
 
 
-@pytest.mark.filterwarnings("ignore:operator is not monotone")
+# monotone by construction, so no "operator is not monotone" warning may arise
+@pytest.mark.filterwarnings("error::UserWarning")
 @settings(max_examples=60, deadline=None)
 @given(_monotone_affine_points())
 def test_weak_gap_within_frank_wolfe_bracket(case):
     p, x_bar = case
-    inner_tol = 1e-8
-    gap = weak_gap_exact_affine(p, x_bar, inner_tol=inner_tol)
+    gap = weak_gap_exact_affine(p, x_bar)
     lower, upper = frank_wolfe_bracket(p, x_bar)
-    # the inner solve may stop short of the maximum by about inner_tol; on
+    # the inner solve may stop short of the maximum by about INNER_TOL; on
     # the upper side, only rounding (both may evaluate phi at one vertex)
-    assert lower - 2.0 * inner_tol <= gap <= upper + abs(GAP_CLAMP)
+    assert lower - 2.0 * INNER_TOL <= gap <= upper + abs(GAP_CLAMP)
 
 
 class TestGapBoundAlongRun:

@@ -82,7 +82,11 @@ def eig_2x2_sym_min(S):
 
 
 def _is_nonmonotone(G):
-    return power_iteration_lambda_min_sym(G + G.T, iters=2000) < 0
+    """``AffineSpec.monotone``'s rule on independent estimates: G + G^T has
+    lambda_min below -1e-8 max(|lambda|, 1), where the library warns."""
+    S = G + G.T
+    return power_iteration_lambda_min_sym(S, iters=2000) < -1e-8 * max(
+        power_iteration_sigma_max(S), 1.0)
 
 
 class TestAffine:
