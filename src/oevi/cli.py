@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
+    ValidationFailed,
     check_bounds,
     format_bound_checks,
     load_config,
@@ -115,6 +116,9 @@ def main(argv=None) -> int:
         report = validate(make_schedule(policy, **flags), flags["k"])
         print(report.summary())
         return 0 if report.passed else 2
+    except ValidationFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -92,16 +92,17 @@ def partition_slices(sizes, dim: int | None = None) -> list[slice]:
 class FeasibleSet:
     """Base class for constraint geometries: a set kind is one subclass.
 
-    A kind implements ``contains`` (tolerant membership), ``project(z, w)``
-    (exact projection in the diagonal metric sum_i w_i (x_i - z_i)^2, the
-    Euclidean one for w None; a kind takes a w if ``has_weighted_projection``)
-    and, as far as its shape allows: ``support_min(c)``
-    = argmin <c, x>, the start point ``analytic_center()``, the maxima
-    ``bregman_diameter()`` and ``max_convex_quadratic(x1, alpha, l)`` =
-    max alpha ||x - x1||^2 / 2 + <l, x> (by ``_max_quadratic``), whose
-    alpha = 1, l = 0 case is ``max_bregman_from(x1)`` = max V(x1, x), the
-    exact normal-cone residual (if ``has_exact_residual``), ``split`` into
-    one set per block, and ``to_doc()``, read back by ``SET_KINDS[kind]``.
+    A kind implements ``contains`` (tolerant membership, which no point with a
+    NaN or infinite coordinate has), ``project(z, w)`` (exact projection in
+    the diagonal metric sum_i w_i (x_i - z_i)^2, the Euclidean one for w None;
+    a kind takes a w if ``has_weighted_projection``) and, as far as its shape
+    allows: ``support_min(c)`` = argmin <c, x>, the start point
+    ``analytic_center()``, the maxima ``bregman_diameter()`` and
+    ``max_convex_quadratic(x1, alpha, l)`` = max alpha ||x - x1||^2 / 2 +
+    <l, x> (by ``_max_quadratic``), whose alpha = 1, l = 0 case is
+    ``max_bregman_from(x1)`` = max V(x1, x), the exact normal-cone residual
+    (if ``has_exact_residual``), ``split`` into one set per block, and
+    ``to_doc()``, read back by ``SET_KINDS[kind]``.
     The defaults here raise.
     """
 
@@ -157,8 +158,7 @@ class FullSpace(FeasibleSet):
     has_exact_residual = True
 
     def contains(self, x) -> bool:
-        _vector(x, self.dim)
-        return True
+        return bool(np.isfinite(_vector(x, self.dim)).all())
 
     def project(self, z, w=None) -> np.ndarray:
         return _vector(z, self.dim, "z").copy()
@@ -270,10 +270,8 @@ class Box(FeasibleSet):
 
     def contains(self, x) -> bool:
         v = _vector(x, self.dim)
-        return bool(
-            np.all(v >= self.lower - MEMBERSHIP_TOL)
-            and np.all(v <= self.upper + MEMBERSHIP_TOL)
-        )
+        return bool((v >= self.lower - MEMBERSHIP_TOL).all()
+                    and (v <= self.upper + MEMBERSHIP_TOL).all())
 
     def project(self, z, w=None) -> np.ndarray:
         # separable: each coordinate clips whatever its weight
@@ -310,7 +308,8 @@ class Box(FeasibleSet):
 
 
 class SimplexProduct(FeasibleSet):
-    """Product of scaled simplices: block w satisfies sum(x_w) = d_w, x_w >= 0."""
+    """Product of scaled simplices: block w satisfies sum(x_w) = d_w, x_w >= 0.
+    Membership and vertex maxima take O(n); no non-finite point is a member."""
 
     kind = "simplex"
     has_weighted_projection = True
@@ -323,27 +322,22 @@ class SimplexProduct(FeasibleSet):
             raise ValueError("need one demand per block")
         self.dim = sum(self.block_sizes)
         self._demand_array = np.array(self.demands)
-        # the blocks as rows (see project): the row shape, each row's demand
-        # and flat offset; a ragged set keeps its one-block parts instead
+        self._starts = np.array([sl.start for sl in self._slices], dtype=np.intp)  # block offsets
+        # rows for project: their shape, demands and offsets; a ragged set keeps its parts
         num, width = len(self.block_sizes), max(self.block_sizes, default=0)
-        self._divisors = np.arange(1.0, width + 1.0)
-        self._parts = None
+        self._divisors, self._parts = np.arange(1.0, width + 1.0), None
         if num == 1:
             self._row_shape, self._row_demands, self._row_starts = self.dim, self.demands[0], 0
         elif len(set(self.block_sizes)) <= 1:
             self._row_shape, self._row_demands = (num, width), self._demand_array[:, None]
-            self._row_starts = np.arange(num)[:, None] * width
+            self._row_starts = self._starts[:, None]
         else:
             self._parts = self.split(self.block_sizes)
 
     def contains(self, x) -> bool:
-        v = _vector(x, self.dim)
-        if np.any(v < SIMPLEX_NONNEG_TOL):
-            return False
-        for sl, d in zip(self._slices, self.demands):
-            if abs(float(v[sl].sum()) - d) > MEMBERSHIP_TOL:
-                return False
-        return True
+        v = _vector(x, self.dim)  # NaN and -inf fail the sign test, +inf its block's sum
+        return bool((v >= SIMPLEX_NONNEG_TOL).all() and np.all(
+            abs(np.add.reduceat(v, self._starts) - self._demand_array) <= MEMBERSHIP_TOL))
 
     def project(self, z, w=None) -> np.ndarray:
         """Sort and threshold every block at once, on rows: a one-block set
@@ -369,8 +363,7 @@ class SimplexProduct(FeasibleSet):
         v = _vector(c, self.dim, "c")
         out = np.zeros(self.dim)
         for sl, d in zip(self._slices, self.demands):
-            # np.argmin breaks ties toward the lowest index, which keeps runs
-            # reproducible.
+            # np.argmin breaks ties toward the lowest index: runs reproduce
             out[sl.start + int(np.argmin(v[sl]))] = d
         return out
 
@@ -378,19 +371,17 @@ class SimplexProduct(FeasibleSet):
         return np.repeat(self._demand_array / self.block_sizes, self.block_sizes)
 
     def bregman_diameter(self) -> float:
-        # farthest vertex pair per block: distance sqrt(2) d_w (or 0 if the
-        # block has one coordinate)
+        # farthest vertex pair per block: distance sqrt(2) d_w (0 for one coordinate)
         return sum(d * d for d, s in zip(self.demands, self.block_sizes) if s > 1)
 
     def _max_quadratic(self, x1v, alpha, lv) -> float:
-        # the max of a convex function over a polytope sits at a vertex:
-        # enumerate them blockwise (block w's vertices are d_w e_j)
-        total = 0.0
-        for sl, d in zip(self._slices, self.demands):
-            verts = d * np.eye(sl.stop - sl.start)
-            vals = 0.5 * alpha * ((verts - x1v[sl]) ** 2).sum(axis=1) + verts @ lv[sl]
-            total += float(vals.max())
-        return total
+        # a convex function peaks at a vertex (Rockafellar 1970, Cor. 32.3.4); at
+        # block w's d_w e_j it is alpha/2 (||x1_w||^2 - 2 d_w x1_j + d_w^2) + d_w l_j,
+        # so with d_w >= 0 the block's max is that of l_j - alpha x1_j
+        d, starts = self._demand_array, self._starts
+        tilt = np.maximum.reduceat(lv - alpha * x1v, starts)
+        return float((0.5 * alpha * (np.add.reduceat(x1v * x1v, starts) + d * d)
+                      + d * tilt).sum())
 
     def split(self, sizes) -> list[FeasibleSet]:
         if tuple(sizes) != self.block_sizes:

@@ -130,6 +130,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
 
+class ValidationFailed(ConfigError):
+    """A schedule failed its side conditions under ``validate = fail`` (exit code 2)."""
+
+
 @contextlib.contextmanager
 def _config_error(prefix: str = ""):
     """Raise a ``ValueError`` of the body as a ``ConfigError`` after ``prefix``."""
@@ -558,7 +562,7 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
         report = validate(schedule, config.k)
         if not report.passed and config.validate_policies != "skip":
             if config.validate_policies == "fail":
-                raise ConfigError(f"schedule validation failed:\n{report.summary()}")
+                raise ValidationFailed(f"schedule validation failed:\n{report.summary()}")
             _log.warning("schedule validation failed, running anyway:\n%s",
                          report.summary())
         jobs.extend((policy, schedule, group)

@@ -14,8 +14,8 @@ lambda_t = 0.
 
 ``run`` is the single entry point; the policy's operator source decides how
 the run goes.  An oracle policy on a problem without an oracle runs as the
-zero-noise case, on the exact operator, so such a run and an exact-operator
-run do not depend on the seed (``seed_free``).
+zero-noise case, on the exact operator; ``seed_free`` names the runs that
+cannot depend on the seed.
 
 Oracle randomness is counter-based: iteration t of a run with seed s draws
 from a Philox stream keyed by (s, t), so trajectories are reproducible
@@ -296,11 +296,12 @@ def sboe_run(
 
 def seed_free(policy: str, problem: VIProblem) -> bool:
     """Whether a ``run`` of ``policy`` on ``problem`` cannot depend on its
-    seed: exact-operator policies draw nothing, and an oracle policy on a
-    problem without an oracle is the zero-noise case, which evaluates F.
-    Block policies always draw their block sequence from the seed."""
+    seed: exact-operator policies draw nothing, an oracle policy on a
+    problem without an oracle is the zero-noise case, which evaluates F, and
+    a block policy on a one-block partition draws block 0 at every step."""
     source = POLICIES[policy].source
-    return source == "exact" or (source == "oracle" and problem.oracle is None)
+    return (source == "exact" or (source == "oracle" and problem.oracle is None)
+            or (source == "block" and len(problem.block_partition or ()) == 1))
 
 
 def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig,

@@ -14,7 +14,9 @@ k <= 20, but for a [run] k of HUGE_K, whose trajectory no machine holds.  In
 one ``run`` or ``check`` call in LONE_UNREAD, the only fault is one override
 that its policy section's policy does not read, set in range: every other
 value is valid and every other override one its policy reads, so a policy
-that accepted that override would exit 0 or 2.
+that accepted that override would exit 0 or 2.  The converse is drawn on its
+own (``valid_command_lines``): a ``run`` or ``check`` call whose values are
+all valid and whose overrides its policies all read exits 0 or 2.
 """
 
 import json
@@ -47,6 +49,7 @@ VALID = frozenset({"valid"})
 # a key takes its valid text about five times in six, so that a fair share of
 # calls has every value in range and runs
 CLASS_POOL = ["valid"] * 40 + sorted(set(CLASSES) - VALID)
+VALID_POOL = ["valid"]  # every key at its valid text
 
 # key -> (valid text, the classes whose values are finite and in the key's range)
 PROBLEM_SPECS = {
@@ -209,6 +212,34 @@ def json_command_lines(draw):
     return [command, "exp.ini"], "\n".join(lines) + "\n", document, ok
 
 
+@st.composite
+def valid_command_lines(draw):
+    """``run`` or ``check`` with every value valid, every override one its
+    policy reads and a budget k of 1 to 20, so that the call must complete.
+    Two policies need more than valid values: a block policy needs a
+    partition its set splits into (a simplex product's), and SOE-2, whose
+    step reads log(mu^2 V1 / sigma^2) / log(k), needs mu and sigma above 0,
+    so its section sets both, and k >= 2."""
+    command = draw(st.sampled_from(["run", "check"]))
+    kind = draw(st.sampled_from(sorted(PROBLEM_SPECS)))
+    problem, _ = draw(values(PROBLEM_SPECS[kind], {"path"}, VALID_POOL))
+    document = draw(documents(0))[0] if kind == "json" else JSON_DOC
+    splits = kind == "traffic" or (kind == "json" and json.loads(document).get("set") == "simplex")
+    names = draw(st.lists(st.sampled_from([name for name in POLICY_NAMES if splits
+                                           or POLICIES[name].source != "block"]),
+                          min_size=1, max_size=2, unique=True))
+    run, _ = draw(values(RUN_SPECS, {"k"}, VALID_POOL))
+    run["k"] = str(draw(st.integers(2 if "SOE-2" in names else 1, 20)))
+    lines = ["[problem]", f"kind = {kind}", *_ini(problem), "[run]", *_ini(run)]
+    for name in names:
+        policy = draw(read_overrides(name))
+        if name == "SOE-2":
+            policy.update(mu=POLICY_SPECS["mu"][0], sigma=POLICY_SPECS["sigma"][0])
+        lines += [f"[policy:{name}]", *_ini(policy)]
+    flags, _ = draw(values(FLAG_SPECS[command], pool=VALID_POOL))
+    return [command, "exp.ini"] + _argv(flags), "\n".join(lines) + "\n", document, True
+
+
 def _read(name, chosen):
     """Whether the policy reads each override chosen besides L;
     recursive_affine counts only when false, its default being true."""
@@ -246,6 +277,13 @@ def test_json_document_contract(capfd, case):
     _check_call(capfd, *case)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(valid_command_lines())
+def test_valid_calls_complete(capfd, case):
+    assert _check_call(capfd, *case) in (0, 2), case
+
+
 def _check_call(capfd, argv, config, document, in_range):
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -274,3 +312,4 @@ def _check_call(capfd, argv, config, document, in_range):
         assert text not in err, (argv, config, err)
     for limit in re.findall(r"^\s*\[PASS\].* limit=(\S+)", out, flags=re.M):
         assert math.isfinite(float(limit)), out
+    return rc

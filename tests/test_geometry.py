@@ -515,3 +515,12 @@ class TestMembership:
     def test_analytic_center_is_member(self):
         for fs in _random_sets():
             assert fs.contains(analytic_center(fs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fs", _random_sets(), ids=lambda s: type(s).__name__)
+    def test_non_finite_point_is_no_member(self, fs, bad):
+        # the whole space once took any point, and a simplex product a NaN,
+        # whose block sum fails no comparison
+        x = analytic_center(fs)
+        x[0] = bad
+        assert fs.contains(x) is False

@@ -334,10 +334,15 @@ def glm_problem():
     return glm_generate(5, "hinge", 2.0, 0.1, seed=3)  # has a stochastic oracle
 
 
+def one_block_problem():
+    return traffic_generate(10, 1, 0.5, seed=42)
+
+
 class TestSeedFreeRuns:
     @pytest.mark.parametrize("policy,make,runs", [
         ("OE-GSMVI", tiny_problem, 1),
         ("SBOE-GSMVI", tiny_problem, 3),
+        ("SBOE-GSMVI", one_block_problem, 1),  # every step draws block 0
         ("SOE-MVI", tiny_problem, 1),  # no oracle: the exact operator, noiseless
         ("SOE-MVI", glm_problem, 3),
     ])
@@ -353,6 +358,12 @@ class TestSeedFreeRuns:
         for seed in (1, 2, 3):
             rows = (tmp_path / "out" / f"{policy}_s{seed}.csv").read_text().splitlines()[1:]
             assert rows and all(r.startswith(f"{policy}_s{seed},{policy},{seed},") for r in rows)
+        # the bytes of one engine call per seed
+        monkeypatch.setattr(harness, "seed_free", lambda policy, problem: False)
+        run_experiment(dataclasses.replace(cfg, output=tmp_path / "per_seed"))
+        assert len(seeds) == runs + 3
+        for path in sorted((tmp_path / "out").iterdir()):
+            assert path.read_bytes() == (tmp_path / "per_seed" / path.name).read_bytes(), path
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_csvs_match_per_seed_runs(self, tmp_path, workers):
@@ -467,6 +478,18 @@ class TestValidationWarning:
                             lambda schedule, k: validate(schedule, k, L=100 * schedule.L))
         with pytest.raises(ConfigError, match="schedule validation failed"):
             run_experiment(tiny_config(tmp_path))
+
+    def test_fail_mode_exits_2(self, tmp_path, capsys):
+        # a validation failure, as oevi check and validate-schedule report it;
+        # once exit 1 with "config error:", though every value is valid
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nkind = traffic\nn = 10\nblocks = 5\n\n[run]\nk = 5\n\n"
+                        "[policy:SOE-MVI]\nsigma = 0.5\n")
+        assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: schedule validation failed:\npolicy SOE-MVI: FAIL")
+        assert not (tmp_path / "out").exists()
 
 
 def _row_bytes(rows):
@@ -1290,6 +1313,19 @@ class TestCli:
         assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
         assert capfd.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    def test_check_without_a_solution_is_a_config_error(self, tmp_path, capsys):
+        # skew G: mu = 0, so no reference solve, and the document gives no x*
+        G = [[0.0, 1.0, -2.0], [-1.0, 0.0, 0.5], [2.0, -0.5, 0.0]]
+        doc = {"kind": "affine", "G": G, "b": [0.1, -0.2, 0.3], "set": "simplex",
+               "blocks": [3], "demands": [1.0]}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n\n"
+                        "[run]\nk = 5\n\n[policy:OE-GMVI]\n")
+        assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "config error: bound checks need a known or computable solution\n")
 
     @pytest.mark.parametrize("doc, kind", [([1, 2], "list"), ("affine", "str"), (3, "int")],
                              ids=["array", "string", "number"])

@@ -4,6 +4,7 @@ independent grid-search oracles, set-geometry helpers, and bound formulas."""
 import csv
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -456,6 +457,36 @@ class TestSetGeometryHelpers:
                        for v in (np.where(m, fs.upper, fs.lower)
                                  for m in itertools.product((False, True), repeat=n)))
             assert fs.max_convex_quadratic(x1, alpha, lin) == pytest.approx(best, rel=1e-12)
+
+    def test_simplex_max_convex_quadratic_matches_vertices(self):
+        # every vertex of random ragged products, zero demands among them
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            sizes = rng.integers(1, 5, size=rng.integers(1, 5))
+            demands = rng.uniform(0.0, 3.0, size=sizes.size) * (rng.random(sizes.size) > 0.2)
+            fs = SimplexProduct(sizes, demands)
+            x1, lin = rng.normal(size=(2, fs.dim))
+            alpha = float(rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+            offsets = np.cumsum(sizes) - sizes
+            best = -math.inf
+            for js in itertools.product(*(range(s) for s in sizes)):
+                v = np.zeros(fs.dim)
+                v[offsets + js] = demands
+                best = max(best, alpha * bregman(x1, v) + float(lin @ v))
+            assert fs.max_convex_quadratic(x1, alpha, lin) == pytest.approx(best, rel=1e-12)
+
+    def test_simplex_max_bregman_in_linear_memory(self):
+        # once an s x s identity per block: 244 MB at s = 4000
+        fs = SimplexProduct((4000,), (1.0,))
+        x1 = analytic_center(fs)
+        tracemalloc.start()
+        try:
+            value = fs.max_bregman_from(x1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert value == pytest.approx(0.5 * (1.0 - 1.0 / 4000), rel=1e-12)
 
 
 class TestBoundFormulas:

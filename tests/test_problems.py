@@ -506,6 +506,12 @@ class TestSolveReference:
         with pytest.raises(ValueError):
             solve_reference(p)
 
+    def test_iteration_cap_raises(self):
+        p = traffic_generate(10, 5, 0.5, seed=3)
+        with pytest.raises(RuntimeError, match=r"^reference solve did not reach tol=1e-10 "
+                                               r"within 1 iterations"):
+            solve_reference(p, 1e-10, max_iter=1)
+
 
 class TestOperatorInvariants:
     """Sampled checks of the constants every instance reports."""

@@ -86,6 +86,16 @@ class TestDeterministicRun:
         with pytest.raises(ValueError, match=r"OE-GMVI run diverged at t = \d+"):
             oe_run(p, S.OEGmviSchedule(1e-3), np.array([1.0]), 200)
 
+    @pytest.mark.parametrize("fs", [FullSpace(3), SimplexProduct([2, 1], [1.0, 2.0])],
+                             ids=lambda s: type(s).__name__)
+    def test_nan_start_point_is_infeasible(self, fs):
+        # once "run diverged at t = 1", as if the steps had blown up
+        p = affine_problem(AffineSpec(np.eye(3), np.zeros(3)), fs)
+        x1 = analytic_center(fs)
+        x1[0] = np.nan
+        with pytest.raises(ValueError, match="^start point x1 is not feasible$"):
+            oe_run(p, S.OEGmviSchedule(1.0), x1, 5)
+
     def test_linear_rate_bound_pointwise(self):
         rng = np.random.default_rng(3)
         n = 12
