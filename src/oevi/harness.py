@@ -164,7 +164,6 @@ class PolicyRun:
     V1: float | None = None
     batch: int | None = None
     noise_ratio: float | None = None
-    recursive_affine: bool = True
 
 
 @dataclass
@@ -211,7 +210,8 @@ class ExperimentConfig:
         _check_memory(self.k, self.problem.dim,
                       [policy.batch for policy in self.policies if policy.batch is not None])
         if self.validate_policies not in ("fail", "warn", "skip"):
-            raise ConfigError("validate_policies must be fail, warn, or skip")
+            raise ConfigError("validate must be fail, warn or skip, "
+                              f"got {self.validate_policies!r}")
         with _config_error():
             for key in ("cadence", "workers"):
                 if getattr(self, key) is not None:
@@ -278,8 +278,7 @@ RUN_KEYS = {"k": ("k", "getint"), "seeds": ("seeds", "getints"),
             "reference": ("compute_reference", "getboolean")}
 POLICY_KEYS = {"L": ("L", "getfloat"), "mu": ("mu", "getfloat"), "sigma": ("sigma", "getfloat"),
                "V1": ("V1", "getfloat"), "m": ("batch", "getint"),
-               "noise_ratio": ("noise_ratio", "getfloat"),
-               "recursive_affine": ("recursive_affine", "getboolean")}
+               "noise_ratio": ("noise_ratio", "getfloat")}
 
 
 def parse_int_list(text: str) -> tuple[int, ...]:
@@ -393,11 +392,14 @@ def schedule_for(policy: PolicyRun, problem: VIProblem, k: int, x1) -> Schedule:
     b = len(problem.block_partition) if problem.block_partition else 1
     # a block policy steps at the problem's L-bar unless L is overridden (then L-bar = L)
     Lbar = problem.Lbar if POLICIES[policy.name].source == "block" and policy.L is None else None
+    sigma = _sigma(policy, problem, policy.batch or 1)
     with _config_error(f"cannot build policy {policy.name}: "):
-        return make_schedule(
-            policy.name, L=L, mu=mu, sigma=_sigma(policy, problem, policy.batch or 1), V1=V1,
-            k=k, b=b, Lbar=Lbar, noise_ratio=policy.noise_ratio,
-        )
+        # SOE-2 is the one schedule that needs sigma > 0; SOE-3 substitutes 1
+        if policy.name == "SOE-2" and sigma == 0 and policy.sigma is None:
+            raise ValueError("the problem's own noise level sigma is 0, and SOE-2 needs "
+                             "sigma > 0: set sigma under [policy:SOE-2]")
+        return make_schedule(policy.name, L=L, mu=mu, sigma=sigma, V1=V1, k=k, b=b, Lbar=Lbar,
+                             noise_ratio=policy.noise_ratio)
 
 
 def trajectory_rows(
@@ -956,8 +958,7 @@ def _runs(policy: PolicyRun, schedule: Schedule, problem: VIProblem, x1, k: int,
     runs keep the operator values ``RunConfig`` keeps for ``checkpoints``."""
     for group in _seed_groups(policy.name, problem, seeds):
         traj = run(problem, schedule, x1,
-                   RunConfig(policy.name, k, group[0], policy.batch, checkpoints=checkpoints),
-                   recursive_affine=policy.recursive_affine)
+                   RunConfig(policy.name, k, group[0], policy.batch, checkpoints=checkpoints))
         for seed in group:
             yield seed, traj
 

@@ -423,9 +423,8 @@ POLICIES: dict[str, Policy] = {
                     ("m", "sigma")),
     "SOE-MVI": Policy(lambda L, **_: SoeMviSchedule(L), "oracle", ("m", "sigma")),
     "SBOE-GSMVI": Policy(lambda L, mu, b, Lbar, **_: SboeGsmviSchedule(Lbar, b, mu, L=L),
-                         "block", ("mu", "recursive_affine")),
-    "SBOE-MVI": Policy(lambda L, b, Lbar, **_: SboeMviSchedule(Lbar, b, L=L), "block",
-                       ("recursive_affine",)),
+                         "block", ("mu",)),
+    "SBOE-MVI": Policy(lambda L, b, Lbar, **_: SboeMviSchedule(Lbar, b, L=L), "block"),
     "SA": Policy(lambda L, mu, **_: SaSchedule(L, mu), "oracle", ("m", "mu")),
     "SA-RM": Policy(lambda L, mu, **_: SaSchedule(L, mu, parity_offset=False), "oracle",
                     ("m", "mu")),

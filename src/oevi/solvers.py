@@ -39,6 +39,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 _PURPOSE_ORACLE = 1
 _PURPOSE_BLOCK = 2
 _PURPOSE_OUTPUT = 3
+_RESYNC = 10_000  # block steps between full evaluations of a recursively updated F
 
 
 def _philox(seed: int, purpose: int, counter: int = 0) -> np.random.Generator:
@@ -158,10 +159,12 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
     ``batch``; a problem without an oracle is the zero-noise case, whose
     estimate is F itself.  ``"block"`` evaluates F, or for an affine problem
     with ``recursive_affine`` adds G[:, block] (x_{t+1} - x_t)[block] to the
-    current value.  A batch below 1, or a step whose squared movement is not
-    finite, raises ``ValueError``.  The operator values kept in ``ops`` are the
-    arrays the steps used, at every t or, given ``checkpoints``, at the indices
-    the residual certificate reads there (see ``RunConfig``).
+    current value, save at each t divisible by 10^4 (``_RESYNC``), where it
+    evaluates F to bound the running sum's drift.  A batch below 1, or a step
+    whose squared movement is not finite, raises ``ValueError``.  The operator
+    values kept in ``ops`` are the arrays the steps used, at every t or, given
+    ``checkpoints``, at the indices the residual certificate reads there (see
+    ``RunConfig``).
     """
     if batch is not None:
         in_range("batch size", batch, 1, closed=True)
@@ -231,7 +234,7 @@ def _iterate(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int | Non
         traj.movement_sq[t] = move
         if t < k:
             F_prev = F_cur
-            if G is not None:
+            if G is not None and t % _RESYNC:
                 F_cur = F_cur + G[:, sl] @ d
                 traj.block_updates += 1
             else:
@@ -271,24 +274,18 @@ def sa_run(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int,
     return soe_run(problem, schedule, x1, k, seed, batch=batch)
 
 
-def sboe_run(
-    problem: VIProblem,
-    schedule: Schedule,
-    x1,
-    k: int,
-    seed: int,
-    *,
-    recursive_affine: bool = True,
-) -> Trajectory:
+def sboe_run(problem: VIProblem, schedule: Schedule, x1, k: int, seed: int, *,
+             recursive_affine: bool = True) -> Trajectory:
     """Randomized block run: each iteration draws a block uniformly, updates
     it with one block prox-mapping, and carries the rest over.
 
     For affine operators with ``recursive_affine`` (default) the full
     operator vector is maintained through rank updates restricted to the
     changed block, costing O(n * n_i) per iteration instead of a full
-    evaluation; otherwise every iteration re-evaluates F.  The update reads
-    the block's columns of the stored, column-major G in place, so the run
-    holds no copy of G: its memory is the trajectory plus a few n-vectors.
+    evaluation, and evaluated in full every 10^4 iterations to bound its drift;
+    otherwise every iteration re-evaluates F.  The update reads the block's
+    columns of the stored, column-major G in place, so the run holds no copy
+    of G: its memory is the trajectory plus a few n-vectors.
     """
     return _iterate(problem, schedule, x1, k, seed, "block",
                     recursive_affine=recursive_affine)
@@ -304,15 +301,13 @@ def seed_free(policy: str, problem: VIProblem) -> bool:
             or (source == "block" and len(problem.block_partition or ()) == 1))
 
 
-def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig,
-        *, recursive_affine: bool = True) -> Trajectory:
+def run(problem: VIProblem, schedule: Schedule, x1, config: RunConfig) -> Trajectory:
     """Single-run entry point: the policy's operator source (``"exact"``,
     ``"oracle"`` or ``"block"``, see ``schedules.Policy``) says how the run
     goes.  The config's batch size applies to oracle policies, and its
     checkpoints say which operator values the run keeps."""
-    return _iterate(problem, schedule, x1, config.k, config.seed,
-                    POLICIES[schedule.name].source, batch=config.batch,
-                    recursive_affine=recursive_affine, checkpoints=config.checkpoints)
+    return _iterate(problem, schedule, x1, config.k, config.seed, POLICIES[schedule.name].source,
+                    batch=config.batch, checkpoints=config.checkpoints)
 
 
 # ---------------------------------------------------------------------------

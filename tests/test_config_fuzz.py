@@ -67,7 +67,7 @@ RUN_SPECS = {"k": ("5", VALID), "seeds": ("1, 2", INTEGER), "cadence": ("2", VAL
              "reference": ("true", BOOLEAN)}
 POLICY_SPECS = {"L": ("2", POSITIVE), "mu": ("0.01", NONNEGATIVE),
                 "sigma": ("0.5", NONNEGATIVE), "V1": ("1", POSITIVE), "m": ("2", VALID),
-                "noise_ratio": ("1", POSITIVE), "recursive_affine": ("true", BOOLEAN)}
+                "noise_ratio": ("1", POSITIVE)}
 FLAG_SPECS = {
     "run": {"--k": ("5", VALID), "--seeds": ("1", INTEGER), "--workers": ("1", VALID),
             "--output": ("out", ANY)},
@@ -117,8 +117,7 @@ def read_overrides(draw, name, unread=False):
     chosen = {key: POLICY_SPECS[key][0] for key in reads if draw(st.booleans())}
     if unread:
         key = draw(st.sampled_from([key for key in POLICY_SPECS if key not in reads]))
-        # recursive_affine is true by default, so only false sets it
-        chosen[key] = CLASSES["zero"] if key == "recursive_affine" else POLICY_SPECS[key][0]
+        chosen[key] = POLICY_SPECS[key][0]
     return chosen
 
 
@@ -241,11 +240,8 @@ def valid_command_lines(draw):
 
 
 def _read(name, chosen):
-    """Whether the policy reads each override chosen besides L;
-    recursive_affine counts only when false, its default being true."""
-    given = {key for key, text in chosen.items()
-             if key != "L" and (key != "recursive_affine" or text == CLASSES["zero"])}
-    return given <= set(POLICIES[name].reads)
+    """Whether the policy reads each override chosen besides L."""
+    return set(chosen) - {"L"} <= set(POLICIES[name].reads)
 
 
 def _ini(chosen):

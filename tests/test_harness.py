@@ -44,7 +44,7 @@ from oevi.harness import (
 )
 from oevi.problems import glm_generate, problem_to_json, traffic_generate
 from oevi.schedules import POLICIES, POLICY_NAMES, OEGsmviSchedule
-from oevi.solvers import RunConfig, oe_run, run, seed_free
+from oevi.solvers import RunConfig, _iterate, oe_run, run, seed_free
 
 
 def tiny_problem(noise=0.0):
@@ -61,6 +61,10 @@ def tiny_config(tmp_path, policies=None, **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+# the end of the refusal of a [policy:NAME] key the config format does not have
+POLICY_KEY_LIST = "known keys: L, mu, sigma, V1, m, noise_ratio"
 
 
 class TestConfigValidation:
@@ -156,18 +160,25 @@ class TestConfigValidation:
          "policy OE-GSMVI: m is read only by SOE-1, SOE-2, SOE-3, SOE-4, SOE-MVI, SA, SA-RM"),
         ("SBOE-MVI", "m = 5",
          "policy SBOE-MVI: m is read only by SOE-1, SOE-2, SOE-3, SOE-4, SOE-MVI, SA, SA-RM"),
+        # no policy reads recursive_affine: a block run on an affine problem
+        # updates F through the changed block and bounds its own drift
         ("OE-GSMVI", "recursive_affine = false",
-         "policy OE-GSMVI: recursive_affine is read only by SBOE-GSMVI, SBOE-MVI"),
+         "unknown key 'recursive_affine' in [policy:OE-GSMVI]; " + POLICY_KEY_LIST),
         ("SA", "recursive_affine = false",
-         "policy SA: recursive_affine is read only by SBOE-GSMVI, SBOE-MVI"),
+         "unknown key 'recursive_affine' in [policy:SA]; " + POLICY_KEY_LIST),
+        ("SBOE-GSMVI", "recursive_affine = false",
+         "unknown key 'recursive_affine' in [policy:SBOE-GSMVI]; " + POLICY_KEY_LIST),
+        ("SBOE-MVI", "recursive_affine = true",
+         "unknown key 'recursive_affine' in [policy:SBOE-MVI]; " + POLICY_KEY_LIST),
         ("OE-GMVI", "mu = 0.1",
          "policy OE-GMVI: mu is read only by OE-GSMVI, SOE-1, SOE-2, SOE-3, SBOE-GSMVI, SA, SA-RM"),
         ("SA", "sigma = 9",
          "policy SA: sigma is read only by SOE-1, SOE-2, SOE-3, SOE-4, SOE-MVI"),
         ("OE-GSMVI", "V1 = 4", "policy OE-GSMVI: V1 is read only by SOE-2"),
         ("SOE-2", "noise_ratio = 7", "policy SOE-2: noise_ratio is read only by SOE-3"),
-    ], ids=["m-exact", "m-block", "recursive-exact", "recursive-oracle", "mu-exact",
-            "sigma-baseline", "V1-exact", "noise_ratio-constant"])
+    ], ids=["m-exact", "m-block", "recursive-exact", "recursive-oracle", "recursive-block",
+            "recursive-block-mvi", "mu-exact", "sigma-baseline", "V1-exact",
+            "noise_ratio-constant"])
     def test_override_the_source_never_reads_rejected(self, tmp_path, capsys, policy, key, match):
         # the override would go unused: these once ran with exit 0 and the
         # same CSVs as without it
@@ -179,11 +190,9 @@ class TestConfigValidation:
         assert not (tmp_path / "out").exists()
 
     def test_overrides_accepted_where_their_source_reads_them(self, tmp_path):
-        # an in-range value of each override besides L, on each policy: the 23
-        # pairs of POLICIES' reads are accepted, where 57 once were, and
-        # recursive_affine = true, its default, everywhere
-        values = {"mu": 0.01, "sigma": 0.5, "V1": 2.0, "m": 3, "noise_ratio": 0.5,
-                  "recursive_affine": False}
+        # an in-range value of each override besides L, on each policy: the 21
+        # pairs of POLICIES' reads are accepted, where 57 once were
+        values = {"mu": 0.01, "sigma": 0.5, "V1": 2.0, "m": 3, "noise_ratio": 0.5}
         assert set(values) == set(harness.POLICY_KEYS) - {"L"}
         accepted = set()
         for name, (key, value) in itertools.product(POLICY_NAMES, values.items()):
@@ -192,8 +201,8 @@ class TestConfigValidation:
                                                                    value})])
                 accepted.add((name, key))
         assert accepted == {(name, key) for name in POLICY_NAMES for key in POLICIES[name].reads}
-        assert len(accepted) == 23
-        policies = [PolicyRun(name, recursive_affine=True) for name in POLICY_NAMES]
+        assert len(accepted) == 21
+        policies = [PolicyRun(name) for name in POLICY_NAMES]
         assert tiny_config(tmp_path, policies=policies).policies == policies
 
     @pytest.mark.parametrize("command", ["run", "check"])
@@ -316,9 +325,9 @@ def count_engine_calls(monkeypatch) -> list[int]:
     seeds = []
     engine = harness.run
 
-    def counted(problem, schedule, x1, config, **kwargs):
+    def counted(problem, schedule, x1, config):
         seeds.append(config.seed)
-        return engine(problem, schedule, x1, config, **kwargs)
+        return engine(problem, schedule, x1, config)
 
     monkeypatch.setattr(harness, "run", counted)
     return seeds
@@ -327,7 +336,13 @@ def count_engine_calls(monkeypatch) -> list[int]:
 def run_one(policy, problem, schedule, x1, k, seed, ts=None):
     """The engine call the harness makes for one (policy, seed) run."""
     config = RunConfig(policy.name, k, seed, policy.batch, checkpoints=ts)
-    return run(problem, schedule, x1, config, recursive_affine=policy.recursive_affine)
+    return run(problem, schedule, x1, config)
+
+
+def block_operator_run(policy, problem, schedule, x1, k, seed, ts=None):
+    """A block run of the engine's loop that evaluates F in full at every step."""
+    return _iterate(problem, schedule, x1, k, seed, "block", recursive_affine=False,
+                    checkpoints=ts)
 
 
 def glm_problem():
@@ -500,23 +515,23 @@ def _row_bytes(rows):
 
 class TestKeptOperatorValues:
     @pytest.mark.parametrize("cadence", [3, 7])
-    @pytest.mark.parametrize("make,policy", [
-        (tiny_problem, PolicyRun("OE-GMVI")),  # exact operator
-        (glm_problem, PolicyRun("SOE-MVI", batch=4)),  # noisy oracle
-        (glm_problem, PolicyRun("SOE-4")),
-        (tiny_problem, PolicyRun("SA")),  # the noiseless oracle wrap
-        (tiny_problem, PolicyRun("SBOE-MVI")),  # block-recursive affine update
-        (tiny_problem, PolicyRun("SBOE-MVI", recursive_affine=False)),
+    @pytest.mark.parametrize("make,policy,engine", [
+        (tiny_problem, PolicyRun("OE-GMVI"), run_one),  # exact operator
+        (glm_problem, PolicyRun("SOE-MVI", batch=4), run_one),  # noisy oracle
+        (glm_problem, PolicyRun("SOE-4"), run_one),
+        (tiny_problem, PolicyRun("SA"), run_one),  # the noiseless oracle wrap
+        (tiny_problem, PolicyRun("SBOE-MVI"), run_one),  # block-recursive affine update
+        (tiny_problem, PolicyRun("SBOE-MVI"), block_operator_run),
     ], ids=["exact", "oracle-m4", "oracle-SOE-4", "noiseless-oracle", "block-affine",
             "block-operator"])
-    def test_grid_run_rows_match_keep_all_run(self, make, policy, cadence):
+    def test_grid_run_rows_match_keep_all_run(self, make, policy, engine, cadence):
         problem = ensure_reference(make())
         x1 = analytic_center(problem.set)
         k = 40
         ts = checkpoints(k, cadence)
         schedule = schedule_for(policy, problem, k, x1)
-        full = run_one(policy, problem, schedule, x1, k, 5)
-        kept = run_one(policy, problem, schedule, x1, k, 5, ts)
+        full = engine(policy, problem, schedule, x1, k, 5)
+        kept = engine(policy, problem, schedule, x1, k, 5, ts)
         assert sorted(full.ops) == list(range(k + 1))
         assert set(kept.ops) == {s for t in ts[1:] for s in (t - 1, t)}
         for t, F in kept.ops.items():
@@ -673,8 +688,7 @@ PINNED_CONFIGS = {
     "golden_traffic.ini": (lambda: traffic_generate(100, 5, 0.005, seed=7), dict(
         k=400, seeds=(1, 2), cadence=5, weak_gap=True,
         policies=[PolicyRun("OE-GMVI"), PolicyRun("OE-MVI"), PolicyRun("SOE-MVI"),
-                  PolicyRun("SBOE-MVI"), PolicyRun("SA"),
-                  PolicyRun("SBOE-GSMVI", recursive_affine=False)])),
+                  PolicyRun("SBOE-MVI"), PolicyRun("SA"), PolicyRun("SBOE-GSMVI")])),
     "golden_glm.ini": (lambda: glm_generate(20, "hinge", 100.0, 1.0, seed=3), dict(
         k=600, seeds=(1, 2, 3),
         policies=[PolicyRun("SOE-MVI", batch=4), PolicyRun("SOE-1"), PolicyRun("SOE-2"),
@@ -737,15 +751,13 @@ class TestConfigKeys:
                                             "weak_gap = on\nworkers = 2\nvalidate = warn\n"
                                             "reference = false")
                         .replace("m = 2", "m = 2\nL = 3\nmu = 0.5\nsigma = 2\n\n"
-                                 "[policy:SOE-2]\nV1 = 4\n\n[policy:SOE-3]\nnoise_ratio = 0.1\n\n"
-                                 "[policy:SBOE-GSMVI]\nrecursive_affine = no"))
+                                 "[policy:SOE-2]\nV1 = 4\n\n[policy:SOE-3]\nnoise_ratio = 0.1"))
         cfg = load_config(path)
         assert (cfg.cadence, cfg.output, cfg.timing, cfg.weak_gap, cfg.workers,
                 cfg.validate_policies, cfg.compute_reference) == (2, None, True, True, 2,
                                                                   "warn", False)
         assert cfg.policies[1:] == [PolicyRun("SOE-1", L=3.0, mu=0.5, sigma=2.0, batch=2),
-                                    PolicyRun("SOE-2", V1=4.0), PolicyRun("SOE-3", noise_ratio=0.1),
-                                    PolicyRun("SBOE-GSMVI", recursive_affine=False)]
+                                    PolicyRun("SOE-2", V1=4.0), PolicyRun("SOE-3", noise_ratio=0.1)]
 
     @pytest.mark.parametrize("argv, text, name", [
         (["run"], CONFIG_TEXT.replace("m = 2", "batch = 50"), "'batch' in [policy:SOE-1]"),
@@ -927,8 +939,8 @@ class TestCheckRunMemory:
         trajs = {}
         engine = harness.run
 
-        def recorded(problem, schedule, x1, config, **kwargs):
-            traj = engine(problem, schedule, x1, config, **kwargs)
+        def recorded(problem, schedule, x1, config):
+            traj = engine(problem, schedule, x1, config)
             trajs[config.policy] = traj
             return traj
 
@@ -1301,10 +1313,19 @@ class TestCli:
          "b must be in (-inf, inf), got nan"),
         ({"set": "box", "lower": [0.0, 0.0], "upper": [math.inf, 1.0]},
          "upper - lower must be in [0, inf), got inf"),
-    ], ids=["demand-nan", "radius-nan", "b-nan", "upper-inf"])
+        ({"G": [[2.0, 0.0]]}, "G must be square"),
+        ({"b": [1.0]}, "b must match G"),
+        ({"known_solution": [0.0]}, "known_solution must match G"),
+        ({"kind": "glm", "A": [[1.0, 0.0]], "x_star": [1.0, 0.0], "R": 1.0, "sigma_y": 0.1,
+          "link": "hinge"}, "A must be square"),
+        ({"kind": "glm", "A": [[1.0, 0.0], [0.0, 1.0]], "x_star": [1.0], "R": 1.0,
+          "sigma_y": 0.1, "link": "hinge"}, "x_star must match A"),
+    ], ids=["demand-nan", "radius-nan", "b-nan", "upper-inf", "G-not-square", "b-length",
+            "known_solution-length", "A-not-square", "x_star-length"])
     def test_json_problem_number_not_finite(self, tmp_path, capfd, fields, message, reference):
-        # these once printed LAPACK's DLASCL message and an SVD error, or,
-        # without the reference solve, an infeasible start or a diverged run
+        # the first four once printed LAPACK's DLASCL message and an SVD error,
+        # or, without the reference solve, an infeasible start or a diverged
+        # run; the five shapes that do not fit are refused by name
         doc = {"kind": "affine", "G": [[2.0, 0.0], [0.0, 2.0]], "b": [1.0, -1.0], **fields}
         (tmp_path / "p.json").write_text(json.dumps(doc))
         path = tmp_path / "exp.ini"
@@ -1349,6 +1370,27 @@ class TestCli:
         assert cli.main(["run", str(path), "--output", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("cadence = 1", "cadence = 1\nvalidate = maybe",
+         "validate must be fail, warn or skip, got 'maybe'"),
+        ("[run]\nk = 10\n", "[run]\n", "[run] needs k"),
+        # the 0 once read as a sigma the config set: "sigma must be in (0, inf), got 0.0"
+        ("[policy:OE-GSMVI]\n\n[policy:SOE-1]\nm = 2", "[policy:SOE-2]\nmu = 0.01",
+         "cannot build policy SOE-2: the problem's own noise level sigma is 0, and SOE-2 "
+         "needs sigma > 0: set sigma under [policy:SOE-2]"),
+    ], ids=["validate-maybe", "no-k", "soe-2-noiseless"])
+    def test_refusal_names_what_the_config_wrote(self, tmp_path, capsys, command, old, new,
+                                                 message):
+        assert old in CONFIG_TEXT
+        path = tmp_path / "exp.ini"
+        path.write_text(CONFIG_TEXT.replace(old, new))
+        out = tmp_path / "out"
+        argv = [command, str(path), *(["--output", str(out)] if command == "run" else [])]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -3,6 +3,7 @@ call accounting, output selection, and weighted averages."""
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from oevi.geometry import Ball, Box, FullSpace, SimplexProduct, analytic_center, bregman
 from oevi.problems import AffineSpec, affine_problem, glm_generate, traffic_generate
 from oevi import schedules as S
+from oevi import solvers
 from oevi.solvers import (
     OE_MVI_AVERAGE,
     SBOE_MVI_AVERAGE,
@@ -288,6 +290,15 @@ class TestBlockRun:
         assert slow.operator_evals == k
         assert slow.block_updates == 0
 
+    def test_recursive_value_is_exact_after_a_resync(self):
+        # step 10^4 re-evaluates F in full: without it the running sum is
+        # 1.3e-13 off F(x_10001) here
+        p = traffic_generate(20, 5, 0.05, seed=3)
+        sched = S.SboeGsmviSchedule(Lbar=p.Lbar, b=5, mu=p.constants.mu, L=p.constants.L)
+        traj = sboe_run(p, sched, analytic_center(p.set), 10_002, seed=1)
+        assert traj.ops[10_001].tobytes() == p.operator(traj.xs[10_001]).tobytes()
+        assert (traj.operator_evals, traj.block_updates) == (2, 10_000)
+
     def test_run_holds_no_copy_of_G(self):
         # the block updates read G's columns in place: the run holds its
         # k + 2 iterates, its k + 1 operator values and a few n-vectors,
@@ -507,6 +518,23 @@ def test_loop_is_the_transcribed_updates(case):
     traj = run(problem, schedule, analytic_center(problem.set),
                RunConfig(schedule.name, k, seed, batch))
     assert traj.xs.tobytes() == _transcribed_run(problem, schedule, k, seed, batch).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_loop_cases(), st.integers(1, 6))
+def test_block_run_resyncs_every_resync_steps(case, every):
+    # with a resync every N steps, the value F_t of x_t is F(x_t) itself at
+    # every t = 1 (mod N), and each resync is one full evaluation
+    problem, _, k, seed, _ = case
+    c = problem.constants
+    schedule = S.make_schedule("SBOE-GSMVI", L=c.L, mu=c.mu, k=k,
+                               b=len(problem.block_partition))
+    with mock.patch.object(solvers, "_RESYNC", every):
+        traj = sboe_run(problem, schedule, analytic_center(problem.set), k, seed)
+    for t in range(1, k + 1, every):
+        assert traj.ops[t].tobytes() == problem.operator(traj.xs[t]).tobytes(), t
+    assert traj.operator_evals == 1 + (k - 1) // every
+    assert traj.block_updates == k - traj.operator_evals
 
 
 class TestRunDispatcher:
