@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import configparser
 import contextlib
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -123,15 +122,13 @@ ROW_FIELDS = ("t", "gamma", "lambda", "theta", *METRIC_COLUMNS, "oracle_calls", 
 
 TRAJECTORY_HEADER = ",".join(("run_id", "policy", "seed", *ROW_FIELDS))
 
-_log = logging.getLogger(__name__)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 1)."""
 
 
 class ValidationFailed(ConfigError):
-    """A schedule failed its side conditions under ``validate = fail`` (exit code 2)."""
+    """A schedule failed its side conditions under ``oevi run`` (exit code 2)."""
 
 
 @contextlib.contextmanager
@@ -178,7 +175,6 @@ class ExperimentConfig:
     weak_gap: bool = False
     workers: int | None = None
     compute_reference: bool = True
-    validate_policies: str = "fail"  # "fail" | "warn" | "skip"
 
     def __post_init__(self):
         if not self.policies:
@@ -209,9 +205,6 @@ class ExperimentConfig:
         _check_budget(self.k, self.seeds)
         _check_memory(self.k, self.problem.dim,
                       [policy.batch for policy in self.policies if policy.batch is not None])
-        if self.validate_policies not in ("fail", "warn", "skip"):
-            raise ConfigError("validate must be fail, warn or skip, "
-                              f"got {self.validate_policies!r}")
         with _config_error():
             for key in ("cadence", "workers"):
                 if getattr(self, key) is not None:
@@ -274,8 +267,7 @@ PROBLEM_KEYS = {"traffic": ("n", "blocks", "d_minus", "seed"),
 RUN_KEYS = {"k": ("k", "getint"), "seeds": ("seeds", "getints"),
             "cadence": ("cadence", "getint"), "output": ("output", "getpath"),
             "timing": ("timing", "getboolean"), "weak_gap": ("weak_gap", "getboolean"),
-            "workers": ("workers", "getint"), "validate": ("validate_policies", "get"),
-            "reference": ("compute_reference", "getboolean")}
+            "workers": ("workers", "getint"), "reference": ("compute_reference", "getboolean")}
 POLICY_KEYS = {"L": ("L", "getfloat"), "mu": ("mu", "getfloat"), "sigma": ("sigma", "getfloat"),
                "V1": ("V1", "getfloat"), "m": ("batch", "getint"),
                "noise_ratio": ("noise_ratio", "getfloat")}
@@ -525,9 +517,9 @@ def _run_id(policy: str, seed) -> str:
     return f"{policy}_s{seed}" if seed is not None else policy
 
 
-def mean_iteration_ns(traj, warmup: int = 10) -> float:
-    """Mean per-iteration wall time, excluding the first ``warmup`` iterations."""
-    times = traj.step_time_ns[1 + warmup :]
+def mean_iteration_ns(traj) -> float:
+    """Mean per-iteration wall time, excluding the first 10 (cache warm-up) iterations."""
+    times = traj.step_time_ns[11:]
     if times.size == 0:
         times = traj.step_time_ns[1:]
     return float(times.mean())
@@ -551,8 +543,8 @@ def _seed_groups(policy: str, problem: VIProblem, seeds) -> list[tuple[int, ...]
 
 def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
     """Execute every (policy, seed) pair, a seed-free policy once on the first
-    seed; write one trajectory CSV per pair and one aggregate CSV per policy
-    under config.output (if set)."""
+    seed, unless a schedule fails its side conditions (``ValidationFailed``); write
+    one trajectory CSV per pair and one aggregate CSV per policy under config.output, if set."""
     workers = config.resolved_workers()
     problem = ensure_reference(config.problem) if config.compute_reference else config.problem
     x1 = analytic_center(problem.set)
@@ -562,11 +554,8 @@ def run_experiment(config: ExperimentConfig) -> dict[str, AggregateResult]:
     for policy in config.policies:
         schedule = schedule_for(policy, problem, config.k, x1)
         report = validate(schedule, config.k)
-        if not report.passed and config.validate_policies != "skip":
-            if config.validate_policies == "fail":
-                raise ValidationFailed(f"schedule validation failed:\n{report.summary()}")
-            _log.warning("schedule validation failed, running anyway:\n%s",
-                         report.summary())
+        if not report.passed:
+            raise ValidationFailed(f"schedule validation failed:\n{report.summary()}")
         jobs.extend((policy, schedule, group)
                     for group in _seed_groups(policy.name, problem, config.seeds))
 
@@ -668,7 +657,6 @@ def suite_traffic(
     *,
     k: int | None = None,
     output: Path | str = "out/traffic",
-    blocks: int = 5,
 ) -> SuiteReport:
     """Error-vs-iteration trajectories and per-iteration timing for the
     deterministic and block solvers on random traffic instances.
@@ -677,21 +665,20 @@ def suite_traffic(
     columns (n, oe_ns_per_iter, sboe_ns_per_iter).  Asserts the block solver
     is cheaper per iteration at the largest size (skipped below n = 500 where
     interpreter overhead dominates) and that the deterministic run reaches
-    the contraction implied by its linear-rate guarantee.  An empty size
-    list, a repeated size, ``blocks < 1``, a size that is not a positive
-    multiple of ``blocks``, ``k < 1`` or seeds that are repeated or empty
+    the contraction implied by its linear-rate guarantee.  Each instance has
+    5 blocks.  An empty size list, a repeated size, a size that is not a
+    positive multiple of 5, ``k < 1`` or seeds that are repeated or empty
     raise ``ConfigError`` before any instance is generated; a bad ``d_minus``
     raises ``ValueError`` before any output is written.
     """
     with _config_error():
-        in_range("blocks", blocks, 1, closed=True)
-        in_range("sizes", sizes, blocks, closed=True)  # positive multiples of blocks
-    if not sizes or len(set(sizes)) < len(sizes) or any(n % blocks for n in sizes):
+        in_range("sizes", sizes, 5, closed=True)  # positive multiples of the 5 blocks
+    if not sizes or len(set(sizes)) < len(sizes) or any(n % 5 for n in sizes):
         raise ConfigError(f"traffic sizes must be a nonempty list of positive multiples "
-                          f"of the block count {blocks} without repeats, got {tuple(sizes)}")
+                          f"of the block count 5 without repeats, got {tuple(sizes)}")
     _check_budget(1 if k is None else k, tuple(seeds))
     output = Path(output)
-    problems = [traffic_generate(n, blocks, d_minus, seed=10_000 + n) for n in sizes]
+    problems = [traffic_generate(n, 5, d_minus, seed=10_000 + n) for n in sizes]
     # iteration count at which the linear-rate bound certifies a 1e-6
     # relative error: (L/mu) (L/(L+mu))^(k-1) <= 1e-6
     k_stars = [math.ceil(math.log(1e6 * (c.L / c.mu)) / math.log1p(c.mu / c.L)) + 1

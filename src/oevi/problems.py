@@ -549,13 +549,14 @@ def glm_problem(spec: GLMSpec, *, seed: int | None = None) -> VIProblem:
     )
 
 
-# Anderson acceleration of the reference solve: differences kept, and the
-# residual growth over the best iterate that clears them
+# Anderson acceleration of the reference solve: differences kept, the
+# residual growth over the best iterate that clears them, and the cap on steps
 _AA_MEMORY = 10
 _AA_RESTART = 100.0
+_AA_STEPS = 10**6
 
 
-def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**6) -> np.ndarray:
+def solve_reference(problem: VIProblem, tol: float = 1e-10) -> np.ndarray:
     """High-accuracy reference solution of a strongly monotone instance.
 
     Type-II Anderson acceleration of the projected map
@@ -582,7 +583,8 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
     The solve returns the first iterate whose Euclidean natural residual
     ||x - P_X(x - F(x))|| is at most ``tol``; by the error bound of strongly
     monotone problems it lies within (1 + L) tol / mu of the solution, and
-    the result is suitable as ``known_solution``.  An iterate whose map
+    the result is suitable as ``known_solution``; ``RuntimeError`` if 10^6
+    steps (``_AA_STEPS``) do not get there.  An iterate whose map
     residual ||T(x) - x||_D exceeds 100 times the smallest seen clears the
     differences and restarts from the iterate with that smallest one.
     Measured by the natural residual instead, which can rise several-fold
@@ -606,7 +608,7 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
     used = slot = 0
     prev = None  # (x, T(x) - x) of the last step
     best_r, best = math.inf, None  # smallest ||T(x) - x||_D, and its (x, T(x))
-    for _ in range(max_iter):
+    for _ in range(_AA_STEPS):
         Fx = F(x)
         if float(np.linalg.norm(x - fs.project(x - Fx))) <= tol:
             return x
@@ -631,7 +633,7 @@ def solve_reference(problem: VIProblem, tol: float = 1e-10, max_iter: int = 10**
         else:
             x = Tx
     raise RuntimeError(
-        f"reference solve did not reach tol={tol} within {max_iter} iterations; "
+        f"reference solve did not reach tol={tol} within {_AA_STEPS} iterations; "
         "check the problem configuration"
     )
 

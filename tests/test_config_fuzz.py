@@ -63,8 +63,7 @@ PROBLEM_SPECS = {
 }
 RUN_SPECS = {"k": ("5", VALID), "seeds": ("1, 2", INTEGER), "cadence": ("2", VALID),
              "output": ("out", ANY), "timing": ("false", BOOLEAN), "weak_gap": ("true", BOOLEAN),
-             "workers": ("1", VALID), "validate": ("warn", VALID),
-             "reference": ("true", BOOLEAN)}
+             "workers": ("1", VALID), "reference": ("true", BOOLEAN)}
 POLICY_SPECS = {"L": ("2", POSITIVE), "mu": ("0.01", NONNEGATIVE),
                 "sigma": ("0.5", NONNEGATIVE), "V1": ("1", POSITIVE), "m": ("2", VALID),
                 "noise_ratio": ("1", POSITIVE)}

@@ -5,7 +5,6 @@ import contextlib
 import dataclasses
 import itertools
 import json
-import logging
 import math
 import os
 import re
@@ -473,22 +472,9 @@ class TestSeedFreeRuns:
 
 
 class TestValidationWarning:
-    def test_warn_mode_logs_and_runs(self, tmp_path, monkeypatch, caplog, capsys):
-        validate = harness.validate
-        # judged at a far larger L, the schedule's stepsizes break its conditions
-        monkeypatch.setattr(harness, "validate",
-                            lambda schedule, k: validate(schedule, k, L=100 * schedule.L))
-        cfg = tiny_config(tmp_path, validate_policies="warn")
-        with caplog.at_level(logging.WARNING, logger="oevi.harness"):
-            aggs = run_experiment(cfg)
-        assert "OE-GSMVI" in aggs
-        [record] = caplog.records
-        assert record.levelno == logging.WARNING
-        assert "policy OE-GSMVI: FAIL" in record.getMessage()
-        assert capsys.readouterr().out == ""
-
     def test_fail_mode_raises(self, tmp_path, monkeypatch):
         validate = harness.validate
+        # judged at a far larger L, the schedule's stepsizes break its conditions
         monkeypatch.setattr(harness, "validate",
                             lambda schedule, k: validate(schedule, k, L=100 * schedule.L))
         with pytest.raises(ConfigError, match="schedule validation failed"):
@@ -683,7 +669,7 @@ def readme_config_text() -> str:
 
 # ExperimentConfig's defaults, and each pinned config's problem and other fields
 CONFIG_DEFAULTS = dict(seeds=(0,), cadence=None, output=None, timing=False, weak_gap=False,
-                       workers=None, compute_reference=True, validate_policies="fail")
+                       workers=None, compute_reference=True)
 PINNED_CONFIGS = {
     "golden_traffic.ini": (lambda: traffic_generate(100, 5, 0.005, seed=7), dict(
         k=400, seeds=(1, 2), cadence=5, weak_gap=True,
@@ -748,14 +734,12 @@ class TestConfigKeys:
     def test_every_key_sets_its_field(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(CONFIG_TEXT.replace("cadence = 1", "cadence = 2\noutput =\ntiming = yes\n"
-                                            "weak_gap = on\nworkers = 2\nvalidate = warn\n"
-                                            "reference = false")
+                                            "weak_gap = on\nworkers = 2\nreference = false")
                         .replace("m = 2", "m = 2\nL = 3\nmu = 0.5\nsigma = 2\n\n"
                                  "[policy:SOE-2]\nV1 = 4\n\n[policy:SOE-3]\nnoise_ratio = 0.1"))
         cfg = load_config(path)
         assert (cfg.cadence, cfg.output, cfg.timing, cfg.weak_gap, cfg.workers,
-                cfg.validate_policies, cfg.compute_reference) == (2, None, True, True, 2,
-                                                                  "warn", False)
+                cfg.compute_reference) == (2, None, True, True, 2, False)
         assert cfg.policies[1:] == [PolicyRun("SOE-1", L=3.0, mu=0.5, sigma=2.0, batch=2),
                                     PolicyRun("SOE-2", V1=4.0), PolicyRun("SOE-3", noise_ratio=0.1)]
 
@@ -1020,9 +1004,8 @@ class TestSuites:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(k=0), r"^k must be in \[1, inf\), got 0$"),
         (dict(seeds=(1, 1)), "seeds must be distinct"),
-        (dict(blocks=0), r"^blocks must be in \[1, inf\), got 0$"),
         (dict(sizes=(10, 20, 10)), "without repeats"),
-    ], ids=["k0", "repeated-seeds", "blocks0", "repeated-size"])
+    ], ids=["k0", "repeated-seeds", "repeated-size"])
     def test_traffic_suite_bad_input_leaves_no_directory(self, tmp_path, monkeypatch,
                                                          kwargs, match):
         def no_instance(*args, **kwargs):
@@ -1373,14 +1356,19 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("old, new, message", [
+        # once a [run] key with fail, warn and skip modes
         ("cadence = 1", "cadence = 1\nvalidate = maybe",
-         "validate must be fail, warn or skip, got 'maybe'"),
+         "unknown key 'validate' in [run]; known keys: k, seeds, cadence, output, timing, "
+         "weak_gap, workers, reference"),
+        ("cadence = 1", "cadence = 1\nvalidate = warn",
+         "unknown key 'validate' in [run]; known keys: k, seeds, cadence, output, timing, "
+         "weak_gap, workers, reference"),
         ("[run]\nk = 10\n", "[run]\n", "[run] needs k"),
         # the 0 once read as a sigma the config set: "sigma must be in (0, inf), got 0.0"
         ("[policy:OE-GSMVI]\n\n[policy:SOE-1]\nm = 2", "[policy:SOE-2]\nmu = 0.01",
          "cannot build policy SOE-2: the problem's own noise level sigma is 0, and SOE-2 "
          "needs sigma > 0: set sigma under [policy:SOE-2]"),
-    ], ids=["validate-maybe", "no-k", "soe-2-noiseless"])
+    ], ids=["validate-maybe", "validate-warn", "no-k", "soe-2-noiseless"])
     def test_refusal_names_what_the_config_wrote(self, tmp_path, capsys, command, old, new,
                                                  message):
         assert old in CONFIG_TEXT
