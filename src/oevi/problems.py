@@ -454,7 +454,7 @@ def glm_constants(spec: GLMSpec) -> tuple[float, float]:
         return 0.5 * spec.sigma_max, max(mu, 0.0)
     # Ramp link (A = I): the Jacobian eigenvalues are erf(1/(sqrt(2) r))/2 <= L = 1/2
     # and erf(1/(sqrt(2) r))/2 - exp(-1/(2 r^2)) / (sqrt(2 pi) r), minimized at r = R.
-    R = spec.R
+    R = float(in_range("R", spec.R, math.sqrt(np.finfo(float).tiny), closed=True))  # mu squares R
     if R <= 100.0:
         return 0.5, 0.5 * math.erf(1.0 / (math.sqrt(2.0) * R)) - math.exp(
             -1.0 / (2.0 * R * R)

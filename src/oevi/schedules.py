@@ -28,6 +28,7 @@ from .geometry import in_range
 
 _EPS = np.finfo(float).eps
 _ROOT_MAX = math.sqrt(np.finfo(float).max)  # the largest constant whose square is a double
+_ROOT_MIN = math.sqrt(np.finfo(float).tiny)  # the smallest whose square is a normal double
 
 # Condition identifiers (validator report keys).
 COUPLING = "coupling"                      # theta_{t+1} gamma_{t+1} lambda_{t+1} = theta_t gamma_t * b
@@ -90,9 +91,12 @@ class Schedule:
 
     def _set_constants(self, *, mu_le_L: bool = False, **constants: float):
         """Store each named constant as a float after checking that it is
-        positive and finite, and with ``mu_le_L`` that mu does not exceed L."""
+        positive and finite, L and Lbar at least sqrt(DBL_MIN), so that the
+        square of a stepsize 1/(c L) or 1/(c Lbar) is a double, and with
+        ``mu_le_L`` that mu does not exceed L."""
         for name, value in constants.items():
-            setattr(self, name, float(in_range(name, value)))
+            low = _ROOT_MIN if name in ("L", "Lbar") else 0.0
+            setattr(self, name, float(in_range(name, value, low, closed=low > 0)))
         if mu_le_L:
             in_range("mu", self.mu, high=self.L)
 
@@ -116,6 +120,14 @@ def _table(k: int, gamma, lam, log_theta, epoch_start=None) -> ScheduleTable:
 def _const_table(k: int, gamma: float, lam: float, log_ratio: float) -> ScheduleTable:
     """Table for policies with constant gamma, lambda and theta_t = exp(t * log_ratio)."""
     return _table(k, gamma, lam, np.arange(k + 1, dtype=float) * log_ratio)
+
+
+def _offset(L: float, mu: float) -> float:
+    """t0 = 4L/mu of the decreasing policies and SA.  mu is at least sqrt(DBL_MIN)
+    and t0 at most sqrt(DBL_MAX) / 2, so that theta_t = (t + t0 + 1)(t + t0)
+    and theta_t gamma_t, about t0 / mu, are doubles at every t a run reaches."""
+    in_range("mu", mu, _ROOT_MIN, closed=True)
+    return float(in_range("4 L / mu", 4.0 * L / mu, high=_ROOT_MAX / 2))
 
 
 def _decreasing(mu: float, t0: float, t):
@@ -180,7 +192,7 @@ class SoeDecreasingSchedule(Schedule):
 
     def __init__(self, L: float, mu: float):
         self._set_constants(L=L, mu=mu, mu_le_L=True)
-        self.t0 = 4.0 * self.L / self.mu
+        self.t0 = _offset(self.L, self.mu)
 
     def table(self, k):
         gamma, theta = _decreasing(self.mu, self.t0, np.arange(k + 1, dtype=float))
@@ -203,10 +215,16 @@ class SoeConstantSchedule(Schedule):
 
     def __init__(self, L: float, mu: float, sigma: float, V1: float, k: int):
         self._set_constants(L=L, mu=mu, sigma=sigma, V1=V1, mu_le_L=True)
-        for key in ("mu", "sigma"):  # q squares both
-            in_range(key, getattr(self, key), high=_ROOT_MAX)
+        for key in ("mu", "sigma"):  # q and the bound square both
+            in_range(key, getattr(self, key), _ROOT_MIN, closed=True, high=_ROOT_MAX)
         self.k = int(in_range("k", k, 2, closed=True))
-        q = 1.0 + math.log(self.mu**2 * self.V1 / self.sigma**2) / math.log(self.k)
+        num = self.mu**2 * self.V1
+        ratio = num / self.sigma**2
+        if np.finfo(float).tiny <= min(num, ratio) and max(num, ratio) < math.inf:
+            log_ratio = math.log(ratio)
+        else:  # a product left the normal doubles: its log from the logs of its factors
+            log_ratio = 2.0 * (math.log(self.mu) - math.log(self.sigma)) + math.log(self.V1)
+        q = 1.0 + log_ratio / math.log(self.k)
         self.q_clamped = q < self.Q_FLOOR
         self.q = max(q, self.Q_FLOOR)
         if self.q_clamped:
@@ -235,7 +253,7 @@ class SoeRestartSchedule(Schedule):
     def __init__(self, L: float, mu: float, sigma: float = 1.0, V1: float = 1.0,
                  noise_ratio: float | None = None):
         self._set_constants(L=L, mu=mu, sigma=sigma, V1=V1, mu_le_L=True)
-        self.t0 = float(in_range("4 L / mu", 4.0 * self.L / self.mu, high=np.finfo(float).max / 2))
+        self.t0 = _offset(self.L, self.mu)
         self.noise_ratio = float(in_range("noise_ratio", (
             noise_ratio if noise_ratio is not None
             else self.sigma**2 / (self.mu**2 * self.V1)), high=np.finfo(float).max / 2**14))
@@ -322,7 +340,7 @@ class SboeGsmviSchedule(Schedule):
         self._set_constants(Lbar=Lbar, mu=mu)
         self.b = int(in_range("b", b, 1, closed=True))
         # full-operator Lipschitz constant, used only by the final-step check
-        self._set_constants(L=self.Lbar * math.sqrt(self.b) if L is None else L)
+        self._set_constants(L=self.Lbar * math.sqrt(self.b) if L is None else L, mu_le_L=True)
         self.gamma = 1.0 / (2.0 * self.Lbar * self.b)
 
     def _log_ratio(self):
@@ -365,10 +383,13 @@ class SaSchedule(Schedule):
     notes = ("baseline policy; no side conditions claimed",)
 
     def __init__(self, L: float, mu: float, parity_offset: bool = True):
-        self._set_constants(L=L, mu=mu)
+        self._set_constants(L=L, mu=mu, mu_le_L=True)
         self.parity_offset = parity_offset
-        self.t0 = 4.0 * self.L / self.mu if parity_offset else 0.0
-        if not parity_offset:
+        if parity_offset:
+            self.t0 = _offset(self.L, self.mu)
+        else:  # the first step is 1/mu
+            in_range("mu", self.mu, _ROOT_MIN, closed=True)
+            self.t0 = 0.0
             self.name = "SA-RM"
             self.notes = ("classic Robbins-Monro stepsize; no side conditions claimed",)
 
@@ -547,7 +568,7 @@ def validate(
     lambda_t = 0, are exempt from the coupling identity by construction.
     """
     in_range("k", k, 1, closed=True)
-    L = float(in_range("L", schedule.L if L is None else L, high=_ROOT_MAX))
+    L = float(in_range("L", schedule.L if L is None else L, _ROOT_MIN, closed=True, high=_ROOT_MAX))
     mu = schedule.mu if mu is None else float(mu)
     b = schedule.b
     Lbar = (schedule.Lbar if not math.isnan(schedule.Lbar) else L) if Lbar is None else float(Lbar)

@@ -39,10 +39,11 @@ from oevi.schedules import POLICIES, POLICY_NAMES
 
 # every value is drawn from these classes; "valid" stands for each key's own valid text
 CLASSES = {"valid": None, "zero": "0", "negative": "-1", "nan": "nan", "inf": "inf",
-           "-inf": "-inf", "huge": "1e300", "empty": "", "text": "abc"}
+           "-inf": "-inf", "huge": "1e300", "tiny": "1e-300", "empty": "", "text": "abc"}
 ANY = frozenset(CLASSES)
-POSITIVE = frozenset({"valid", "huge"})
-NONNEGATIVE = frozenset({"valid", "zero", "huge"})
+POSITIVE = frozenset({"valid", "huge", "tiny"})
+NONNEGATIVE = frozenset({"valid", "zero", "huge", "tiny"})
+UNIT = frozenset({"valid", "tiny"})  # (0, 1]
 INTEGER = frozenset({"valid", "zero", "negative"})
 BOOLEAN = frozenset({"valid", "zero"})  # configparser reads "0" as false
 VALID = frozenset({"valid"})
@@ -53,10 +54,10 @@ VALID_POOL = ["valid"]  # every key at its valid text
 
 # key -> (valid text, the classes whose values are finite and in the key's range)
 PROBLEM_SPECS = {
-    "traffic": {"n": ("10", VALID), "blocks": ("5", VALID), "d_minus": ("0.5", VALID),
+    "traffic": {"n": ("10", VALID), "blocks": ("5", VALID), "d_minus": ("0.5", UNIT),
                 "seed": ("3", INTEGER)},
     "glm-hinge": {"n": ("5", VALID), "R": ("2", POSITIVE), "sigma_y": ("0.5", NONNEGATIVE),
-                  "seed": ("3", INTEGER), "d_minus": ("0.5", VALID)},
+                  "seed": ("3", INTEGER), "d_minus": ("0.5", UNIT)},
     "glm-ramp": {"n": ("5", VALID), "R": ("2", POSITIVE), "sigma_y": ("0.5", NONNEGATIVE),
                  "seed": ("3", INTEGER)},
     "json": {"path": ("problem.json", VALID)},
@@ -76,7 +77,7 @@ FLAG_SPECS = {
                           "--sigma": ("1", NONNEGATIVE), "--V1": ("1", POSITIVE),
                           "--Lbar": ("2", POSITIVE)},
     # a suite always gets a budget and a size (SUITE_SIZES), drawn like any flag
-    "suite": {"--k": ("5", VALID), "--d-minus": ("0.5", VALID), "--seeds": ("1", INTEGER),
+    "suite": {"--k": ("5", VALID), "--d-minus": ("0.5", UNIT), "--seeds": ("1", INTEGER),
               "--output": ("out", ANY)},
 }
 # a budget whose (k + 2) x n trajectory no machine holds, even at n = 1
@@ -257,6 +258,9 @@ JSON_DOC = json.dumps(JSON_DOCS[0][0])
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(command_lines())
+# a tiny L: once an OverflowError traceback from the validator's final-step test
+@example((["validate-schedule", "OE-GSMVI", "--L=1e-300", "--mu=1e-301", "--k=5"], None,
+          JSON_DOC, True))
 def test_cli_input_contract(capfd, case):
     _check_call(capfd, *case)
 

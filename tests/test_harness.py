@@ -1147,14 +1147,19 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["validate-schedule", "SOE-2", "--L", "1", "--mu", "0.1", "--sigma", "1e200", "--V1", "1",
-          "--k", "100"], "error: sigma must be in (0, 1.34078e+154], got 1e+200"),
+          "--k", "100"], "error: sigma must be in [1.49167e-154, 1.34078e+154], got 1e+200"),
         (["validate-schedule", "OE-GSMVI", "--L", "1e300", "--mu", "0.1", "--k", "10"],
-         "error: L must be in (0, 1.34078e+154], got 1e+300"),
+         "error: L must be in [1.49167e-154, 1.34078e+154], got 1e+300"),
         (["validate-schedule", "SBOE-MVI", "--L", "2", "--k", "20", "--sigma=-inf"],
          "error: sigma must be in [0, inf), got -inf"),
-    ], ids=["SOE-2-sigma-squared", "validator-L-squared", "unread-sigma"])
+        (["validate-schedule", "OE-GSMVI", "--L", "1e-300", "--mu", "1e-301", "--k", "5"],
+         "error: L must be in [1.49167e-154, inf), got 1e-300"),
+        (["validate-schedule", "SOE-2", "--L", "1", "--mu", "1e-170", "--k", "50"],
+         "error: mu must be in [1.49167e-154, 1.34078e+154], got 1e-170"),
+    ], ids=["SOE-2-sigma-squared", "validator-L-squared", "unread-sigma", "tiny-L", "SOE-2-tiny-mu"])
     def test_validate_schedule_rejects_constants_out_of_range(self, capsys, argv, message):
-        # the first two once ended in an OverflowError traceback; the last exited 0
+        # all but unread-sigma once ended in an OverflowError traceback or
+        # "error: math domain error"; unread-sigma exited 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1
@@ -1169,23 +1174,46 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("section, message", [
         ("[policy:SOE-2]\nsigma = 1e200\n",
-         "SOE-2: sigma must be in (0, 1.34078e+154], got 1e+200"),
+         "SOE-2: sigma must be in [1.49167e-154, 1.34078e+154], got 1e+200"),
         ("[policy:SOE-3]\nnoise_ratio = 1e308\n",
          "SOE-3: noise_ratio must be in (0, 1.09722e+304], got 1e+308"),
-    ], ids=["SOE-2-sigma", "SOE-3-noise_ratio"])
+        ("[problem]\nkind = traffic\nn = 10\nseed = 3\n\n[run]\nk = 5\n\n"
+         "[policy:OE-MVI]\nL = 1e-300\n",
+         "OE-MVI: L must be in [1.49167e-154, inf), got 1e-300"),
+        ("[policy:SOE-2]\nsigma = 1e-300\n",
+         "SOE-2: sigma must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
+        ("[policy:SOE-2]\nmu = 1e-170\n",
+         "SOE-2: mu must be in [1.49167e-154, 1.34078e+154], got 1e-170"),
+        ("[policy:SOE-2]\nV1 = 1e-320\n", None),
+        ("[policy:SOE-1]\nmu = 1e-170\n", "SOE-1: mu must be in [1.49167e-154, inf), got 1e-170"),
+        ("[policy:SOE-3]\nmu = 1e-170\n", "SOE-3: mu must be in [1.49167e-154, inf), got 1e-170"),
+        ("[policy:SA-RM]\nmu = 1e-300\n", "SA-RM: mu must be in [1.49167e-154, inf), got 1e-300"),
+    ], ids=["SOE-2-sigma", "SOE-3-noise_ratio", "OE-MVI-tiny-L", "SOE-2-tiny-sigma",
+            "SOE-2-tiny-mu", "SOE-2-tiny-V1", "SOE-1-tiny-mu", "SOE-3-tiny-mu", "SA-RM-tiny-mu"])
     def test_override_past_its_closed_form_is_a_config_error(self, tmp_path, capsys, command,
                                                               section, message):
-        # finite overrides that once overflowed inside the schedule: an
-        # OverflowError traceback from SOE-2's q and from SOE-3's epoch length
+        # finite overrides that once overflowed or underflowed inside a closed
+        # form: an OverflowError or ZeroDivisionError traceback, "math domain
+        # error", or numpy warnings and a diverged run.  Each is refused by
+        # name, or (message None) the call completes: a run exits 0, a check
+        # 0 or 2
         path = tmp_path / "exp.ini"
-        path.write_text("[problem]\nkind = glm-hinge\nn = 5\nseed = 1\n\n[run]\nk = 5\n\n"
-                        + section)
+        if not section.startswith("[problem]"):
+            section = ("[problem]\nkind = glm-hinge\nn = 5\nseed = 3\n\n[run]\nk = 50\n"
+                       "seeds = 1\n\n" + section)
+        path.write_text(section)
         out = tmp_path / "out"
         argv = [command, str(path)] + (["--output", str(out)] if command == "run" else [])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(argv) == 1
-        assert capsys.readouterr() == ("", f"config error: cannot build policy {message}\n")
+            rc = cli.main(argv)
+        captured = capsys.readouterr()
+        if message is None:
+            assert rc in ((0,) if command == "run" else (0, 2)), captured
+            assert captured.err == ""
+            return
+        assert rc == 1
+        assert captured == ("", f"config error: cannot build policy {message}\n")
         assert not out.exists()
 
     def test_glm_huge_radius_stops_at_the_variance_bound(self, tmp_path, capsys):

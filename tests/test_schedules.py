@@ -61,31 +61,57 @@ class TestLinearRatePolicy:
 ], ids=["OE-GSMVI-L", "OE-GSMVI-mu", "SOE-2-sigma", "SOE-3-V1", "SBOE-MVI-Lbar",
         "SBOE-GSMVI-L"])
 def test_constants_must_be_finite(name, build, value):
+    # a stepsize 1/(c L) or 1/(c Lbar) is squared, so L and Lbar have a floor
+    low = "[1.49167e-154" if name in ("L", "Lbar") else "(0"
     with pytest.raises(ValueError,
-                       match=f"^{re.escape(f'{name} must be in (0, inf), got {value}')}$"):
+                       match=f"^{re.escape(f'{name} must be in {low}, inf), got {value}')}$"):
         build(value)
 
 
 @pytest.mark.parametrize("build, message", [
     # SOE-2's q squares mu and sigma: each once overflowed into an OverflowError
     (lambda: S.SoeConstantSchedule(1.0, 0.1, 1e200, 1.0, 100),
-     "sigma must be in (0, 1.34078e+154], got 1e+200"),
+     "sigma must be in [1.49167e-154, 1.34078e+154], got 1e+200"),
     (lambda: S.SoeConstantSchedule(1e300, 1e200, 1.0, 1.0, 100),
-     "mu must be in (0, 1.34078e+154], got 1e+200"),
+     "mu must be in [1.49167e-154, 1.34078e+154], got 1e+200"),
     # 2^14 noise_ratio is epoch 8's length, which once overflowed an int
     (lambda: S.SoeRestartSchedule(1.0, 0.1, noise_ratio=1e308),
      "noise_ratio must be in (0, 1.09722e+304], got 1e+308"),
-    (lambda: S.SoeRestartSchedule(1e150, 1e-200), "4 L / mu must be in (0, 8.98847e+307], got inf"),
+    (lambda: S.SoeRestartSchedule(1e300, 1e-10), "4 L / mu must be in (0, 6.7039e+153], got inf"),
     # a constant the policy does not read is held to its range all the same
     (lambda: S.make_schedule("SBOE-MVI", L=2.0, sigma=-math.inf, b=2),
      "sigma must be in [0, inf), got -inf"),
     (lambda: S.make_schedule("OE-GMVI", L=2.0, b=0), "b must be in [1, inf), got 0"),
     # the validator squares L
     (lambda: S.validate(S.OEGmviSchedule(1e300), 10),
-     "L must be in (0, 1.34078e+154], got 1e+300"),
+     "L must be in [1.49167e-154, 1.34078e+154], got 1e+300"),
     (lambda: S.validate(S.OEGmviSchedule(1.0), 0), "k must be in [1, inf), got 0"),
+    # floors: each once ended in an OverflowError or ZeroDivisionError, "math
+    # domain error", or numpy warnings and a schedule of inf and nan
+    (lambda: S.make_schedule("OE-GSMVI", L=1e-300, mu=1e-301, k=5),
+     "L must be in [1.49167e-154, inf), got 1e-300"),
+    (lambda: S.SboeMviSchedule(1e-300, 2), "Lbar must be in [1.49167e-154, inf), got 1e-300"),
+    (lambda: S.validate(S.OEMviSchedule(1.0), 5, L=1e-300),
+     "L must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
+    (lambda: S.SoeConstantSchedule(1.0, 0.1, 1e-300, 1.0, 50),
+     "sigma must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
+    (lambda: S.SoeConstantSchedule(1.0, 1e-170, 1.0, 1.0, 50),
+     "mu must be in [1.49167e-154, 1.34078e+154], got 1e-170"),
+    (lambda: S.SoeDecreasingSchedule(1.0, 1e-170), "mu must be in [1.49167e-154, inf), got 1e-170"),
+    (lambda: S.SoeDecreasingSchedule(1e100, 1e-100),
+     "4 L / mu must be in (0, 6.7039e+153], got 4e+200"),
+    (lambda: S.SoeRestartSchedule(1.0, 1e-170), "mu must be in [1.49167e-154, inf), got 1e-170"),
+    (lambda: S.SaSchedule(1.0, 1e-300, parity_offset=False),
+     "mu must be in [1.49167e-154, inf), got 1e-300"),
+    (lambda: S.SaSchedule(1.0, 6e-319), "mu must be in [1.49167e-154, inf), got 6e-319"),
+    # mu above L: once numpy overflow warnings, from SA's steps 1/(mu (t + t0))
+    # at t = 1000 and from SBOE-GSMVI's validation
+    (lambda: S.SaSchedule(1.0, 1e306), "mu must be in (0, 1], got 1e+306"),
+    (lambda: S.SboeGsmviSchedule(1e-60, 1, 1e258), "mu must be in (0, 1e-60], got 1e+258"),
 ], ids=["SOE-2-sigma", "SOE-2-mu", "SOE-3-noise_ratio", "SOE-3-t0", "unread-sigma", "unread-b",
-        "validate-L", "validate-k"])
+        "validate-L", "validate-k", "tiny-L", "tiny-Lbar", "validate-tiny-L", "SOE-2-tiny-sigma",
+        "SOE-2-tiny-mu", "SOE-1-tiny-mu", "SOE-1-t0", "SOE-3-tiny-mu", "SA-RM-tiny-mu",
+        "SA-tiny-mu", "SA-mu-above-L", "SBOE-GSMVI-mu-above-L"])
 def test_constant_out_of_its_range_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -161,6 +187,12 @@ class TestConstantPolicy:
         assert sched.q_clamped
         assert sched.gamma > 0
         assert any("clamped" in n for n in sched.notes)
+
+    def test_q_from_logs_where_the_ratio_leaves_the_doubles(self):
+        # mu^2 V1 / sigma^2 = 2.5e-325 underflows to 0: once "math domain error"
+        sched = S.SoeConstantSchedule(L=1.0, mu=0.05, sigma=10.0, V1=1e-320, k=50)
+        q = 1.0 + (2.0 * math.log(0.05 / 10.0) + math.log(1e-320)) / math.log(50)
+        assert sched.notes == (f"q = {q:.3e} clamped to 0.001",)
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
