@@ -96,6 +96,7 @@ from .solvers import (
     SBOE_MVI_AVERAGE,
     SOE_MVI_TAIL_AVERAGE,
     RunConfig,
+    check_seed,
     output_rng,
     run,
     seed_free,
@@ -226,9 +227,12 @@ class ExperimentConfig:
 
 
 def _check_budget(k: int, seeds) -> None:
-    """Raise ``ConfigError`` unless k >= 1 and the seeds are distinct and nonempty."""
+    """Raise ``ConfigError`` unless k >= 1 and the seeds are distinct, nonempty
+    and each in [-2^63, 2^63) (``solvers.check_seed``)."""
     with _config_error():
         in_range("k", k, 1, closed=True)
+        for seed in seeds:
+            check_seed(seed)
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     if not seeds:

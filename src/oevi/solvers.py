@@ -42,8 +42,16 @@ _PURPOSE_OUTPUT = 3
 _RESYNC = 10_000  # block steps between full evaluations of a recursively updated F
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it lies in [-2^63, 2^63), where ``_philox``'s 64-bit key is
+    one-to-one in it, else ``ValueError``: seeds 2^64 apart draw alike."""
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError(f"seed must be in [-2^63, 2^63), got {seed}")
+    return seed
+
+
 def _philox(seed: int, purpose: int, counter: int = 0) -> np.random.Generator:
-    key = (int(seed) & _U64) + (purpose << 64)
+    key = (check_seed(int(seed)) & _U64) + (purpose << 64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 

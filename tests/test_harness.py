@@ -71,6 +71,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_config(tmp_path, seeds=(1, 1))
 
+    def test_seeds_that_alias_rejected(self, tmp_path, capsys, monkeypatch):
+        # distinct, but one stream: once two identical trajectory CSVs and an
+        # aggregate of n_seeds = 2 with every se at 0
+        seeds = count_engine_calls(monkeypatch)
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nkind = glm-hinge\nn = 5\nseed = 3\n\n[run]\nk = 10\n"
+                        "seeds = -1, 18446744073709551615\n\n[policy:SOE-1]\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "config error: seed must be in [-2^63, 2^63), got 18446744073709551615\n")
+        assert not out.exists()
+        assert seeds == []
+
     def test_empty_policies_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig(problem=tiny_problem(), policies=[], k=10, seeds=(1,))

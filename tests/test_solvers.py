@@ -165,6 +165,15 @@ class TestStochasticRun:
         c = soe_run(noisy, sched, x1, 50, seed=12)
         assert np.abs(c.xs - a.xs).max() > 0
 
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_seed_past_64_bits_rejected(self, seed):
+        # the stream key keeps a seed's low 64 bits: once seed 2^63 drew the
+        # numbers of -2^63, and -1 those of 2^64 - 1
+        p = glm_generate(5, "hinge", 2.0, 0.5, seed=3)
+        sched = S.SoeDecreasingSchedule(p.constants.L, p.constants.mu)
+        with pytest.raises(ValueError, match=rf"^seed must be in \[-2\^63, 2\^63\), got {seed}$"):
+            soe_run(p, sched, analytic_center(p.set), 5, seed=seed)
+
     def test_oracle_call_count_is_sum_of_batches(self):
         class GrowingBatch(S.SoeDecreasingSchedule):
             """SOE-1 whose table draws t samples at step t, the way SOE-4 draws k + 1."""
