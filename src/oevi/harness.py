@@ -885,6 +885,11 @@ def _check_soe_3(policy, schedule, problem, runs, x1, k):
 
 
 def _check_soe_4(policy, schedule, problem, runs, x1, k):
+    # the bound assumes k + 1 samples per step; a larger m only lowers the variance
+    if policy.batch is not None and policy.batch < k + 1:
+        return [BoundCheck(policy.name, "mini-batch size", math.nan, math.nan, False,
+                           f"m = {policy.batch} is below the k + 1 = {k + 1} samples "
+                           "per step that the bound assumes")]
     if k < 2:  # R is uniform on {2, ..., k}
         return [BoundCheck(policy.name, "expected squared residual", math.nan, math.nan, True,
                            f"skipped: k = {k} leaves no output index R >= 2")]

@@ -912,6 +912,20 @@ class TestCheckBounds:
                                        "k = 1 leaves no output index R >= 2\n", "")
         assert made == []
 
+    def test_soe_4_batch_below_its_bound_fails_without_a_run(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the limit is for k + 1 samples per step: at m = 1 the check once
+        # passed, measuring 2.21e4 against a limit of 1.32e6
+        seeds = count_engine_calls(monkeypatch)
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nkind = glm-hinge\nn = 20\nseed = 3\n\n"
+                        "[run]\nk = 600\nseeds = 1, 2, 3\n\n[policy:SOE-4]\nm = 1\n")
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr() == ("[FAIL] SOE-4: mini-batch size m = 1 is below the "
+                                       "k + 1 = 601 samples per step that the bound assumes\n",
+                                       "")
+        assert seeds == []
+
     def test_stochastic_mean_bound(self, tmp_path):
         p = tiny_problem()
         import dataclasses
