@@ -1,6 +1,6 @@
 """Smoke test of the demos under demos/: each runs to the end in a fresh
 process, exits 0 and writes no traceback or warning.  Demo 02, whose
-stochastic runs take several seconds, is left out."""
+stochastic runs take several seconds, runs as its own CI step instead."""
 
 import os
 import subprocess
