@@ -488,7 +488,7 @@ def _loop_cases(draw):
     k, c = draw(st.integers(2, 30)), problem.constants
     schedule = S.make_schedule(draw(st.sampled_from(S.POLICY_NAMES)), L=c.L, mu=c.mu,
                                sigma=1.0, V1=1.0, k=k, b=len(sizes))
-    return problem, schedule, k, draw(st.integers(0, 2**63)), draw(st.sampled_from([None, 1, 3]))
+    return problem, schedule, k, draw(st.integers(0, 2**63 - 1)), draw(st.sampled_from([None, 1, 3]))
 
 
 def _transcribed_run(problem, schedule, k, seed, batch):
