@@ -129,7 +129,7 @@ class ConfigError(ValueError):
 
 
 class ValidationFailed(ConfigError):
-    """A schedule failed its side conditions under ``oevi run`` (exit code 2)."""
+    """A schedule failed its side conditions in ``run_experiment`` (CLI exit code 2)."""
 
 
 @contextlib.contextmanager
