@@ -488,7 +488,6 @@ class TestSeedFreeRuns:
 class TestValidationWarning:
     def test_fail_mode_raises(self, tmp_path, monkeypatch):
         validate = harness.validate
-        # judged at a far larger L, the schedule's stepsizes break its conditions
         monkeypatch.setattr(harness, "validate",
                             lambda schedule, k: validate(schedule, k, L=100 * schedule.L))
         with pytest.raises(ConfigError, match="schedule validation failed"):
