@@ -960,7 +960,7 @@ def _runs(policy: PolicyRun, schedule: Schedule, problem: VIProblem, x1, k: int,
 
 
 def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
-    """Run each configured policy and compare against its convergence bound.
+    """Build every configured policy's schedule, then run each against its bound.
 
     Policies whose schedule fails validation get a FAIL record and no bound
     check (the guarantee's preconditions do not hold), and a policy without a
@@ -969,8 +969,8 @@ def check_bounds(config: ExperimentConfig) -> list[BoundCheck]:
     problem = ensure_reference(config.problem)
     x1 = analytic_center(problem.set)
     checks: list[BoundCheck] = []
-    for policy in config.policies:
-        schedule = schedule_for(policy, problem, config.k, x1)
+    schedules = [schedule_for(policy, problem, config.k, x1) for policy in config.policies]
+    for policy, schedule in zip(config.policies, schedules):
         # bounds hold only at the problem's true constants, not at fine-tuned overrides
         report = validate(schedule, config.k, L=problem.constants.L, mu=problem.constants.mu,
                           Lbar=problem.Lbar if POLICIES[policy.name].source == "block" else None)

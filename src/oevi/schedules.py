@@ -91,12 +91,12 @@ class Schedule:
 
     def _set_constants(self, *, mu_le_L: bool = False, **constants: float):
         """Store each named constant as a float after checking that it is
-        positive and finite, L and Lbar at least sqrt(DBL_MIN), so that the
-        square of a stepsize 1/(c L) or 1/(c Lbar) is a double, and with
-        ``mu_le_L`` that mu does not exceed L."""
+        positive and finite, L and Lbar in [sqrt(DBL_MIN), sqrt(DBL_MAX)], so
+        that their squares and those of a stepsize 1/(c L) or 1/(c Lbar) are
+        doubles, and with ``mu_le_L`` that mu does not exceed L."""
         for name, value in constants.items():
-            low = _ROOT_MIN if name in ("L", "Lbar") else 0.0
-            setattr(self, name, float(in_range(name, value, low, closed=low > 0)))
+            low, high = (_ROOT_MIN, _ROOT_MAX) if name in ("L", "Lbar") else (0.0, math.inf)
+            setattr(self, name, float(in_range(name, value, low, closed=low > 0, high=high)))
         if mu_le_L:
             in_range("mu", self.mu, high=self.L)
 
@@ -558,7 +558,7 @@ def validate(
 
     ``L``, ``mu`` and ``Lbar`` replace the schedule's own constants, so a
     schedule built from tuned constants can be checked at the true ones; a
-    k below 1, or an L whose square overflows a float, raises ``ValueError``.
+    k below 1, or an ``L`` outside [sqrt(DBL_MIN), sqrt(DBL_MAX)], raises ``ValueError``.
     Inequalities are verified in log space with a fixed relative slack of
     1e-10 (an absolute slack on log values).  The coupling identity is
     checked to 1e-12 relative, widened by the floating-point rounding floor
@@ -568,7 +568,7 @@ def validate(
     lambda_t = 0, are exempt from the coupling identity by construction.
     """
     in_range("k", k, 1, closed=True)
-    L = float(in_range("L", schedule.L if L is None else L, _ROOT_MIN, closed=True, high=_ROOT_MAX))
+    L = schedule.L if L is None else float(in_range("L", L, _ROOT_MIN, closed=True, high=_ROOT_MAX))
     mu = schedule.mu if mu is None else float(mu)
     b = schedule.b
     Lbar = (schedule.Lbar if not math.isnan(schedule.Lbar) else L) if Lbar is None else float(Lbar)

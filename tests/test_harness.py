@@ -1180,10 +1180,13 @@ class TestCli:
         (["validate-schedule", "SBOE-MVI", "--L", "2", "--k", "20", "--sigma=-inf"],
          "error: sigma must be in [0, inf), got -inf"),
         (["validate-schedule", "OE-GSMVI", "--L", "1e-300", "--mu", "1e-301", "--k", "5"],
-         "error: L must be in [1.49167e-154, inf), got 1e-300"),
+         "error: L must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
         (["validate-schedule", "SOE-2", "--L", "1", "--mu", "1e-170", "--k", "50"],
          "error: mu must be in [1.49167e-154, 1.34078e+154], got 1e-170"),
-    ], ids=["SOE-2-sigma-squared", "validator-L-squared", "unread-sigma", "tiny-L", "SOE-2-tiny-mu"])
+        (["validate-schedule", "SBOE-MVI", "--L", "2e-50", "--Lbar", "2e306", "--b", "49",
+          "--k", "2"], "error: Lbar must be in [1.49167e-154, 1.34078e+154], got 2e+306"),
+    ], ids=["SOE-2-sigma-squared", "validator-L-squared", "unread-sigma", "tiny-L", "SOE-2-tiny-mu",
+            "huge-Lbar"])
     def test_validate_schedule_rejects_constants_out_of_range(self, capsys, argv, message):
         # all but unread-sigma once ended in an OverflowError traceback or
         # "error: math domain error"; unread-sigma exited 0
@@ -1206,7 +1209,9 @@ class TestCli:
          "SOE-3: noise_ratio must be in (0, 1.09722e+304], got 1e+308"),
         ("[problem]\nkind = traffic\nn = 10\nseed = 3\n\n[run]\nk = 5\n\n"
          "[policy:OE-MVI]\nL = 1e-300\n",
-         "OE-MVI: L must be in [1.49167e-154, inf), got 1e-300"),
+         "OE-MVI: L must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
+        ("[policy:OE-GMVI]\nL = 1e200\n",
+         "OE-GMVI: L must be in [1.49167e-154, 1.34078e+154], got 1e+200"),
         ("[policy:SOE-2]\nsigma = 1e-300\n",
          "SOE-2: sigma must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
         ("[policy:SOE-2]\nmu = 1e-170\n",
@@ -1215,7 +1220,8 @@ class TestCli:
         ("[policy:SOE-1]\nmu = 1e-170\n", "SOE-1: mu must be in [1.49167e-154, inf), got 1e-170"),
         ("[policy:SOE-3]\nmu = 1e-170\n", "SOE-3: mu must be in [1.49167e-154, inf), got 1e-170"),
         ("[policy:SA-RM]\nmu = 1e-300\n", "SA-RM: mu must be in [1.49167e-154, inf), got 1e-300"),
-    ], ids=["SOE-2-sigma", "SOE-3-noise_ratio", "OE-MVI-tiny-L", "SOE-2-tiny-sigma",
+    ], ids=["SOE-2-sigma", "SOE-3-noise_ratio", "OE-MVI-tiny-L", "OE-GMVI-huge-L",
+            "SOE-2-tiny-sigma",
             "SOE-2-tiny-mu", "SOE-2-tiny-V1", "SOE-1-tiny-mu", "SOE-3-tiny-mu", "SA-RM-tiny-mu"])
     def test_override_past_its_closed_form_is_a_config_error(self, tmp_path, capsys, command,
                                                               section, message):
@@ -1241,6 +1247,22 @@ class TestCli:
             return
         assert rc == 1
         assert captured == ("", f"config error: cannot build policy {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_every_schedule_is_built_before_the_first_run(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        # check once ran SOE-1 on both seeds before it refused SOE-2
+        path = tmp_path / "exp.ini"
+        path.write_text("[problem]\nkind = glm-hinge\nn = 5\nseed = 3\n\n[run]\nk = 50\n"
+                        "seeds = 1, 2\n\n[policy:SOE-1]\nm = 2\n\n[policy:SOE-2]\nsigma = 1e200\n")
+        out = tmp_path / "out"
+        seeds = count_engine_calls(monkeypatch)
+        argv = [command, str(path)] + (["--output", str(out)] if command == "run" else [])
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", "config error: cannot build policy SOE-2: sigma must "
+                                       "be in [1.49167e-154, 1.34078e+154], got 1e+200\n")
+        assert seeds == []
         assert not out.exists()
 
     def test_glm_huge_radius_stops_at_the_variance_bound(self, tmp_path, capsys):

@@ -61,10 +61,10 @@ class TestLinearRatePolicy:
 ], ids=["OE-GSMVI-L", "OE-GSMVI-mu", "SOE-2-sigma", "SOE-3-V1", "SBOE-MVI-Lbar",
         "SBOE-GSMVI-L"])
 def test_constants_must_be_finite(name, build, value):
-    # a stepsize 1/(c L) or 1/(c Lbar) is squared, so L and Lbar have a floor
-    low = "[1.49167e-154" if name in ("L", "Lbar") else "(0"
+    # L, Lbar and a stepsize 1/(c L) or 1/(c Lbar) are squared, so L and Lbar have a window
+    window = "[1.49167e-154, 1.34078e+154]" if name in ("L", "Lbar") else "(0, inf)"
     with pytest.raises(ValueError,
-                       match=f"^{re.escape(f'{name} must be in {low}, inf), got {value}')}$"):
+                       match=f"^{re.escape(f'{name} must be in {window}, got {value}')}$"):
         build(value)
 
 
@@ -72,12 +72,14 @@ def test_constants_must_be_finite(name, build, value):
     # SOE-2's q squares mu and sigma: each once overflowed into an OverflowError
     (lambda: S.SoeConstantSchedule(1.0, 0.1, 1e200, 1.0, 100),
      "sigma must be in [1.49167e-154, 1.34078e+154], got 1e+200"),
+    # mu <= L <= sqrt(DBL_MAX): L stops first
     (lambda: S.SoeConstantSchedule(1e300, 1e200, 1.0, 1.0, 100),
-     "mu must be in [1.49167e-154, 1.34078e+154], got 1e+200"),
+     "L must be in [1.49167e-154, 1.34078e+154], got 1e+300"),
     # 2^14 noise_ratio is epoch 8's length, which once overflowed an int
     (lambda: S.SoeRestartSchedule(1.0, 0.1, noise_ratio=1e308),
      "noise_ratio must be in (0, 1.09722e+304], got 1e+308"),
-    (lambda: S.SoeRestartSchedule(1e300, 1e-10), "4 L / mu must be in (0, 6.7039e+153], got inf"),
+    (lambda: S.SoeRestartSchedule(1e154, 1e-10),
+     "4 L / mu must be in (0, 6.7039e+153], got 4e+164"),
     # a constant the policy does not read is held to its range all the same
     (lambda: S.make_schedule("SBOE-MVI", L=2.0, sigma=-math.inf, b=2),
      "sigma must be in [0, inf), got -inf"),
@@ -89,8 +91,12 @@ def test_constants_must_be_finite(name, build, value):
     # floors: each once ended in an OverflowError or ZeroDivisionError, "math
     # domain error", or numpy warnings and a schedule of inf and nan
     (lambda: S.make_schedule("OE-GSMVI", L=1e-300, mu=1e-301, k=5),
-     "L must be in [1.49167e-154, inf), got 1e-300"),
-    (lambda: S.SboeMviSchedule(1e-300, 2), "Lbar must be in [1.49167e-154, inf), got 1e-300"),
+     "L must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
+    (lambda: S.SboeMviSchedule(1e-300, 2),
+     "Lbar must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
+    # once gamma = 1/(4 Lbar b) = 0 and a numpy warning in the validator
+    (lambda: S.SboeMviSchedule(2e306, 49),
+     "Lbar must be in [1.49167e-154, 1.34078e+154], got 2e+306"),
     (lambda: S.validate(S.OEMviSchedule(1.0), 5, L=1e-300),
      "L must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
     (lambda: S.SoeConstantSchedule(1.0, 0.1, 1e-300, 1.0, 50),
@@ -109,7 +115,7 @@ def test_constants_must_be_finite(name, build, value):
     (lambda: S.SaSchedule(1.0, 1e306), "mu must be in (0, 1], got 1e+306"),
     (lambda: S.SboeGsmviSchedule(1e-60, 1, 1e258), "mu must be in (0, 1e-60], got 1e+258"),
 ], ids=["SOE-2-sigma", "SOE-2-mu", "SOE-3-noise_ratio", "SOE-3-t0", "unread-sigma", "unread-b",
-        "validate-L", "validate-k", "tiny-L", "tiny-Lbar", "validate-tiny-L", "SOE-2-tiny-sigma",
+        "validate-L", "validate-k", "tiny-L", "tiny-Lbar", "huge-Lbar", "validate-tiny-L", "SOE-2-tiny-sigma",
         "SOE-2-tiny-mu", "SOE-1-tiny-mu", "SOE-1-t0", "SOE-3-tiny-mu", "SA-RM-tiny-mu",
         "SA-tiny-mu", "SA-mu-above-L", "SBOE-GSMVI-mu-above-L"])
 def test_constant_out_of_its_range_rejected(build, message):
