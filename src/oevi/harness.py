@@ -90,7 +90,8 @@ from .problems import (
     solve_reference,
     traffic_generate,
 )
-from .schedules import POLICIES, POLICY_NAMES, Schedule, check_constants, make_schedule, validate
+from .schedules import (POLICIES, POLICY_NAMES, Schedule, check_constants, make_schedule,
+                        noise_form, validate)
 from .solvers import (
     OE_MVI_AVERAGE,
     SBOE_MVI_AVERAGE,
@@ -874,9 +875,8 @@ def _check_soe_3(policy, schedule, problem, runs, x1, k):
                            f"skipped: k = {k} ends before the first epoch end "
                            f"K_1 = {schedule.epoch_length(1)}")]
     x_star = _solution(problem)
-    # halve from V(x1, x*); at x1 = x* from the V1 the epochs were sized for,
-    # sigma^2 / (mu^2 noise_ratio)
-    V1 = bregman(x1, x_star) or schedule.sigma**2 / (schedule.mu**2 * schedule.noise_ratio)
+    # halve from V(x1, x*); at x1 = x* from the V1 the epochs were sized for
+    V1 = bregman(x1, x_star) or noise_form(schedule.sigma, schedule.mu, schedule.noise_ratio)
     # one row per run: its distance at each epoch end
     dists = [[bregman(traj.xs[K + 1], x_star) for K in ends] for _, traj in runs]
     return [_seed_mean(policy, f"epoch {s} halving", vals, bound_soe_restart(V1, s),

@@ -130,6 +130,13 @@ def _offset(L: float, mu: float) -> float:
     return float(in_range("4 L / mu", 4.0 * L / mu, high=_ROOT_MAX / 2))
 
 
+def noise_form(sigma: float, mu: float, x: float) -> float:
+    """sigma^2 / (mu^2 x): SOE-3's noise ratio at x = V1, and V1 at x = the
+    ratio; inf, not a division by 0, where mu^2 x underflows."""
+    den = mu * mu * x
+    return sigma * sigma / den if den > 0 else math.inf
+
+
 def _decreasing(mu: float, t0: float, t):
     """Decreasing-policy stepsize gamma_t = 1/(mu (t0 + t - 1)) and weight
     theta_t = (t + t0 + 1)(t + t0), elementwise in t."""
@@ -256,7 +263,7 @@ class SoeRestartSchedule(Schedule):
         self.t0 = _offset(self.L, self.mu)
         self.noise_ratio = float(in_range("noise_ratio", (
             noise_ratio if noise_ratio is not None
-            else self.sigma**2 / (self.mu**2 * self.V1)), high=np.finfo(float).max / 2**14))
+            else noise_form(self.sigma, self.mu, self.V1)), high=np.finfo(float).max / 2**14))
 
     def epoch_length(self, s: int) -> int:
         base = (2.0 * math.sqrt(2.0) - 1.0) * self.t0 + 4.0

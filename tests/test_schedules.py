@@ -78,6 +78,12 @@ def test_constants_must_be_finite(name, build, value):
     # 2^14 noise_ratio is epoch 8's length, which once overflowed an int
     (lambda: S.SoeRestartSchedule(1.0, 0.1, noise_ratio=1e308),
      "noise_ratio must be in (0, 1.09722e+304], got 1e+308"),
+    # the default noise ratio sigma^2/(mu^2 V1): once a ZeroDivisionError where
+    # mu^2 V1 underflows, and an OverflowError where sigma^2 overflows
+    (lambda: S.SoeRestartSchedule(1.0, 1e-150, 1.0, 1e-300),
+     "noise_ratio must be in (0, 1.09722e+304], got inf"),
+    (lambda: S.SoeRestartSchedule(1.0, 0.1, 1e200),
+     "noise_ratio must be in (0, 1.09722e+304], got inf"),
     (lambda: S.SoeRestartSchedule(1e154, 1e-10),
      "4 L / mu must be in (0, 6.7039e+153], got 4e+164"),
     # a constant the policy does not read is held to its range all the same
@@ -114,13 +120,20 @@ def test_constants_must_be_finite(name, build, value):
     # at t = 1000 and from SBOE-GSMVI's validation
     (lambda: S.SaSchedule(1.0, 1e306), "mu must be in (0, 1], got 1e+306"),
     (lambda: S.SboeGsmviSchedule(1e-60, 1, 1e258), "mu must be in (0, 1e-60], got 1e+258"),
-], ids=["SOE-2-sigma", "SOE-2-mu", "SOE-3-noise_ratio", "SOE-3-t0", "unread-sigma", "unread-b",
+], ids=["SOE-2-sigma", "SOE-2-mu", "SOE-3-noise_ratio", "SOE-3-noise-underflow",
+        "SOE-3-huge-sigma", "SOE-3-t0", "unread-sigma", "unread-b",
         "validate-L", "validate-k", "tiny-L", "tiny-Lbar", "huge-Lbar", "validate-tiny-L", "SOE-2-tiny-sigma",
         "SOE-2-tiny-mu", "SOE-1-tiny-mu", "SOE-1-t0", "SOE-3-tiny-mu", "SA-RM-tiny-mu",
         "SA-tiny-mu", "SA-mu-above-L", "SBOE-GSMVI-mu-above-L"])
 def test_constant_out_of_its_range_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_noise_form_is_inf_where_its_denominator_underflows():
+    # mu^2 V1 = 1e-300 * 1e-300 is 0 in doubles
+    assert S.noise_form(1.0, 1e-150, 1e-300) == math.inf
+    assert S.noise_form(2.0, 0.1, 3.0) == 2.0**2 / (0.1**2 * 3.0)
 
 
 def test_largest_noise_ratio_keeps_every_epoch_finite():
