@@ -405,7 +405,7 @@ def glm_oracle(spec: GLMSpec, x, rng: np.random.Generator, m: int = 1) -> np.nda
     eta = rng.standard_normal((m, spec.dim))
     s = eta @ (spec.A @ xv)
     s_star = eta @ spec.A_x_star
-    y = rng.normal(_link(spec.link, s_star), spec.sigma_y)
+    y = _link(spec.link, s_star) + spec.sigma_y * rng.standard_normal(m)
     return eta.T @ (_link(spec.link, s) - y) / m
 
 

@@ -47,6 +47,7 @@ from oevi.problems import (
     solve_reference,
     traffic_generate,
 )
+from oevi.solvers import iteration_rng
 
 
 def power_iteration_sigma_max(G, iters=5000):
@@ -336,6 +337,23 @@ class TestGlmOracle:
         expected = eta * max(eta @ (spec.A @ x), 0.0) - eta * y
         out = glm_oracle(spec, x, np.random.default_rng(2), 1)
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("sigma_y", [0.0, 0.1, 1.0, 3.7])
+    @pytest.mark.parametrize("link", ["hinge", "ramp"])
+    def test_label_draw_is_the_rng_normal_stream(self, link, sigma_y, m):
+        # f(s*) + sigma_y z holds the bytes rng.normal(f(s*), sigma_y) draws,
+        # which numpy computes as loc + scale z without a fused multiply-add
+        spec = glm_generate(5, link, R=1.0, sigma_y=sigma_y, seed=4).glm
+        x = np.full(5, 0.3)
+        for seed, t in [(0, 1), (3, 7), (41, 1000), (-2**63, 2**40), (2**63 - 1, 12)]:
+            rng = iteration_rng(seed, t)
+            eta = rng.standard_normal((m, 5))
+            y = rng.normal(problems_module._link(link, eta @ spec.A_x_star), sigma_y)
+            expected = eta.T @ (problems_module._link(link, eta @ (spec.A @ x)) - y) / m
+            drawn = iteration_rng(seed, t)
+            assert glm_oracle(spec, x, drawn, m).tobytes() == expected.tobytes()
+            assert drawn.random() == rng.random()  # and leaves the stream where it did
 
     def test_monte_carlo_mean_matches_exact_hinge(self):
         # smaller-N version of the acceptance check
