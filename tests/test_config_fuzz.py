@@ -39,10 +39,11 @@ from oevi.schedules import POLICIES, POLICY_NAMES
 
 # every value is drawn from these classes; "valid" stands for each key's own valid text
 CLASSES = {"valid": None, "zero": "0", "negative": "-1", "nan": "nan", "inf": "inf",
-           "-inf": "-inf", "huge": "1e300", "tiny": "1e-300", "empty": "", "text": "abc"}
+           "-inf": "-inf", "huge": "1e300", "max": "1.7976931348623157e308", "tiny": "1e-300",
+           "empty": "", "text": "abc"}
 ANY = frozenset(CLASSES)
-POSITIVE = frozenset({"valid", "huge", "tiny"})
-NONNEGATIVE = frozenset({"valid", "zero", "huge", "tiny"})
+POSITIVE = frozenset({"valid", "huge", "max", "tiny"})
+NONNEGATIVE = frozenset({"valid", "zero", "huge", "max", "tiny"})
 UNIT = frozenset({"valid", "tiny"})  # (0, 1]
 INTEGER = frozenset({"valid", "zero", "negative"})
 BOOLEAN = frozenset({"valid", "zero"})  # configparser reads "0" as false
@@ -261,6 +262,9 @@ JSON_DOC = json.dumps(JSON_DOCS[0][0])
 # a tiny L: once an OverflowError traceback from the validator's final-step test
 @example((["validate-schedule", "OE-GSMVI", "--L=1e-300", "--mu=1e-301", "--k=5"], None,
           JSON_DOC, True))
+# the largest double as Lbar: once a numpy warning, 4 Lbar b overflowing to inf
+@example((["validate-schedule", "SBOE-MVI", "--L=2", "--Lbar=1.7976931348623157e308", "--b=2",
+           "--k=20"], None, JSON_DOC, True))
 def test_cli_input_contract(capfd, case):
     _check_call(capfd, *case)
 
