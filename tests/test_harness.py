@@ -1188,8 +1188,9 @@ class TestCli:
     ], ids=["SOE-2-sigma-squared", "validator-L-squared", "unread-sigma", "tiny-L", "SOE-2-tiny-mu",
             "huge-Lbar"])
     def test_validate_schedule_rejects_constants_out_of_range(self, capsys, argv, message):
-        # all but unread-sigma once ended in an OverflowError traceback or
-        # "error: math domain error"; unread-sigma exited 0
+        # all but unread-sigma and huge-Lbar once ended in an OverflowError
+        # traceback or "error: math domain error"; unread-sigma exited 0, and
+        # huge-Lbar, whose stepsize 1/(4 Lbar b) was 0, stopped on a numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1

@@ -90,8 +90,8 @@ def test_constants_must_be_finite(name, build, value):
     (lambda: S.make_schedule("SBOE-MVI", L=2.0, sigma=-math.inf, b=2),
      "sigma must be in [0, inf), got -inf"),
     (lambda: S.make_schedule("OE-GMVI", L=2.0, b=0), "b must be in [1, inf), got 0"),
-    # the validator squares L
-    (lambda: S.validate(S.OEGmviSchedule(1e300), 10),
+    # the validator holds an L it is handed to the window of a schedule's own
+    (lambda: S.validate(S.OEGmviSchedule(1.0), 10, L=1e300),
      "L must be in [1.49167e-154, 1.34078e+154], got 1e+300"),
     (lambda: S.validate(S.OEGmviSchedule(1.0), 0), "k must be in [1, inf), got 0"),
     # floors: each once ended in an OverflowError or ZeroDivisionError, "math
@@ -103,6 +103,8 @@ def test_constants_must_be_finite(name, build, value):
     # once gamma = 1/(4 Lbar b) = 0 and a numpy warning in the validator
     (lambda: S.SboeMviSchedule(2e306, 49),
      "Lbar must be in [1.49167e-154, 1.34078e+154], got 2e+306"),
+    # an L derived as Lbar sqrt(b) is held to the same window
+    (lambda: S.SboeMviSchedule(1e154, 4), "L must be in [1.49167e-154, 1.34078e+154], got 2e+154"),
     (lambda: S.validate(S.OEMviSchedule(1.0), 5, L=1e-300),
      "L must be in [1.49167e-154, 1.34078e+154], got 1e-300"),
     (lambda: S.SoeConstantSchedule(1.0, 0.1, 1e-300, 1.0, 50),
@@ -122,7 +124,8 @@ def test_constants_must_be_finite(name, build, value):
     (lambda: S.SboeGsmviSchedule(1e-60, 1, 1e258), "mu must be in (0, 1e-60], got 1e+258"),
 ], ids=["SOE-2-sigma", "SOE-2-mu", "SOE-3-noise_ratio", "SOE-3-noise-underflow",
         "SOE-3-huge-sigma", "SOE-3-t0", "unread-sigma", "unread-b",
-        "validate-L", "validate-k", "tiny-L", "tiny-Lbar", "huge-Lbar", "validate-tiny-L", "SOE-2-tiny-sigma",
+        "validate-L", "validate-k", "tiny-L", "tiny-Lbar", "huge-Lbar", "derived-L",
+        "validate-tiny-L", "SOE-2-tiny-sigma",
         "SOE-2-tiny-mu", "SOE-1-tiny-mu", "SOE-1-t0", "SOE-3-tiny-mu", "SA-RM-tiny-mu",
         "SA-tiny-mu", "SA-mu-above-L", "SBOE-GSMVI-mu-above-L"])
 def test_constant_out_of_its_range_rejected(build, message):
