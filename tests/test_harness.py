@@ -1409,6 +1409,23 @@ class TestCli:
         assert capsys.readouterr() == (
             "", "config error: bound checks need a known or computable solution\n")
 
+    def test_soe_3_halving_from_an_underflowed_v1_is_a_config_error(self, tmp_path, capsys):
+        # x* is the ball's center, x1, so SOE-3 halves from sigma^2/(mu^2
+        # noise_ratio), whose mu^2 noise_ratio underflows: once a
+        # ZeroDivisionError traceback
+        doc = {"kind": "affine", "G": [[2e-154, 0.0], [0.0, 2e-154]], "b": [0.0, 0.0],
+               "set": "ball", "center": [0.0, 0.0], "radius": 1.0, "sigma": 0.1,
+               "known_solution": [0.0, 0.0]}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[problem]\nkind = json\npath = {tmp_path / 'p.json'}\n\n"
+                        "[run]\nk = 20\nseeds = 1\n\n[policy:SOE-3]\nnoise_ratio = 1e-308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["check", str(path)]) == 1
+        assert capsys.readouterr() == ("", "config error: policy SOE-3: the epoch 1 halving "
+                                       "limit is inf, not a finite number\n")
+
     @pytest.mark.parametrize("doc, kind", [([1, 2], "list"), ("affine", "str"), (3, "int")],
                              ids=["array", "string", "number"])
     def test_json_problem_not_an_object(self, tmp_path, capsys, doc, kind):
